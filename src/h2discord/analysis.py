@@ -158,13 +158,6 @@ class PeriodLawResult:
     used_envelope: bool
 
 
-# Search preset for the closed-system sweeps.  A closed run keeps the
-# joint state pure, where every rank-1 product measurement leaves B
-# pure and the conditional entropy is exactly zero; the grid therefore
-# only needs to exist, not to resolve anything.
-SWEEP_SEARCH = SearchConfig(theta_points=9, zero_phases=True, refine=False)
-
-
 def period_law(g_omega_values, zeta: float, base_params: ModelParams,
                sim_cfg: Optional[SimConfig] = None,
                search: Optional[SearchConfig] = None,
@@ -176,14 +169,13 @@ def period_law(g_omega_values, zeta: float, base_params: ModelParams,
     Each sweep point evolves the closed model, computes the discord
     series, and fits the slow oscillation period: directly for zeta=0,
     through the fast-carrier envelope otherwise.  With sim_cfg=None the
-    horizon scales with the expected period of each point.
+    horizon scales with the expected period of each point.  Closed runs
+    stay pure, so `search` is only used on a snapshot that is not.
     """
     values = sorted(float(x) for x in g_omega_values)
     if not values or min(values) <= 0 or max(values) > 1:
         raise ValueError("coupling values must lie in (0, 1] in units of g")
     g_ref = base_params.g_up
-    if search is None:
-        search = SWEEP_SEARCH
     use_envelope = zeta > 0
 
     samples = []

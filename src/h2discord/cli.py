@@ -9,6 +9,7 @@ from that guarantee.
 """
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -58,6 +59,14 @@ def parse_config(text: str) -> dict:
     return entries
 
 
+def _finite(value) -> float:
+    """float(value), refusing nan and infinities like a malformed number."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
+
+
 class _Resolver:
     def __init__(self, entries: dict):
         self.entries = dict(entries)
@@ -81,7 +90,7 @@ class _Resolver:
         raw, lineno = self.take(key)
         if raw is None:
             return default
-        return self._convert(key, raw, lineno, float, "a number")
+        return self._convert(key, raw, lineno, _finite, "a finite number")
 
     def relfloat(self, key, g, default=None):
         """A number, or a multiple of g written like 0.5g / 2g / g."""
@@ -94,25 +103,23 @@ class _Resolver:
             if text.endswith("g"):
                 head = text[:-1].strip()
                 factor = 1.0 if not head else float(head)
-                return factor * g
-            return float(text)
+                return _finite(factor * g)
+            return _finite(text)
 
         value = self._convert(key, raw, lineno, conv,
-                              "a number or a multiple of g")
+                              "a finite number or a multiple of g")
         if value < 0:
             raise ConfigTypeError(f"TypeError: {key} must be nonnegative")
         return value
 
-    def intval(self, key, default=None):
+    def intval(self, key, default=None, minimum=None):
         raw, lineno = self.take(key)
         if raw is None:
             return default
-
-        def conv(text):
-            value = int(text)
-            return value
-
-        return self._convert(key, raw, lineno, conv, "an integer")
+        value = self._convert(key, raw, lineno, int, "an integer")
+        if minimum is not None and value < minimum:
+            raise ConfigTypeError(f"TypeError: {key} must be >= {minimum}")
+        return value
 
     def boolval(self, key, default=None):
         raw, lineno = self.take(key)
@@ -142,10 +149,11 @@ class _Resolver:
             return default
 
         def conv(text):
-            return tuple(float(part) for part in text.split(",") if part.strip())
+            return tuple(_finite(part) for part in text.split(",")
+                         if part.strip())
 
         return self._convert(key, raw, lineno, conv,
-                             "a comma-separated number list")
+                             "a comma-separated list of finite numbers")
 
     def reject_unknown(self):
         if self.entries:
@@ -255,15 +263,13 @@ def resolve_config(entries: dict, kind: str = None,
         raise MissingRequired("evolve-open needs a positive gamma "
                               "(missing required key 'gamma')")
 
-    record_stride = res.intval("record_stride", default=None)
+    record_stride = res.intval("record_stride", default=None, minimum=1)
     if record_stride is None:
         spacing = np.pi / (8 * params.max_scale())
         record_stride = max(1, int(round(spacing / dt)))
-    if record_stride < 1:
-        raise ConfigTypeError("TypeError: record_stride must be >= 1")
     search = SearchConfig(
-        theta_points=res.intval("theta_points", default=17),
-        phi_points=res.intval("phi_points", default=17),
+        theta_points=res.intval("theta_points", default=17, minimum=1),
+        phi_points=res.intval("phi_points", default=17, minimum=1),
         tie_thetas=res.boolval("tie_thetas", default=False),
         tie_phis=res.boolval("tie_phis", default=False),
         zero_phases=res.boolval("zero_phases", default=True),
@@ -283,9 +289,7 @@ def resolve_config(entries: dict, kind: str = None,
             raise ConfigTypeError(
                 f"TypeError: seeds (line {seeds_line}): {exc}") from None
 
-    discord_stride = res.intval("discord_stride", default=1)
-    if discord_stride < 1:
-        raise ConfigTypeError("TypeError: discord_stride must be >= 1")
+    discord_stride = res.intval("discord_stride", default=1, minimum=1)
     config = ExperimentConfig(
         kind=kind,
         out=out,
@@ -478,6 +482,8 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
             png="observables.png")]))
     elif kind == "discord-series":
         traj, points = _run_series(config)
+        notes["discord_pure_snapshots"] = \
+            f"{sum(pt.pure for pt in points)}/{len(points)}"
         emit("observables.csv",
              lambda p: _write_csv(p, _OBS_HEADER, _observables_rows(traj)))
         emit("discord.csv", lambda p: _write_lines(
@@ -585,11 +591,8 @@ def _run_series(config: ExperimentConfig):
 
 
 def _load(path, kind, out, overrides):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise exc
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     entries = parse_config(text)
     for item in overrides or ():
         if "=" not in item:

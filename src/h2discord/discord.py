@@ -17,6 +17,17 @@ Classical correlation maximizes over a deterministic coarse grid of
 the free angles followed by coordinate-descent refinement; ties within
 1e-9 nats resolve to the lexicographically smallest angle tuple, so
 results are reproducible bit for bit.
+
+A pure joint state needs no search.  Every rank-1 measurement on A
+then leaves B pure, so the conditional entropy is zero for every
+angle choice and J = S(B), D = I - J = S(A) exactly (Ollivier & Zurek,
+PRL 88, 017901 (2001); Henderson & Vedral, J. Phys. A 34, 6899
+(2001)).  A state counts as pure when 1 - tr(rho^2) < PURE_TOL
+(`is_pure`).  For such a state the reported measurement is the one
+the search's tie-break picks on a flat landscape: all four angles
+zero, with the search's tie/zero flags, and the outcome probabilities
+of that measurement, the diagonal of rho_A in outcome order.  Closed
+(unitary) runs stay pure, so all their snapshots take this path.
 """
 
 from dataclasses import dataclass, replace
@@ -31,6 +42,7 @@ from .errors import AngleOutOfRange, NotDensityMatrix, SpaceMismatch
 EPS_EIGENVALUE = 1e-12  # floor below which spectrum weight is treated as 0
 EPS_OUTCOME = 1e-12     # outcomes rarer than this contribute nothing
 TIE_TOL = 1e-9
+PURE_TOL = 1e-10        # 1 - tr(rho^2) below this takes the closed form
 _CHUNK = 8192
 
 A_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -121,13 +133,7 @@ class MeasurementConfig:
     zero_phases: bool = False
 
     def resolved(self) -> tuple:
-        theta = self.theta
-        theta_p = theta if self.tie_thetas else self.theta_prime
-        if self.zero_phases:
-            return theta, theta_p, 0.0, 0.0
-        phi = self.phi
-        phi_p = phi if self.tie_phis else self.phi_prime
-        return theta, theta_p, phi, phi_p
+        return _resolve(vars(self), self)
 
 
 @dataclass
@@ -223,14 +229,19 @@ def _free_axes(search: SearchConfig):
     return axes
 
 
-def _resolve_free(free: dict, search: SearchConfig):
+def _resolve(free: dict, flags):
+    """(theta, theta', phi, phi') from the free angles under the tie/zero
+    flags of `flags` (a SearchConfig or a MeasurementConfig).
+
+    The angles may be scalars or equal-shape arrays; zeroed phases come
+    back as scalar 0.0, which the batched evaluator broadcasts.
+    """
     theta = free["theta"]
-    theta_p = theta if search.tie_thetas else free["theta_prime"]
-    if search.zero_phases:
-        zero = np.zeros_like(theta)
-        return theta, theta_p, zero, zero
+    theta_p = theta if flags.tie_thetas else free["theta_prime"]
+    if flags.zero_phases:
+        return theta, theta_p, 0.0, 0.0
     phi = free["phi"]
-    phi_p = phi if search.tie_phis else free["phi_prime"]
+    phi_p = phi if flags.tie_phis else free["phi_prime"]
     return theta, theta_p, phi, phi_p
 
 
@@ -296,7 +307,7 @@ def _grid_minimum(ev: _Evaluator, search: SearchConfig):
     axes = _free_axes(search)
     grids = np.meshgrid(*[values for _, values in axes], indexing="ij")
     flat = {name: grid.ravel() for (name, _), grid in zip(axes, grids)}
-    values = ev.conditional_entropies(*_resolve_free(flat, search))
+    values = ev.conditional_entropies(*_resolve(flat, search))
     # lexicographic tie-break: the ij-ordered grid enumerates angle
     # tuples in ascending order, so the first near-minimal index wins
     best = int(np.nonzero(values <= values.min() + TIE_TOL)[0][0])
@@ -321,7 +332,7 @@ def _refine(ev: _Evaluator, search: SearchConfig, free: dict,
             def objective(x, _name=name):
                 trial = dict(free)
                 trial[_name] = x
-                return ev.value(_resolve_scalar(trial, search))
+                return ev.value(_resolve(trial, search))
 
             res = minimize_scalar(objective, bounds=(lo, hi),
                                   method="bounded",
@@ -337,30 +348,46 @@ def _refine(ev: _Evaluator, search: SearchConfig, free: dict,
     return free, f_best
 
 
-def _resolve_scalar(free: dict, search: SearchConfig):
-    theta = free["theta"]
-    theta_p = theta if search.tie_thetas else free["theta_prime"]
-    if search.zero_phases:
-        return theta, theta_p, 0.0, 0.0
-    phi = free["phi"]
-    phi_p = phi if search.tie_phis else free["phi_prime"]
-    return theta, theta_p, phi, phi_p
-
-
-def _search_minimum(rho4: np.ndarray, search: SearchConfig):
-    ev = _Evaluator(rho4)
-    free, spacing, f_best = _grid_minimum(ev, search)
-    if search.refine:
-        free, f_best = _refine(ev, search, free, spacing, f_best)
-    angles = _resolve_scalar(free, search)
-    value = ev.value(angles)
-    probs = ev.probabilities(angles)
+def _measurement(ev: _Evaluator, search: SearchConfig, angles):
+    """The argmin record: measurement config and outcome probabilities."""
     config = MeasurementConfig(theta=angles[0], theta_prime=angles[1],
                                phi=angles[2], phi_prime=angles[3],
                                tie_thetas=search.tie_thetas,
                                tie_phis=search.tie_phis,
                                zero_phases=search.zero_phases)
-    return value, config, probs
+    return config, ev.probabilities(angles)
+
+
+def _search_minimum(rho4: np.ndarray, search: SearchConfig):
+    """Grid-plus-refinement minimum of the measured conditional entropy.
+
+    Returns (value, config, probabilities); the reference path for the
+    pure-state closed form in `_minimum`.
+    """
+    ev = _Evaluator(rho4)
+    free, spacing, f_best = _grid_minimum(ev, search)
+    if search.refine:
+        free, f_best = _refine(ev, search, free, spacing, f_best)
+    angles = _resolve(free, search)
+    return (ev.value(angles), *_measurement(ev, search, angles))
+
+
+def is_pure(rho: DensityMatrix) -> bool:
+    """True when 1 - tr(rho^2) < PURE_TOL, where discord has a closed form."""
+    mat = rho.mat
+    return 1.0 - float(np.vdot(mat, mat).real) < PURE_TOL
+
+
+def _minimum(rho4: np.ndarray, search: SearchConfig, pure: bool):
+    """(conditional entropy, config, probabilities) at the optimum.
+
+    A pure state has zero conditional entropy under every measurement;
+    it reports the all-zero angles the search's tie-break would pick.
+    """
+    if pure:
+        angles = (0.0, 0.0, 0.0, 0.0)
+        return (0.0, *_measurement(_Evaluator(rho4), search, angles))
+    return _search_minimum(rho4, search)
 
 
 def classical_correlation(rho_AB: DensityMatrix,
@@ -370,7 +397,7 @@ def classical_correlation(rho_AB: DensityMatrix,
         search = SearchConfig()
     rho4 = _embedded(rho_AB)
     s_b = _entropy_psd(np.einsum("abad->bd", rho4))
-    value, config, _ = _search_minimum(rho4, search)
+    value, config, _ = _minimum(rho4, search, is_pure(rho_AB))
     return s_b - value, config
 
 
@@ -387,6 +414,7 @@ class DiscordPoint:
     discord: float
     argmin_config: MeasurementConfig
     outcome_probs: tuple
+    pure: bool = False      # closed form used: 1 - tr(rho^2) < PURE_TOL
 
     CSV_HEADER = ("t,S_A,S_B,S_AB,I,J,D,"
                   "theta,theta_prime,phi,phi_prime,p0,p1,p2,p3")
@@ -430,8 +458,10 @@ def discord(rho_AB: DensityMatrix, search: Optional[SearchConfig] = None,
     s_b = _entropy_psd(np.einsum("abad->bd", rho4))
     s_ab = _entropy_psd(rho_AB.mat)
     info = s_a + s_b - s_ab
-    value, config, probs = _search_minimum(rho4, search)
+    pure = is_pure(rho_AB)
+    value, config, probs = _minimum(rho4, search, pure)
     j = s_b - value
     return DiscordPoint(t=t, s_a=s_a, s_b=s_b, s_ab=s_ab, mutual_info=info,
                         classical_corr=j, discord=info - j,
-                        argmin_config=config, outcome_probs=tuple(probs))
+                        argmin_config=config, outcome_probs=tuple(probs),
+                        pure=pure)

@@ -67,6 +67,15 @@ class TestResolveConfig:
             resolve("", kind="evolve-open")
         assert "gamma" in str(err.value)
 
+    @pytest.mark.parametrize("text", ["g_omega=nang\n", "gamma=inf\n",
+                                      "g_up=1e308g\n", "t_end=inf\n",
+                                      "sweep_values=0.1,nan\n",
+                                      "phi_points=0\n", "theta_points=-3\n"])
+    def test_rejects_non_finite_numbers_and_empty_grids(self, text):
+        with pytest.raises(ConfigTypeError) as err:
+            resolve(text, kind="discord-series")
+        assert text.split("=")[0] in str(err.value)
+
     def test_frequencies_kept_outside_interaction_picture(self):
         config = resolve("interaction_picture=false\nomega_up=12g\n",
                          kind="evolve-closed")
@@ -118,6 +127,18 @@ class TestRun:
             first = (tmp_path / "a" / artifact).read_bytes()
             second = (tmp_path / "b" / artifact).read_bytes()
             assert first == second
+
+    @pytest.mark.parametrize("steps,pure", [("dt=1e-10\nrecord_stride=100\n",
+                                             "5/5"),
+                                            ("gamma=g\ndt=1e-12\n"
+                                             "record_stride=10000\n", "1/5")])
+    def test_pure_snapshot_count_in_metadata(self, tmp_path, steps, pure):
+        # closed runs stay pure; an open one is pure only at t = 0
+        text = ("kind=discord-series\ng_omega=0.1g\nt_end=4e-8\n"
+                "theta_points=5\nrefine=false\n" + steps)
+        run(resolve(text, out=str(tmp_path / "o")))
+        meta = (tmp_path / "o" / "run-metadata.txt").read_text().splitlines()
+        assert f"discord_pure_snapshots={pure}" in meta
 
     def test_evolve_open_observables(self, tmp_path):
         text = ("kind=evolve-open\ngamma=g\nt_end=2e-7\ndt=1e-12\n"
@@ -175,6 +196,17 @@ class TestMain:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 26
         assert lines[0] == "0\t0000000"
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("override", ["g=nan", "dt=nan",
+                                          "theta_points=0"])
+    def test_bad_numbers_exit_as_config_errors(self, tmp_path, capsys,
+                                               command, override):
+        path = write_config(tmp_path, SMALL_SERIES)
+        code = main([command, path, "--out", str(tmp_path / "o"),
+                     "--override", override])
+        assert code == 2
+        assert override.split("=")[0] in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 4

@@ -1,17 +1,19 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from h2discord.discord import A_LABEL_SPACE, DiscordPoint, MeasurementConfig, \
-    SearchConfig, classical_correlation, discord, measured_conditional_entropy, \
-    mutual_information, partial_trace_A, partial_trace_B, projector_set, \
-    von_neumann_entropy
+from h2discord.discord import A_LABEL_SPACE, PURE_TOL, DiscordPoint, \
+    MeasurementConfig, SearchConfig, classical_correlation, discord, \
+    is_pure, measured_conditional_entropy, mutual_information, \
+    partial_trace_A, partial_trace_B, projector_set, von_neumann_entropy
 from h2discord.dynamics import DensityMatrix, initial_state
 from h2discord.errors import AngleOutOfRange, NotDensityMatrix
-from h2discord.statespace import BasisState, StateSpace, full_space, \
-    table_space
+from h2discord.operators import ModelParams
+from h2discord.statespace import INITIAL_COMPONENTS, BasisState, \
+    StateSpace, full_space, generate_space, table_space
 
 from oracles import brute_force_trace_A, brute_force_trace_B, \
     random_density, random_pure
@@ -390,3 +392,75 @@ class TestSearchBounds:
             s_b = von_neumann_entropy(partial_trace_A(rho).mat)
             assert j <= s_b + 1e-9
             assert j >= -1e-12
+
+
+CLOSURE = generate_space(INITIAL_COMPONENTS,
+                         ModelParams(gamma_up=1e7, gamma_down=1e7,
+                                     gamma_phn=1e7), mode="closure")
+# the CLI's default family and a four-free-angle family
+PRESETS = {"cli": SearchConfig(theta_points=17, zero_phases=True),
+           "four-angle": SearchConfig(theta_points=5, phi_points=5)}
+# the package re-exports the discord() function under the module's name
+discord_module = importlib.import_module("h2discord.discord")
+SEARCH_MINIMUM = discord_module._search_minimum
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Count the calls that reach the grid-plus-refinement search."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return SEARCH_MINIMUM(*args, **kwargs)
+
+    monkeypatch.setattr(discord_module, "_search_minimum", counting)
+    return calls
+
+
+def mixed_with_identity(space, impurity, rng):
+    """(1 - e)|psi><psi| + e I/d whose 1 - tr(rho^2) equals impurity."""
+    d = space.size
+    # 1 - tr(rho^2) = e (2 - e) (1 - 1/d)
+    e = 1.0 - np.sqrt(1.0 - impurity / (1.0 - 1.0 / d))
+    mat = (1 - e) * random_pure(rng, d) + e * np.eye(d) / d
+    return DensityMatrix(mat, space)
+
+
+class TestPureClosedForm:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("space", [table_space(), CLOSURE, FULL],
+                             ids=["table", "closure", "full"])
+    def test_matches_search_on_pure_states(self, space, preset,
+                                           search_calls):
+        search = PRESETS[preset]
+        rng = np.random.default_rng(61)
+        for _ in range(4):
+            rho = DensityMatrix(random_pure(rng, space.size), space)
+            assert is_pure(rho)
+            point = discord(rho, search)
+            j, cfg = classical_correlation(rho, search)
+            assert search_calls == []
+            value, want_cfg, want_probs = SEARCH_MINIMUM(
+                discord_module._embedded(rho), search)
+            want_j = point.s_b - value
+            assert abs(point.classical_corr - want_j) <= 1e-9
+            assert abs(point.discord - (point.mutual_info - want_j)) <= 1e-9
+            assert abs(j - want_j) <= 1e-9
+            assert point.argmin_config == cfg == want_cfg
+            assert np.array_equal(point.outcome_probs, want_probs)
+            assert point.pure
+            point.check()
+
+    def test_tolerance_boundary(self, search_calls):
+        rng = np.random.default_rng(62)
+        search = PRESETS["cli"]
+        below = mixed_with_identity(table_space(), 0.5 * PURE_TOL, rng)
+        above = mixed_with_identity(table_space(), 1.5 * PURE_TOL, rng)
+        assert is_pure(below) and not is_pure(above)
+        assert discord(below, search).pure
+        assert search_calls == []
+        point = discord(above, search)
+        classical_correlation(above, search)
+        assert len(search_calls) == 2
+        assert not point.pure
