@@ -70,7 +70,6 @@ def _finite(value) -> float:
 class _Resolver:
     def __init__(self, entries: dict):
         self.entries = dict(entries)
-        self.resolved = {}
 
     def take(self, key: str, default=None):
         if key in self.entries:
@@ -81,7 +80,7 @@ class _Resolver:
     def _convert(self, key, raw, lineno, conv, what):
         try:
             return conv(raw)
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, KeyError):
             where = f" (line {lineno})" if lineno else ""
             raise ConfigTypeError(
                 f"TypeError: {key}={raw!r}{where} is not {what}") from None
@@ -214,6 +213,8 @@ def resolve_config(entries: dict, kind: str = None,
     if g <= 0:
         raise ConfigTypeError("TypeError: g must be positive")
     hbar = res.floatval("hbar", default=1.0)
+    if hbar <= 0:
+        raise ConfigTypeError("TypeError: hbar must be positive")
     interaction_picture = res.boolval("interaction_picture", default=True)
     omega_up = res.relfloat("omega_up", g, default=10 * g)
     omega_down = res.relfloat("omega_down", g, default=10 * g)
@@ -248,25 +249,36 @@ def resolve_config(entries: dict, kind: str = None,
                             choices=("full", "closure", "table-compat"))
 
     periods_factor = res.floatval("periods_factor", default=1.45)
+    if periods_factor <= 0:
+        raise ConfigTypeError("TypeError: periods_factor must be positive")
     dt = res.floatval("dt", default=None)
+    t_end = res.floatval("t_end", default=None)
+    record_stride = res.intval("record_stride", default=None, minimum=1)
+    if params.max_scale() == 0 and None in (dt, t_end, record_stride):
+        raise ConfigTypeError(
+            "TypeError: g_up, g_down, g_omega, zeta, the frequencies and the "
+            "rates are all zero, so dt, t_end and record_stride have no "
+            "default; give all three")
     if dt is None:
         dt = default_dt(params)
-    if dt <= 0:
-        raise ConfigTypeError("TypeError: dt must be positive")
-    t_end = res.floatval("t_end", default=None)
+    if not 0 < dt < math.inf:
+        raise ConfigTypeError("TypeError: dt must be positive and finite")
     if t_end is None:
         t_end = _default_t_end(params, periods_factor)
-    if t_end < dt:
-        raise ConfigTypeError("TypeError: t_end must be at least one step")
+    if not dt <= t_end < math.inf:
+        raise ConfigTypeError("TypeError: t_end must be finite and at least "
+                              "one step")
     if kind == "evolve-open" and params.gamma_up == params.gamma_down \
             == params.gamma_phn == 0.0:
         raise MissingRequired("evolve-open needs a positive gamma "
                               "(missing required key 'gamma')")
 
-    record_stride = res.intval("record_stride", default=None, minimum=1)
     if record_stride is None:
-        spacing = np.pi / (8 * params.max_scale())
-        record_stride = max(1, int(round(spacing / dt)))
+        steps = np.pi / (8 * params.max_scale()) / dt
+        if not math.isfinite(steps):
+            raise ConfigTypeError("TypeError: record_stride has no finite "
+                                  "default at this dt; give it")
+        record_stride = max(1, int(round(steps)))
     search = SearchConfig(
         theta_points=res.intval("theta_points", default=17, minimum=1),
         phi_points=res.intval("phi_points", default=17, minimum=1),
@@ -278,6 +290,16 @@ def resolve_config(entries: dict, kind: str = None,
     )
     sweep_values = res.floatlist("sweep_values",
                                  default=_SWEEP_DEFAULTS.get(kind, ()))
+    if kind == "period-law" and not (
+            sweep_values and all(0 < v <= 1 for v in sweep_values)):
+        raise ConfigTypeError("TypeError: period-law sweep_values must lie "
+                              "in (0, 1]")
+    if any(v < 0 for v in sweep_values):
+        raise ConfigTypeError("TypeError: sweep_values must be nonnegative")
+    envelope_window = res.intval("envelope_window", default=0, minimum=0)
+    if envelope_window and envelope_window % 2 == 0:
+        raise ConfigTypeError("TypeError: envelope_window must be odd "
+                              "(0 picks it from the carrier period)")
     seeds_raw, seeds_line = res.take("seeds")
     if seeds_raw is None:
         seeds = INITIAL_COMPONENTS
@@ -303,7 +325,7 @@ def resolve_config(entries: dict, kind: str = None,
         search=search,
         discord_stride=discord_stride,
         sweep_values=sweep_values,
-        envelope_window=res.intval("envelope_window", default=0),
+        envelope_window=envelope_window,
         periods_factor=periods_factor,
         seeds=seeds,
         include_dissipation=res.boolval("include_dissipation", default=True),

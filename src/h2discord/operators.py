@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImageOutsideSpace, SpaceMismatch
-from .statespace import MODE_CLOSURE, BasisState, GatingPolicy, StateSpace
+from .statespace import JUMPS, MODE_CLOSURE, MOVES, BasisState, \
+    GatingPolicy, StateSpace
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,7 @@ class OperatorMatrix:
         return OperatorMatrix(self.mat + other.mat, self.space)
 
 
-MODES = ("pht_up", "pht_down", "phn")
-_MODE_FIELD = {"pht_up": "p1", "pht_down": "p2", "phn": "m"}
+_MODE_FIELD = {jump.mode: jump.label for jump in JUMPS}
 _FLIP_FIELD = {"e_up": "l1", "e_down": "l2", "bond": "L", "nucleus": "k"}
 
 
@@ -97,45 +97,35 @@ def _target_index(space, target: BasisState, what: str):
     return j
 
 
-def ladder(mode: str, direction: str, space: StateSpace) -> OperatorMatrix:
-    """Lowering/raising operator for one field mode."""
-    if mode not in _MODE_FIELD:
-        raise ValueError(f"unknown mode {mode!r}")
-    if direction not in ("lower", "raise"):
+def _label_operator(fields: dict, noun: str, name: str, directions: tuple,
+                    direction: str, space: StateSpace) -> OperatorMatrix:
+    """Flip one label: directions[0] takes it 1 -> 0, directions[1] 0 -> 1."""
+    if name not in fields:
+        raise ValueError(f"unknown {noun} {name!r}")
+    if direction not in directions:
         raise ValueError(f"unknown direction {direction!r}")
-    field = _MODE_FIELD[mode]
+    field, src = fields[name], int(direction == directions[0])
     op = _zeros(space)
     for i, s in enumerate(space):
-        occ = getattr(s, field)
-        if direction == "lower" and occ == 1:
-            target = s._replace(**{field: 0})
-        elif direction == "raise" and occ == 0:
-            target = s._replace(**{field: 1})
-        else:
+        if getattr(s, field) != src:
             continue  # lowering vacuum or raising past the one-quantum cap
-        j = _target_index(space, target, f"{direction} {mode}")
+        j = _target_index(space, s._replace(**{field: 1 - src}),
+                          f"{direction} {name}")
         if j is not None:
             op[j, i] = 1.0
     return OperatorMatrix(op, space)
+
+
+def ladder(mode: str, direction: str, space: StateSpace) -> OperatorMatrix:
+    """Lowering/raising operator for one field mode."""
+    return _label_operator(_MODE_FIELD, "mode", mode, ("lower", "raise"),
+                           direction, space)
 
 
 def flip(target: str, direction: str, space: StateSpace) -> OperatorMatrix:
     """Two-level flip operator for an electron, bond or position label."""
-    if target not in _FLIP_FIELD:
-        raise ValueError(f"unknown flip target {target!r}")
-    if direction not in ("down", "up"):
-        raise ValueError(f"unknown direction {direction!r}")
-    field = _FLIP_FIELD[target]
-    src = 1 if direction == "down" else 0
-    op = _zeros(space)
-    for i, s in enumerate(space):
-        if getattr(s, field) != src:
-            continue
-        image = s._replace(**{field: 1 - src})
-        j = _target_index(space, image, f"{direction} {target}")
-        if j is not None:
-            op[j, i] = 1.0
-    return OperatorMatrix(op, space)
+    return _label_operator(_FLIP_FIELD, "flip target", target, ("down", "up"),
+                           direction, space)
 
 
 def build_hamiltonian(params: ModelParams, space: StateSpace,
@@ -143,44 +133,31 @@ def build_hamiltonian(params: ModelParams, space: StateSpace,
     """Assemble the system Hamiltonian over the given space.
 
     Free terms are diagonal in the occupation basis (the broken-bond
-    flag counts as one phonon-frequency quantum).  The photon exchange
-    terms act only while the bond is formed; the phonon/bond exchange
-    and the nuclear hop follow the gating policy.  Each exchange entry
-    is written together with its transpose, so the matrix is exactly
-    real symmetric.
+    flag counts as one phonon-frequency quantum).  Each move of MOVES
+    with a positive strength couples its gated source states to their
+    images, each entry written with its transpose so the matrix is
+    exactly real symmetric, or, while its shift holds, adds its
+    strength to the diagonal of the gated states.
     """
     if gating is None:
         gating = GatingPolicy()
     h = _zeros(space)
-
-    def couple(i, target, strength):
-        if strength == 0:
-            return
-        j = _target_index(space, target, "interaction term")
-        if j is not None:
-            h[j, i] += strength
-            h[i, j] += strength
-
     hbar = params.hbar
     for i, s in enumerate(space):
         h[i, i] += hbar * (params.freq_pht_up * (s.p1 + s.l1)
                            + params.freq_pht_down * (s.p2 + s.l2)
                            + params.freq_phn * (s.m + s.L))
-        if s.L == 0:
-            if s.p1 == 0 and s.l1 == 1:
-                couple(i, s._replace(p1=1, l1=0), params.g_up)
-            if s.p2 == 0 and s.l2 == 1:
-                couple(i, s._replace(p2=1, l2=0), params.g_down)
-        if s.m == 0 and s.L == 1 and \
-                (s.k == 0 or not gating.bond_term_requires_colocated):
-            couple(i, s._replace(m=1, L=0), params.g_bond)
-        tunneling_open = (s.L == 1
-                          or not gating.tunneling_requires_broken_bond)
-        if params.zeta > 0 and tunneling_open:
-            if gating.literal_tunneling_form:
-                h[i, i] += params.zeta  # identity on the position label
-            elif s.k == 0:
-                couple(i, s._replace(k=1), params.zeta)
+        for move in MOVES:
+            strength = getattr(params, move.strength)
+            if not (strength > 0 and move.gate(s, gating)):
+                continue
+            if move.shift(gating):
+                h[i, i] += strength  # identity on the moved labels
+            elif (target := move.step(s)) is not None:
+                j = _target_index(space, target, "interaction term")
+                if j is not None:
+                    h[j, i] += strength
+                    h[i, j] += strength
     return OperatorMatrix(h, space)
 
 
@@ -207,18 +184,13 @@ class JumpChannel:
 def build_jump_channels(params: ModelParams, space: StateSpace):
     """One lowering channel per positive decay rate, raising for influx."""
     channels = []
-    rates = {"pht_up": params.gamma_up, "pht_down": params.gamma_down,
-             "phn": params.gamma_phn}
-    influxes = {"pht_up": params.influx_up, "pht_down": params.influx_down,
-                "phn": params.influx_phn}
-    for mode in MODES:
-        if rates[mode] > 0:
-            channels.append(JumpChannel(ladder(mode, "lower", space),
-                                        rates[mode], "dissipation", mode))
-    for mode in MODES:
-        if influxes[mode] > 0:
-            channels.append(JumpChannel(ladder(mode, "raise", space),
-                                        influxes[mode], "influx", mode))
+    for kind, direction, field in (("dissipation", "lower", "decay"),
+                                   ("influx", "raise", "influx")):
+        for jump in JUMPS:
+            rate = getattr(params, getattr(jump, field))
+            if rate > 0:
+                op = ladder(jump.mode, direction, space)
+                channels.append(JumpChannel(op, rate, kind, jump.mode))
     return channels
 
 

@@ -12,9 +12,9 @@ p1 as the most significant bit, and every space orders its states by
 ascending encoding.
 """
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import EmptySeeds, SeedOutsideCompatTable
 
@@ -94,6 +94,57 @@ class GatingPolicy:
     tunneling_requires_broken_bond: bool = True
     bond_term_requires_colocated: bool = True
     literal_tunneling_form: bool = False
+
+
+class _Move(NamedTuple):
+    """A coherent hop from the source labels to the image labels.
+
+    strength names the ModelParams field scaling the hop.  The gate,
+    (state, GatingPolicy) -> bool, reads only labels the hop keeps, so
+    it holds at both ends.  While shift(GatingPolicy) is true, the hop
+    becomes a diagonal +strength on the gated states.
+    """
+
+    source: dict
+    image: dict
+    strength: str
+    gate: Callable
+    shift: Callable = lambda gating: False
+
+    def step(self, s: BasisState, reverse: bool = False):
+        """The image of s (its source if reverse), None if s is no end."""
+        start, end = (self.image, self.source) if reverse \
+            else (self.source, self.image)
+        if all(getattr(s, k) == v for k, v in start.items()):
+            return s._replace(**end)
+        return None
+
+
+# A field mode, its label and the ModelParams fields of its rates.
+_Jump = namedtuple("_Jump", "mode label decay influx")
+
+# The model's transition rules; closure, Hamiltonian and jumps read them.
+MOVES = (
+    # photon exchange, active only while the bond is formed
+    _Move({"p1": 0, "l1": 1}, {"p1": 1, "l1": 0}, "g_up",
+          lambda s, gating: s.L == 0),
+    _Move({"p2": 0, "l2": 1}, {"p2": 1, "l2": 0}, "g_down",
+          lambda s, gating: s.L == 0),
+    # bond formation releases a phonon, breaking absorbs one
+    _Move({"m": 0, "L": 1}, {"m": 1, "L": 0}, "g_bond",
+          lambda s, gating: s.k == 0
+          or not gating.bond_term_requires_colocated),
+    # nuclear hop between cavities
+    _Move({"k": 0}, {"k": 1}, "zeta",
+          lambda s, gating: s.L == 1
+          or not gating.tunneling_requires_broken_bond,
+          shift=lambda gating: gating.literal_tunneling_form),
+)
+JUMPS = (
+    _Jump("pht_up", "p1", "gamma_up", "influx_up"),
+    _Jump("pht_down", "p2", "gamma_down", "influx_down"),
+    _Jump("phn", "m", "gamma_phn", "influx_phn"),
+)
 
 
 # The 26-state reduced basis that compatibility mode restricts to: the
@@ -181,41 +232,16 @@ def table_space() -> StateSpace:
 def _neighbors(s: BasisState, params, gating: GatingPolicy,
                include_dissipation: bool):
     out = []
-    if s.L == 0:
-        # photon exchange, active only while the bond is formed
-        if params.g_up > 0:
-            if s.p1 == 0 and s.l1 == 1:
-                out.append(s._replace(p1=1, l1=0))
-            elif s.p1 == 1 and s.l1 == 0:
-                out.append(s._replace(p1=0, l1=1))
-        if params.g_down > 0:
-            if s.p2 == 0 and s.l2 == 1:
-                out.append(s._replace(p2=1, l2=0))
-            elif s.p2 == 1 and s.l2 == 0:
-                out.append(s._replace(p2=0, l2=1))
-    if params.g_bond > 0 and (s.k == 0 or not gating.bond_term_requires_colocated):
-        # bond formation releases a phonon, breaking absorbs one
-        if s.m == 0 and s.L == 1:
-            out.append(s._replace(m=1, L=0))
-        elif s.m == 1 and s.L == 0:
-            out.append(s._replace(m=0, L=1))
-    if params.zeta > 0 and not gating.literal_tunneling_form:
-        if s.L == 1 or not gating.tunneling_requires_broken_bond:
-            out.append(s._replace(k=1 - s.k))
+    for move in MOVES:
+        if getattr(params, move.strength) > 0 and not move.shift(gating) \
+                and move.gate(s, gating):
+            out += filter(None, (move.step(s), move.step(s, reverse=True)))
     if include_dissipation:
-        # decay channels, applied forward; influx only when enabled
-        if s.p1 == 1:
-            out.append(s._replace(p1=0))
-        if s.p2 == 1:
-            out.append(s._replace(p2=0))
-        if s.m == 1:
-            out.append(s._replace(m=0))
-        if params.influx_up > 0 and s.p1 == 0:
-            out.append(s._replace(p1=1))
-        if params.influx_down > 0 and s.p2 == 0:
-            out.append(s._replace(p2=1))
-        if params.influx_phn > 0 and s.m == 0:
-            out.append(s._replace(m=1))
+        for jump in JUMPS:  # decay closes whatever its rate, influx if on
+            if getattr(s, jump.label) == 1:
+                out.append(s._replace(**{jump.label: 0}))
+            elif getattr(params, jump.influx) > 0:
+                out.append(s._replace(**{jump.label: 1}))
     return out
 
 
@@ -224,11 +250,12 @@ def generate_space(seeds, params, gating: GatingPolicy = None,
                    mode: str = MODE_CLOSURE) -> StateSpace:
     """Breadth-first closure of the seeds under the active transitions.
 
-    Every interaction with a positive coupling is applied in both
-    directions, subject to the gating policy; with include_dissipation
-    the decay channels are applied forward as well.  In table-compat
-    mode the closure is intersected with the 26-state compatibility
-    basis, and seeds outside that basis are rejected.
+    Every move of MOVES with a positive strength is applied in both
+    directions, subject to its gate; with include_dissipation every
+    decay of JUMPS is applied forward whatever its rate, and an influx
+    only when its rate is positive.  In table-compat mode the closure
+    is intersected with the 26-state compatibility basis, and seeds
+    outside that basis are rejected.
     """
     seeds = [BasisState(*s) for s in seeds]
     if not seeds:

@@ -1,13 +1,34 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from h2discord.cli import main, parse_config, resolve_config, run
-from h2discord.errors import ConfigTypeError, MissingRequired, UnknownKey
+from h2discord.cli import KINDS, main, parse_config, resolve_config, run
+from h2discord.errors import ConfigError, ConfigTypeError, MissingRequired, \
+    UnknownKey
 from h2discord.statespace import TABLE_STATES
 
 
 def resolve(text, **kwargs):
     return resolve_config(parse_config(text), **kwargs)
+
+
+CONFIGS = sorted(
+    (Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+
+# every key a config may set: the resolved ones, the gamma shorthand, out
+KEYS = sorted(set(resolve("", kind="discord-series").resolved) - {"kind"}
+              | {"gamma", "out"})
+NUMBER = st.one_of(
+    st.sampled_from(["0", "-1", "1", "2", "17", "0.5", "1e308", "1e-320",
+                     "nan", "inf", "-inf"]),
+    st.integers(min_value=-5, max_value=50).map(str),
+    st.floats().map(repr))
+WORD = st.sampled_from(["true", "false", "off", "banana", "closure", "full",
+                        "table-compat", "", "0000010", "0000010,1111111"])
+TOKEN = st.one_of(NUMBER, WORD, NUMBER.map(lambda t: t + "g"), st.just("g"),
+                  st.lists(NUMBER, max_size=4).map(",".join))
 
 
 class TestParseConfig:
@@ -70,11 +91,53 @@ class TestResolveConfig:
     @pytest.mark.parametrize("text", ["g_omega=nang\n", "gamma=inf\n",
                                       "g_up=1e308g\n", "t_end=inf\n",
                                       "sweep_values=0.1,nan\n",
-                                      "phi_points=0\n", "theta_points=-3\n"])
+                                      "phi_points=0\n", "theta_points=-3\n",
+                                      "hbar=0\n", "hbar=-1\n",
+                                      "envelope_window=2\n",
+                                      "envelope_window=-1\n",
+                                      "g_up=0\ng_down=0\ng_omega=0\nzeta=0\n",
+                                      "g_up=0\ng_down=0\ng_omega=0\nzeta=0\n"
+                                      "dt=1e-10\nt_end=1e-8\n",
+                                      "dt=1e-320\n", "refine=maybe\n",
+                                      "periods_factor=-1\n"])
     def test_rejects_non_finite_numbers_and_empty_grids(self, text):
         with pytest.raises(ConfigTypeError) as err:
             resolve(text, kind="discord-series")
         assert text.split("=")[0] in str(err.value)
+
+    @pytest.mark.parametrize("kind,values", [("period-law", "2"),
+                                             ("period-law", "0,0.1"),
+                                             ("period-law", ""),
+                                             ("sweep-gamma", "-1")])
+    def test_rejects_sweep_values_the_sweep_cannot_run(self, kind, values):
+        with pytest.raises(ConfigTypeError) as err:
+            resolve(f"sweep_values={values}\n", kind=kind)
+        assert "sweep_values" in str(err.value)
+
+    def test_reproduction_configs_are_distinct_runs(self):
+        # out is not part of `resolved`, so equal dicts mean equal runs
+        seen = {}
+        for path in CONFIGS:
+            resolved = resolve(path.read_text(encoding="utf-8")).resolved
+            key = tuple(sorted(resolved.items()))
+            assert key not in seen, f"{path.name} repeats {seen.get(key)}"
+            seen[key] = path.name
+        assert seen
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @example(kind="discord-series", entries={"hbar": "0"})
+    @example(kind="discord-series",
+             entries={"g_up": "0", "g_down": "0", "g_omega": "0",
+                      "zeta": "0", "dt": "1e-10", "t_end": "1e-8"})
+    @given(kind=st.sampled_from(KINDS),
+           entries=st.dictionaries(st.sampled_from(KEYS), TOKEN, max_size=8))
+    def test_any_config_text_resolves_or_raises_config_error(self, kind,
+                                                             entries):
+        text = "".join(f"{key}={value}\n" for key, value in entries.items())
+        try:
+            resolve(text, kind=kind)
+        except ConfigError:
+            pass
 
     def test_frequencies_kept_outside_interaction_picture(self):
         config = resolve("interaction_picture=false\nomega_up=12g\n",
@@ -199,7 +262,9 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("override", ["g=nan", "dt=nan",
-                                          "theta_points=0"])
+                                          "theta_points=0", "hbar=0",
+                                          "hbar=-1", "envelope_window=2",
+                                          "envelope_window=-1"])
     def test_bad_numbers_exit_as_config_errors(self, tmp_path, capsys,
                                                command, override):
         path = write_config(tmp_path, SMALL_SERIES)

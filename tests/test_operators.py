@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -135,6 +136,26 @@ class TestHamiltonian:
         assert h.mat[row, col] == PARAMS.g_bond
         gated = build_hamiltonian(PARAMS, FULL)
         assert gated.mat[row, col] == 0.0
+
+
+class TestClosureMatchesHamiltonian:
+    @pytest.mark.parametrize("flags", list(itertools.product((False, True),
+                                                             repeat=3)))
+    @pytest.mark.parametrize("zeta", [0.0, PARAMS.g_up])
+    def test_closure_is_connected_component(self, flags, zeta):
+        params = dataclasses.replace(PARAMS, zeta=zeta)
+        gating = GatingPolicy(*flags)
+        closure = generate_space(INITIAL_COMPONENTS, params, gating,
+                                 include_dissipation=False)
+        coupled = build_hamiltonian(params, FULL, gating).mat != 0
+        reached = {FULL.index_of(s) for s in INITIAL_COMPONENTS}
+        frontier = list(reached)
+        while frontier:
+            for j in np.flatnonzero(coupled[:, frontier.pop()]):
+                if j not in reached:
+                    reached.add(j)
+                    frontier.append(j)
+        assert set(closure) == {FULL.states[i] for i in reached}
 
 
 class TestJumpChannels:
