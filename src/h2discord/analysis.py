@@ -110,11 +110,12 @@ def envelope(times, values, window: int):
 
 
 def default_dt(params: ModelParams) -> float:
-    """Step keeping the first-order dissipator error at the 1e-3 scale.
+    """Default step, which with record_stride fixes a run's record grid.
 
-    Damped runs get a smaller step: the Euler dissipator lets tiny
-    eigenvalues dip below zero in proportion to the step, and the dip
-    must stay well inside the positivity guard of the evolver.
+    1e-3 of the fastest scale, and for damped runs at most 2e-5 of the
+    largest rate.  The exact propagators are independent of the step,
+    so the rule only sets the record grid of every config that leaves
+    dt unset; it does not guard positivity.
     """
     dt = 1e-3 / params.max_scale()
     max_rate = max(params.gamma_up, params.gamma_down, params.gamma_phn,
@@ -176,6 +177,9 @@ def period_law(g_omega_values, zeta: float, base_params: ModelParams,
     if not values or min(values) <= 0 or max(values) > 1:
         raise ValueError("coupling values must lie in (0, 1] in units of g")
     g_ref = base_params.g_up
+    if g_ref <= 0:
+        raise ValueError("period_law measures g_omega in units of g_up, "
+                         "which must be positive")
     use_envelope = zeta > 0
 
     samples = []

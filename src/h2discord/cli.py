@@ -189,6 +189,11 @@ _SWEEP_DEFAULTS = {"period-law": (0.01, 0.02, 0.05, 0.1, 0.2),
                    "sweep-gamma": (0.2, 0.5, 1.0, 2.0)}
 
 
+def _closed(params: ModelParams) -> bool:
+    """No loss channel: the fit and the auto envelope window apply."""
+    return params.gamma_up == params.gamma_down == params.gamma_phn == 0.0
+
+
 def _default_t_end(params: ModelParams, periods_factor: float) -> float:
     """A bit more than one period of the slowest active coupling."""
     couplings = [v for v in (params.g_up, params.g_down, params.g_bond,
@@ -268,8 +273,7 @@ def resolve_config(entries: dict, kind: str = None,
     if not dt <= t_end < math.inf:
         raise ConfigTypeError("TypeError: t_end must be finite and at least "
                               "one step")
-    if kind == "evolve-open" and params.gamma_up == params.gamma_down \
-            == params.gamma_phn == 0.0:
+    if kind == "evolve-open" and _closed(params):
         raise MissingRequired("evolve-open needs a positive gamma "
                               "(missing required key 'gamma')")
 
@@ -300,6 +304,14 @@ def resolve_config(entries: dict, kind: str = None,
     if envelope_window and envelope_window % 2 == 0:
         raise ConfigTypeError("TypeError: envelope_window must be odd "
                               "(0 picks it from the carrier period)")
+    if params.g_up == 0 and kind == "period-law":
+        raise ConfigTypeError("TypeError: period-law needs a positive g_up; "
+                              "it sweeps g_omega in units of g_up")
+    if params.g_up == 0 and kind == "discord-series" and params.zeta > 0 \
+            and _closed(params) and not envelope_window:
+        raise ConfigTypeError("TypeError: g_up=0 leaves envelope_window "
+                              "without a default (one carrier period, "
+                              "2 pi/g_up); give envelope_window")
     seeds_raw, seeds_line = res.take("seeds")
     if seeds_raw is None:
         seeds = INITIAL_COMPONENTS
@@ -423,6 +435,12 @@ def _write_csv(path, header, rows):
     _write_lines(path, lines)
 
 
+def _guard_margins(traj) -> dict:
+    return {"min_eigenvalue": traj.min_eigenvalue,
+            "min_eigenvalue_t": traj.min_eigenvalue_t,
+            "max_trace_drift": traj.max_trace_drift}
+
+
 def _auto_window(config, times):
     if config.envelope_window:
         return config.envelope_window
@@ -493,6 +511,7 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
         notes["space_size"] = space.size
     elif kind in ("evolve-closed", "evolve-open"):
         traj = _run_trajectory(config)
+        notes.update(_guard_margins(traj))
         emit("observables.csv",
              lambda p: _write_csv(p, _OBS_HEADER, _observables_rows(traj)))
         if config.dump_rho:
@@ -504,6 +523,7 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
             png="observables.png")]))
     elif kind == "discord-series":
         traj, points = _run_series(config)
+        notes.update(_guard_margins(traj))
         notes["discord_pure_snapshots"] = \
             f"{sum(pt.pure for pt in points)}/{len(points)}"
         emit("observables.csv",
@@ -515,8 +535,7 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
         times = np.array([pt.t for pt in points])
         series = np.array([pt.discord for pt in points])
         p = config.params
-        closed = p.gamma_up == p.gamma_down == p.gamma_phn == 0.0
-        if not closed:
+        if not _closed(p):
             # the decaying open-system discord has no sensible sinusoid fit
             notes["fit_skipped"] = "open-system run"
         else:

@@ -1,15 +1,20 @@
-"""Density-matrix evolution by an exact-unitary / Euler-dissipator split step.
+"""Density-matrix evolution with one exact propagator per record interval.
 
-Each step conjugates the state with the spectrally computed propagator
-exp(-i H dt / hbar) and then adds the dissipator increment L(rho) dt.
-The dissipator is exactly trace-free, so trace drift is round-off only
-and is monitored rather than renormalized away.
+Closed runs hop with the spectral propagator exp(-i H tau / hbar); open
+runs apply the exact Lindblad solution exp(L tau) to row-major vec(rho),
+with a sparse L and scipy's expm_multiply (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 488 (2011)), so dt only sets the record grid.  The
+first-order split step (exact unitary, then the Euler dissipator
+increment) stays as the opt-in SimConfig(scheme="split-step").
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 from .errors import NotDensityMatrix, NotHermitian, PositivityLost, \
     SpaceMismatch, StateMissing
@@ -52,14 +57,21 @@ class DensityMatrix:
         return self
 
 
+SCHEMES = ("exact", "split-step")
+
+
 @dataclass
 class SimConfig:
     dt: float
     t_end: float
     record_stride: int = 1
     renormalize_trace: bool = False
+    scheme: str = "exact"
 
     def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}, "
+                             f"got {self.scheme!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
@@ -74,6 +86,10 @@ class Trajectory:
     snapshots: list
     space: StateSpace
     params: Optional[ModelParams] = None
+    # worst record: lowest eigenvalue, its time, |tr rho - 1| before renorm
+    min_eigenvalue: float = math.inf
+    min_eigenvalue_t: float = math.nan
+    max_trace_drift: float = 0.0
 
     def __len__(self):
         return len(self.times)
@@ -109,13 +125,17 @@ def initial_state(space: StateSpace) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()), space)
 
 
-def make_propagator(H: OperatorMatrix, dt: float,
-                    hbar: float = 1.0) -> OperatorMatrix:
-    """exp(-i H dt / hbar) via spectral decomposition of Hermitian H."""
-    mat = H.mat
+def _hermitian(mat):
     scale = max(1.0, float(np.abs(mat).max()))
     if np.abs(mat - mat.conj().T).max() > 1e-12 * scale:
         raise NotHermitian("propagator needs a Hermitian generator")
+    return mat
+
+
+def make_propagator(H: OperatorMatrix, dt: float,
+                    hbar: float = 1.0) -> OperatorMatrix:
+    """exp(-i H dt / hbar) via spectral decomposition of Hermitian H."""
+    mat = _hermitian(H.mat)
     evals, vecs = np.linalg.eigh(mat)
     phases = np.exp(-1j * evals * (dt / hbar))
     u = (vecs * phases) @ vecs.conj().T
@@ -146,40 +166,16 @@ def dissipator(rho: DensityMatrix, channels) -> np.ndarray:
     return _apply_dissipator(rho.mat, _lindblad_terms(channels))
 
 
-# Above this dimension the one-step superoperator (dim^2 x dim^2) is
-# not worth building; below this stride the plain loop is fast enough.
-_SUPEROP_MAX_DIM = 48
-_SUPEROP_MIN_STRIDE = 16
-
-
-def _step_superoperator(u, terms, dt):
-    """One split step as a matrix on row-major vec(rho).
-
-    vec(A rho B) = (A kron B^T) vec(rho), so the unitary conjugation is
-    kron(U, conj(U)) and each dissipator term maps accordingly.  The
-    composed map is identical to performing the two substeps.
-    """
-    dim = u.shape[0]
-    m_unitary = np.kron(u, u.conj())
-    m_diss = np.zeros((dim * dim, dim * dim), dtype=complex)
-    eye = np.eye(dim)
+def _liouvillian(h, terms, hbar):
+    """Sparse Lindblad generator on row-major vec(rho), by
+    vec(A rho B) = (A kron B^T) vec(rho)."""
+    kron = sparse.kron
+    eye = sparse.identity(h.shape[0], format="csr")
+    gen = (-1j / hbar) * (kron(h, eye) - kron(eye, h.T))
     for rate, a, adag, adag_a in terms:
-        m_diss += rate * (np.kron(a, a.conj())
-                          - 0.5 * np.kron(adag_a, eye)
-                          - 0.5 * np.kron(eye, adag_a.T))
-    return (np.eye(dim * dim) + dt * m_diss) @ m_unitary
-
-
-def _fix_trace_preservation(m, dim):
-    """Remove the round-off trace-preservation defect of a step map.
-
-    The exact split-step map preserves the trace; float matrix products
-    lose that at the 1e-16 level, which compounds over long composed
-    hops.  A rank-1 correction restores tr(M rho) = tr(rho) exactly.
-    """
-    id_vec = np.eye(dim, dtype=complex).reshape(-1)
-    defect = id_vec @ m - id_vec
-    return m - np.outer(id_vec / dim, defect)
+        gen = gen + rate * (kron(a, adag.T) - 0.5 * kron(adag_a, eye)
+                            - 0.5 * kron(eye, adag_a.T))
+    return gen.tocsr()
 
 
 def _record_points(n_steps, stride):
@@ -194,11 +190,10 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
            cfg: SimConfig, hbar: float = 1.0) -> Trajectory:
     """Propagate rho0 and record every record_stride steps plus the endpoint.
 
-    The per-step map is fixed, so between recordings the steps are
-    composed up front: closed runs hop with the exact spectral
-    propagator for the whole interval, dissipative runs on small spaces
-    apply a precomputed power of the one-step superoperator, and larger
-    spaces fall back to stepping literally.
+    Closed runs, and open runs under scheme "exact", hop over each record
+    interval with an exact propagator; scheme "split-step" steps open
+    runs literally.  Each record is symmetrised, optionally renormalised
+    and checked for positivity; the trajectory keeps the worst margins.
     """
     if rho0.space is not H.space:
         raise SpaceMismatch("state and Hamiltonian bound to different spaces")
@@ -214,15 +209,21 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
     rho = rho0.mat.astype(complex).copy()
     times = [0.0]
     snapshots = [rho.copy()]
+    min_eig, min_eig_t, max_drift = math.inf, math.nan, 0.0
 
     def record(step, rho):
+        nonlocal min_eig, min_eig_t, max_drift
         rho = 0.5 * (rho + rho.conj().T)
+        trace = rho.trace().real
+        max_drift = max(max_drift, abs(trace - 1.0))
         if cfg.renormalize_trace:
-            rho = rho / rho.trace().real
+            rho = rho / trace
         low = float(np.linalg.eigvalsh(rho)[0])
         if low < -1e-6:
             raise PositivityLost(
                 f"eigenvalue {low:g} at step {step}; reduce dt")
+        if low < min_eig:
+            min_eig, min_eig_t = low, step * cfg.dt
         times.append(step * cfg.dt)
         snapshots.append(rho.copy())
         return rho
@@ -239,21 +240,13 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
             rho = u @ rho @ u.conj().T
             rho = record(step, rho)
             previous = step
-    elif dim <= _SUPEROP_MAX_DIM and cfg.record_stride >= _SUPEROP_MIN_STRIDE:
-        u = make_propagator(H, cfg.dt, hbar).mat
-        m_step = _fix_trace_preservation(
-            _step_superoperator(u, terms, cfg.dt), dim)
-        power_cache = {}
-        vec = rho.reshape(-1)
+    elif cfg.scheme == "exact":
+        gen = _liouvillian(_hermitian(H.mat), terms, hbar)
         previous = 0
         for step in record_at:
-            hop = step - previous
-            if hop not in power_cache:
-                power_cache[hop] = _fix_trace_preservation(
-                    np.linalg.matrix_power(m_step, hop), dim)
-            vec = power_cache[hop] @ vec
+            vec = expm_multiply(gen * ((step - previous) * cfg.dt),
+                                rho.reshape(-1))
             rho = record(step, vec.reshape(dim, dim))
-            vec = rho.reshape(-1)
             previous = step
     else:
         u = make_propagator(H, cfg.dt, hbar).mat
@@ -265,4 +258,6 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
             rho = 0.5 * (rho + rho.conj().T)
             if step in record_set:
                 rho = record(step, rho)
-    return Trajectory(np.array(times), snapshots, rho0.space)
+    return Trajectory(np.array(times), snapshots, rho0.space,
+                      min_eigenvalue=min_eig, min_eigenvalue_t=min_eig_t,
+                      max_trace_drift=max_drift)

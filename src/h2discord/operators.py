@@ -7,7 +7,8 @@ table-compat (and full) mode the corresponding amplitude is dropped,
 in closure mode this signals an inconsistent space and raises.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,13 +41,14 @@ class ModelParams:
     influx_phn: float = 0.0
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
-        for name in ("freq_pht_up", "freq_pht_down", "freq_phn", "g_up",
-                     "g_down", "g_bond", "zeta", "gamma_up", "gamma_down",
-                     "gamma_phn", "influx_up", "influx_down", "influx_phn"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.name == "hbar" and value <= 0:
+                raise ValueError("hbar must be positive")
+            if value < 0:
+                raise ValueError(f"{f.name} must be nonnegative")
 
     def max_scale(self) -> float:
         """Largest frequency/coupling/rate, used for step-size defaults."""

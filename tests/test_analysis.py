@@ -130,6 +130,11 @@ class TestPeriodLaw:
         with pytest.raises(ValueError):
             period_law([2.0], zeta=G, base_params=PARAMS)
 
+    def test_rejects_zero_reference_coupling(self):
+        with pytest.raises(ValueError, match="g_up"):
+            period_law([0.1], zeta=G,
+                       base_params=dataclasses.replace(PARAMS, g_up=0.0))
+
     def test_scale_invariance(self):
         result = period_law([0.1], zeta=G, base_params=PARAMS)
         doubled_params = dataclasses.replace(

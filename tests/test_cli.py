@@ -99,7 +99,7 @@ class TestResolveConfig:
                                       "g_up=0\ng_down=0\ng_omega=0\nzeta=0\n"
                                       "dt=1e-10\nt_end=1e-8\n",
                                       "dt=1e-320\n", "refine=maybe\n",
-                                      "periods_factor=-1\n"])
+                                      "periods_factor=-1\n", "g_up=0\n"])
     def test_rejects_non_finite_numbers_and_empty_grids(self, text):
         with pytest.raises(ConfigTypeError) as err:
             resolve(text, kind="discord-series")
@@ -113,6 +113,18 @@ class TestResolveConfig:
         with pytest.raises(ConfigTypeError) as err:
             resolve(f"sweep_values={values}\n", kind=kind)
         assert "sweep_values" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["g_up=0\n", "g_up=0\nzeta=0\n",
+                                      "g_up=0\nenvelope_window=3\n"])
+    def test_period_law_needs_a_reference_coupling(self, text):
+        with pytest.raises(ConfigTypeError, match="g_up"):
+            resolve(text, kind="period-law")
+
+    @pytest.mark.parametrize("text", ["g_up=0\nenvelope_window=3\n",
+                                      "g_up=0\nzeta=0\n",
+                                      "g_up=0\ngamma=g\n"])
+    def test_zero_g_up_resolves_where_nothing_divides_by_it(self, text):
+        assert resolve(text, kind="discord-series").params.g_up == 0
 
     def test_reproduction_configs_are_distinct_runs(self):
         # out is not part of `resolved`, so equal dicts mean equal runs
@@ -203,6 +215,22 @@ class TestRun:
         meta = (tmp_path / "o" / "run-metadata.txt").read_text().splitlines()
         assert f"discord_pure_snapshots={pure}" in meta
 
+    @pytest.mark.parametrize("kind,extra", [
+        ("evolve-closed", ""), ("evolve-open", "gamma=g\n"),
+        ("discord-series", "gamma=g\ntheta_points=5\nrefine=false\n")])
+    def test_guard_margins_in_metadata(self, tmp_path, kind, extra):
+        text = (f"kind={kind}\nt_end=4e-8\ndt=1e-10\nrecord_stride=100\n"
+                + extra)
+        run(resolve(text, out=str(tmp_path / "o")))
+        meta = dict(line.split("=", 1) for line in
+                    (tmp_path / "o" / "run-metadata.txt").read_text()
+                    .splitlines())
+        low, drift = float(meta["min_eigenvalue"]), \
+            float(meta["max_trace_drift"])
+        assert -1e-12 <= low <= 1e-12 and 0 <= drift <= 1e-12
+        assert float(meta["min_eigenvalue_t"]) in \
+            {step * 1e-10 for step in (100, 200, 300, 400)}
+
     def test_evolve_open_observables(self, tmp_path):
         text = ("kind=evolve-open\ngamma=g\nt_end=2e-7\ndt=1e-12\n"
                 "record_stride=20000\n")
@@ -235,11 +263,12 @@ class TestMain:
         assert "banana" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
+        # a horizon of 1% of the period leaves the fit 3 samples
         path = write_config(
-            tmp_path, "kind=evolve-open\ngamma=g\ndt=1e-8\nt_end=3e-8\n"
-                      "record_stride=1\n")
+            tmp_path, "kind=period-law\nzeta=0\nsweep_values=0.1\n"
+                      "periods_factor=0.01\n")
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
-        assert "PositivityLost" in capsys.readouterr().err
+        assert "InsufficientData" in capsys.readouterr().err
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -264,7 +293,7 @@ class TestMain:
     @pytest.mark.parametrize("override", ["g=nan", "dt=nan",
                                           "theta_points=0", "hbar=0",
                                           "hbar=-1", "envelope_window=2",
-                                          "envelope_window=-1"])
+                                          "envelope_window=-1", "g_up=0"])
     def test_bad_numbers_exit_as_config_errors(self, tmp_path, capsys,
                                                command, override):
         path = write_config(tmp_path, SMALL_SERIES)
@@ -272,6 +301,13 @@ class TestMain:
                      "--override", override])
         assert code == 2
         assert override.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_period_law_without_g_up_exits_as_config_error(
+            self, tmp_path, capsys, command):
+        path = write_config(tmp_path, "kind=period-law\ng_up=0\n")
+        assert main([command, path, "--out", str(tmp_path / "o")]) == 2
+        assert "g_up" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 4

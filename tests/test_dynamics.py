@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from h2discord.dynamics import DensityMatrix, SimConfig, dissipator, evolve, \
     initial_state, make_propagator
@@ -24,6 +25,13 @@ def two_level_space(g_bond=G):
     space = generate_space([BasisState.from_string("0000010")], params,
                            include_dissipation=False)
     return space, params
+
+
+def open_params(g_bond, gamma):
+    """The criterion-5 family: interaction picture, every mode lossy."""
+    return dataclasses.replace(PARAMS, freq_pht_up=0, freq_pht_down=0,
+                               freq_phn=0, g_bond=g_bond, gamma_up=gamma,
+                               gamma_down=gamma, gamma_phn=gamma)
 
 
 def damped_mode_space():
@@ -225,7 +233,8 @@ class TestEvolve:
         for dt in (1e-11, 5e-12, 2.5e-12):
             steps = int(round(t_end / dt))
             traj = evolve(rho0, h, channels,
-                          SimConfig(dt=dt, t_end=t_end, record_stride=steps))
+                          SimConfig(dt=dt, t_end=t_end, record_stride=steps,
+                                    scheme="split-step"))
             finals.append(traj.snapshots[-1][vac, vac].real)
         order = np.log2(abs(finals[0] - finals[1])
                         / abs(finals[1] - finals[2]))
@@ -241,7 +250,8 @@ class TestEvolve:
         rho0 = DensityMatrix.from_pure(np.eye(2)[excited], space)
         with pytest.raises(PositivityLost):
             evolve(rho0, h, channels,
-                   SimConfig(dt=3e-7, t_end=6e-7, record_stride=1))
+                   SimConfig(dt=3e-7, t_end=6e-7, record_stride=1,
+                             scheme="split-step"))
 
     def test_space_mismatch(self):
         sp_a, sp_b = table_space(), table_space()
@@ -260,6 +270,90 @@ class TestEvolve:
         assert np.all(np.diff(traj.times) > 0)
 
 
+class TestExactPropagator:
+    def test_damped_mode_matches_exponential_to_round_off(self):
+        space, params = damped_mode_space()
+        h = build_hamiltonian(
+            dataclasses.replace(params, freq_pht_up=0, freq_pht_down=0,
+                                freq_phn=0), space)
+        channels = build_jump_channels(params, space)
+        excited = space.index_of(BasisState.from_string("1000000"))
+        rho0 = DensityMatrix.from_pure(np.eye(2)[excited], space)
+        cfg = SimConfig(dt=1e-10, t_end=2e-7, record_stride=100)
+        traj = evolve(rho0, h, channels, cfg)
+        for t, snap in zip(traj.times, traj.snapshots):
+            assert snap[excited, excited].real == pytest.approx(
+                np.exp(-params.gamma_up * t), abs=1e-12)
+
+    def test_matches_dense_expm_of_liouvillian(self):
+        sp = table_space()
+        params = dataclasses.replace(PARAMS, gamma_up=0.5 * G, gamma_down=G,
+                                     gamma_phn=0.3 * G, influx_phn=0.1 * G)
+        h = build_hamiltonian(params, sp)
+        channels = build_jump_channels(params, sp)
+        n = sp.size
+        eye = np.eye(n)
+        gen = -1j * (np.kron(h.mat, eye) - np.kron(eye, h.mat.T))
+        for ch in channels:
+            a = ch.op.mat
+            number = a.conj().T @ a
+            gen += ch.rate * (np.kron(a, a.conj())
+                              - 0.5 * np.kron(number, eye)
+                              - 0.5 * np.kron(eye, number.T))
+        # the dense generator is the Lindblad equation on row-major vec
+        rng = np.random.default_rng(5)
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rho = DensityMatrix(raw @ raw.conj().T / n, sp)
+        rhs = -1j * (h.mat @ rho.mat - rho.mat @ h.mat) \
+            + dissipator(rho, channels)
+        assert np.abs(gen @ rho.mat.reshape(-1) - rhs.reshape(-1)).max() \
+            <= 1e-12 * np.abs(rhs).max()
+
+        hop = scipy.linalg.expm(gen * 2e-8)
+        rho0 = initial_state(sp)
+        traj = evolve(rho0, h, channels,
+                      SimConfig(dt=1e-10, t_end=6e-8, record_stride=200))
+        vec = rho0.mat.reshape(-1)
+        assert len(traj) == 4
+        for snap in traj.snapshots[1:]:
+            vec = hop @ vec
+            assert np.abs(snap - vec.reshape(n, n)).max() <= 1e-12
+
+    @pytest.mark.parametrize("g_bond,gamma", [(0.1 * G, G), (1.0 * G, G),
+                                              (0.5 * G, 0.2 * G),
+                                              (0.5 * G, 2.0 * G)],
+                             ids=["g_omega=0.1g", "g_omega=g", "gamma=0.2g",
+                                  "gamma=2g"])
+    def test_split_step_agrees_within_first_order(self, g_bond, gamma):
+        sp = table_space()
+        params = open_params(g_bond, gamma)
+        h = build_hamiltonian(params, sp)
+        channels = build_jump_channels(params, sp)
+        rho0 = initial_state(sp)
+        dt = 4e-12
+        runs = [evolve(rho0, h, channels,
+                       SimConfig(dt=dt, t_end=2e-8, record_stride=500,
+                                 scheme=scheme))
+                for scheme in ("exact", "split-step")]
+        worst = max(np.abs(a - b).max()
+                    for a, b in zip(runs[0].snapshots, runs[1].snapshots))
+        assert len(runs[0]) == len(runs[1]) == 11
+        assert 0 < worst <= gamma * dt
+
+    def test_trajectory_keeps_guard_margins(self):
+        sp = table_space()
+        params = open_params(0.5 * G, G)
+        traj = evolve(initial_state(sp), build_hamiltonian(params, sp),
+                      build_jump_channels(params, sp),
+                      SimConfig(dt=1e-10, t_end=2e-7, record_stride=100))
+        lows = [np.linalg.eigvalsh(snap)[0] for snap in traj.snapshots[1:]]
+        drifts = [abs(snap.trace().real - 1) for snap in traj.snapshots[1:]]
+        assert traj.min_eigenvalue == min(lows)
+        assert traj.min_eigenvalue_t == traj.times[1 + int(np.argmin(lows))]
+        assert traj.max_trace_drift == max(drifts)
+        assert -1e-12 <= traj.min_eigenvalue and traj.max_trace_drift < 1e-12
+
+
 class TestConfigsAndValidation:
     def test_sim_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -268,6 +362,10 @@ class TestConfigsAndValidation:
             SimConfig(dt=1.0, t_end=0.5)
         with pytest.raises(ValueError):
             SimConfig(dt=1.0, t_end=2.0, record_stride=0)
+
+    def test_sim_config_rejects_unknown_scheme(self):
+        with pytest.raises(ValueError, match="scheme"):
+            SimConfig(dt=1e-10, t_end=1e-9, scheme="rk4")
 
     def test_density_matrix_validate(self):
         from h2discord.errors import NotDensityMatrix

@@ -203,6 +203,14 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(hbar=0.0)
 
+    @pytest.mark.parametrize("name", ["hbar", "g_up", "zeta", "gamma_phn",
+                                      "influx_up", "freq_phn"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_rejects_non_finite_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelParams(**{name: value})
+
     def test_max_scale(self):
         params = ModelParams(freq_pht_up=3e8, gamma_phn=9e8)
         assert params.max_scale() == 9e8
