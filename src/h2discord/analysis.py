@@ -1,5 +1,7 @@
-"""Aggregate observables, sinusoid fitting and the period-versus-coupling law."""
+"""Observables, the standard run and its default record grid, sinusoid and
+period fits, and the period-versus-coupling law."""
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -7,7 +9,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .discord import SearchConfig, discord
-from .dynamics import DensityMatrix, SimConfig, evolve, initial_state
+from .dynamics import DensityMatrix, SimConfig, Trajectory, evolve, \
+    initial_state
 from .errors import InsufficientData, NoDominantFrequency, WindowTooLarge
 from .operators import ModelParams, build_hamiltonian, build_jump_channels
 from .statespace import BasisState, GatingPolicy, StateSpace, table_space
@@ -33,6 +36,23 @@ def state_population(rho: DensityMatrix, state: BasisState) -> float:
     if idx is None:
         return 0.0
     return float(rho.mat[idx, idx].real)
+
+
+OBSERVABLES = ("t", *(f"pop_{name}" for name in PREDICATES),
+               "pop_0000000", "trace", "purity")
+_VACUUM = BasisState.from_string("0000000")
+
+
+def observables(traj: Trajectory) -> list:
+    """One row of the OBSERVABLES columns per record of the trajectory."""
+    rows = []
+    for i, t in enumerate(traj.times):
+        rho = traj.density(i)
+        rows.append([float(t)]
+                    + [population(rho, name) for name in PREDICATES]
+                    + [state_population(rho, _VACUUM), rho.trace(),
+                       rho.purity()])
+    return rows
 
 
 @dataclass
@@ -109,6 +129,27 @@ def envelope(times, values, window: int):
     return times[half:times.size - half], peaks
 
 
+def fit_period(times, series, zeta: float, g_ref: float, window: int = 0):
+    """Fit the slow oscillation of a closed-run discord series.
+
+    For zeta = 0 the series is fitted directly.  Otherwise tunneling adds
+    a fast carrier, and the fit runs on the envelope: sliding maxima over
+    `window` samples or, for window = 0, over the odd sample count
+    nearest one carrier period 2 pi/g_ref.  Returns (fit, window used),
+    the window 0 for a direct fit.
+    """
+    times = np.asarray(times, dtype=float)
+    series = np.asarray(series, dtype=float)
+    if zeta <= 0:
+        return fit_sinusoid(times, series), 0
+    if not window:
+        spacing = float(np.median(np.diff(times)))
+        window = max(1, int(round((2 * np.pi / g_ref) / spacing)))
+        if window % 2 == 0:
+            window += 1
+    return fit_sinusoid(*envelope(times, series, window)), window
+
+
 def default_dt(params: ModelParams) -> float:
     """Default step, which with record_stride fixes a run's record grid.
 
@@ -125,6 +166,41 @@ def default_dt(params: ModelParams) -> float:
     return dt
 
 
+def default_t_end(params: ModelParams, periods_factor: float) -> float:
+    """periods_factor periods of the slowest active coupling."""
+    couplings = [v for v in (params.g_up, params.g_down, params.g_bond,
+                             params.zeta) if v > 0]
+    slowest = min(couplings) if couplings else params.max_scale()
+    return periods_factor * 2 * np.pi / slowest
+
+
+def default_record_stride(params: ModelParams, dt: float) -> int:
+    """Steps between records for a spacing of pi/(8 max scale).
+
+    That resolves the fast carrier (scale ~2 max coupling), so the
+    envelope of a discord series can track it.  ValueError when the
+    spacing is not a finite number of steps.
+    """
+    steps = np.pi / (8 * params.max_scale()) / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"dt={dt!r} gives no finite record spacing")
+    return max(1, int(round(steps)))
+
+
+def evolve_model(params: ModelParams, sim: SimConfig,
+                 space: Optional[StateSpace] = None,
+                 gating: Optional[GatingPolicy] = None) -> Trajectory:
+    """Evolve the standard initial state under the model's Hamiltonian and
+    loss channels on `space` (the 26-state table by default)."""
+    if space is None:
+        space = table_space()
+    h = build_hamiltonian(params, space, gating)
+    channels = build_jump_channels(params, space)
+    traj = evolve(initial_state(space), h, channels, sim, hbar=params.hbar)
+    traj.params = params
+    return traj
+
+
 def run_discord_series(params: ModelParams, sim: SimConfig,
                        space: Optional[StateSpace] = None,
                        gating: Optional[GatingPolicy] = None,
@@ -135,13 +211,7 @@ def run_discord_series(params: ModelParams, sim: SimConfig,
     Returns (trajectory, discord points).  The final snapshot is always
     included even when discord_stride skips over it.
     """
-    if space is None:
-        space = table_space()
-    h = build_hamiltonian(params, space, gating)
-    channels = build_jump_channels(params, space)
-    rho0 = initial_state(space)
-    traj = evolve(rho0, h, channels, sim, hbar=params.hbar)
-    traj.params = params
+    traj = evolve_model(params, sim, space, gating)
     picks = list(range(0, len(traj), discord_stride))
     if picks[-1] != len(traj) - 1:
         picks.append(len(traj) - 1)
@@ -180,7 +250,6 @@ def period_law(g_omega_values, zeta: float, base_params: ModelParams,
     if g_ref <= 0:
         raise ValueError("period_law measures g_omega in units of g_up, "
                          "which must be positive")
-    use_envelope = zeta > 0
 
     samples = []
     fits = []
@@ -191,27 +260,14 @@ def period_law(g_omega_values, zeta: float, base_params: ModelParams,
         if sim_cfg is None:
             dt = default_dt(params)
             t_end = periods_factor * 2 * np.pi / (x * g_ref)
-            # resolve the fast carrier (scale ~2 max coupling) in the
-            # recorded series so the envelope can track it
-            spacing = np.pi / (8 * params.max_scale())
-            stride = max(1, int(round(spacing / dt)))
-            sim = SimConfig(dt=dt, t_end=t_end, record_stride=stride)
+            sim = SimConfig(dt=dt, t_end=t_end,
+                            record_stride=default_record_stride(params, dt))
         else:
             sim = sim_cfg
         traj, points = run_discord_series(params, sim, gating=gating,
                                           search=search)
-        times = np.array([p.t for p in points])
-        series = np.array([p.discord for p in points])
-        if use_envelope:
-            carrier = 2 * np.pi / g_ref
-            spacing = float(np.median(np.diff(times)))
-            window = max(1, int(round(carrier / spacing)))
-            if window % 2 == 0:
-                window += 1
-            times_fit, series_fit = envelope(times, series, window)
-        else:
-            times_fit, series_fit = times, series
-        fit = fit_sinusoid(times_fit, series_fit)
+        fit, _ = fit_period([p.t for p in points],
+                            [p.discord for p in points], zeta, g_ref)
         if on_point is not None:
             on_point(x=x, params=params, trajectory=traj, points=points,
                      fit=fit)
@@ -224,4 +280,4 @@ def period_law(g_omega_values, zeta: float, base_params: ModelParams,
     residual = float(np.sqrt(np.mean((periods - constant / xs) ** 2)))
     return PeriodLawResult(samples=samples, constant_c=constant,
                            fit_residual=residual, fits=fits,
-                           used_envelope=use_envelope)
+                           used_envelope=zeta > 0)

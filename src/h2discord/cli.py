@@ -12,18 +12,19 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import astuple, dataclass, field, fields, replace
+from pathlib import Path
+from typing import Callable
 
 from . import __version__
-from .analysis import default_dt, envelope, fit_sinusoid, period_law, \
-    population, run_discord_series, state_population
+from .analysis import OBSERVABLES, PREDICATES, default_dt, \
+    default_record_stride, default_t_end, evolve_model, fit_period, \
+    observables, period_law, run_discord_series
 from .discord import DiscordPoint, SearchConfig
 from .dynamics import SimConfig
 from .errors import ConfigError, ConfigTypeError, MissingRequired, \
     SimulationError, UnknownKey
-from .operators import ModelParams
+from .operators import ModelParams, build_hamiltonian, write_operator
 from .statespace import INITIAL_COMPONENTS, BasisState, GatingPolicy, \
     full_space, generate_space, table_space
 
@@ -34,9 +35,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-_VACUUM = BasisState.from_string("0000000")
-
 
 def parse_config(text: str) -> dict:
     """Flat key=value parser; returns {key: (raw value, line number)}."""
@@ -67,121 +65,70 @@ def _finite(value) -> float:
     return number
 
 
-class _Resolver:
-    def __init__(self, entries: dict):
-        self.entries = dict(entries)
-
-    def take(self, key: str, default=None):
-        if key in self.entries:
-            value, lineno = self.entries.pop(key)
-            return value, lineno
-        return default, None
-
-    def _convert(self, key, raw, lineno, conv, what):
-        try:
-            return conv(raw)
-        except (ValueError, TypeError, KeyError):
-            where = f" (line {lineno})" if lineno else ""
-            raise ConfigTypeError(
-                f"TypeError: {key}={raw!r}{where} is not {what}") from None
-
-    def floatval(self, key, default=None):
-        raw, lineno = self.take(key)
-        if raw is None:
-            return default
-        return self._convert(key, raw, lineno, _finite, "a finite number")
-
-    def relfloat(self, key, g, default=None):
-        """A number, or a multiple of g written like 0.5g / 2g / g."""
-        raw, lineno = self.take(key)
-        if raw is None:
-            return default
-
-        def conv(text):
-            text = text.strip()
-            if text.endswith("g"):
-                head = text[:-1].strip()
-                factor = 1.0 if not head else float(head)
-                return _finite(factor * g)
-            return _finite(text)
-
-        value = self._convert(key, raw, lineno, conv,
-                              "a finite number or a multiple of g")
-        if value < 0:
-            raise ConfigTypeError(f"TypeError: {key} must be nonnegative")
-        return value
-
-    def intval(self, key, default=None, minimum=None):
-        raw, lineno = self.take(key)
-        if raw is None:
-            return default
-        value = self._convert(key, raw, lineno, int, "an integer")
-        if minimum is not None and value < minimum:
-            raise ConfigTypeError(f"TypeError: {key} must be >= {minimum}")
-        return value
-
-    def boolval(self, key, default=None):
-        raw, lineno = self.take(key)
-        if raw is None:
-            return default
-        mapping = {"true": True, "yes": True, "1": True, "on": True,
-                   "false": False, "no": False, "0": False, "off": False}
-
-        def conv(text):
-            return mapping[text.lower()]
-
-        return self._convert(key, raw, lineno, conv, "a boolean")
-
-    def strval(self, key, default=None, choices=None):
-        raw, lineno = self.take(key)
-        if raw is None:
-            return default
-        if choices and raw not in choices:
-            where = f" (line {lineno})" if lineno else ""
-            raise ConfigTypeError(f"TypeError: {key}={raw!r}{where} "
-                                  f"not one of {sorted(choices)}")
-        return raw
-
-    def floatlist(self, key, default=None):
-        raw, lineno = self.take(key)
-        if raw is None:
-            return default
-
-        def conv(text):
-            return tuple(_finite(part) for part in text.split(",")
-                         if part.strip())
-
-        return self._convert(key, raw, lineno, conv,
-                             "a comma-separated list of finite numbers")
-
-    def reject_unknown(self):
-        if self.entries:
-            key, (_, lineno) = sorted(self.entries.items())[0]
-            raise UnknownKey(f"unknown key {key!r} (line {lineno})")
+@dataclass(frozen=True)
+class _Type:
+    """A key type.  `parse(text, g)` raises ValueError, TypeError or
+    KeyError on malformed text; values failing `ok` are rejected too."""
+    what: str              # ends the message "key=text is not ..."
+    parse: Callable
+    ok: Callable = lambda value: True
+    show: Callable = lambda value: value  # the run-metadata form
 
 
-@dataclass
-class ExperimentConfig:
-    kind: str
-    out: str
-    params: ModelParams
-    gating: GatingPolicy
-    space_mode: str
-    dt: float
-    t_end: float
-    record_stride: int
-    renormalize_trace: bool
-    search: SearchConfig
-    discord_stride: int
-    sweep_values: tuple
-    envelope_window: int
-    periods_factor: float
-    seeds: tuple
-    include_dissipation: bool
-    dump_rho: bool
-    dump_operators: bool
-    hbar: float
-    resolved: dict = field(default_factory=dict)
+def _g_multiple(text, g):
+    """A number, or a multiple of g written like 0.5g / 2g / g."""
+    if text.endswith("g"):
+        head = text[:-1].strip()
+        return _finite((float(head) if head else 1.0) * g)
+    return _finite(text)
+
+
+def _int_at_least(low):
+    return _Type(f"an integer >= {low}", lambda text, g: int(text),
+                 lambda value: value >= low)
+
+
+def _choice(*options):
+    return _Type(f"one of {sorted(options)}", lambda text, g: text,
+                 lambda value: value in options)
+
+
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
+
+TEXT = _Type("text", lambda text, g: text)
+NUMBER = _Type("a finite number", lambda text, g: _finite(text))
+POSITIVE = _Type("a positive finite number", NUMBER.parse,
+                 lambda value: value > 0)
+G_MULTIPLE = _Type("a nonnegative finite number or multiple of g",
+                   _g_multiple, lambda value: value >= 0)
+BOOL = _Type("a boolean", lambda text, g: _BOOLS[text.lower()])
+NUMBERS = _Type(
+    "a comma-separated list of nonnegative finite numbers",
+    lambda text, g: tuple(_finite(part) for part in text.split(",")
+                          if part.strip()),
+    lambda values: all(v >= 0 for v in values),
+    lambda values: ",".join(repr(v) for v in values))
+STATES = _Type(
+    "a comma-separated list of 7-bit basis states",
+    lambda text, g: tuple(BasisState.from_string(part.strip())
+                          for part in text.split(",") if part.strip()),
+    show=lambda states: ",".join(s.to_string() for s in states))
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key.
+
+    `default` is config text, parsed like a given value, a rule (a
+    function of the values of the keys above this one) or None for a
+    required key.  run-metadata.txt records the key unless `recorded`
+    is false.
+    """
+    name: str
+    type: _Type
+    default: object
+    recorded: bool = True
 
 
 _SWEEP_DEFAULTS = {"period-law": (0.01, 0.02, 0.05, 0.1, 0.2),
@@ -194,205 +141,190 @@ def _closed(params: ModelParams) -> bool:
     return params.gamma_up == params.gamma_down == params.gamma_phn == 0.0
 
 
-def _default_t_end(params: ModelParams, periods_factor: float) -> float:
-    """A bit more than one period of the slowest active coupling."""
-    couplings = [v for v in (params.g_up, params.g_down, params.g_bond,
-                             params.zeta) if v > 0]
-    slowest = min(couplings) if couplings else params.max_scale()
-    return periods_factor * 2 * np.pi / slowest
+def _from_scale(rule):
+    """A default drawn from the model's scales, given as rule(params,
+    values); None when every scale is zero, which _check rejects."""
+    def default(v):
+        params = _model(v)
+        return rule(params, v) if params.max_scale() > 0 else None
+
+    return default
 
 
-def resolve_config(entries: dict, kind: str = None,
-                   out: str = None) -> ExperimentConfig:
-    """Validate raw entries, fill defaults, and bind everything."""
-    res = _Resolver(entries)
-    kind = kind or res.strval("kind", choices=KINDS)
-    if kind is None:
-        raise MissingRequired("missing required key 'kind'")
-    if kind not in KINDS:
-        raise ConfigTypeError(f"TypeError: kind={kind!r} not one of {KINDS}")
-    res.take("kind")
-    out = out or res.strval("out", default=f"{kind}-out")
+KEYS = (
+    Key("kind", _choice(*KINDS), None),
+    Key("out", TEXT, lambda v: f"{v['kind']}-out", recorded=False),
+    Key("g", POSITIVE, "1e7"),
+    Key("hbar", POSITIVE, "1"),
+    Key("interaction_picture", BOOL, "true"),
+    Key("omega_up", G_MULTIPLE, "10g"),
+    Key("omega_down", G_MULTIPLE, "10g"),
+    Key("omega_phn", G_MULTIPLE, "10g"),
+    Key("g_up", G_MULTIPLE, "g"),
+    Key("g_down", G_MULTIPLE, "g"),
+    Key("g_omega", G_MULTIPLE, "0.5g"),
+    Key("zeta", G_MULTIPLE, "g"),
+    # a shorthand: the three loss rates it defaults are recorded instead
+    Key("gamma", G_MULTIPLE, "0", recorded=False),
+    Key("gamma_up", G_MULTIPLE, lambda v: v["gamma"]),
+    Key("gamma_down", G_MULTIPLE, lambda v: v["gamma"]),
+    Key("gamma_phn", G_MULTIPLE, lambda v: v["gamma"]),
+    Key("influx_up", G_MULTIPLE, "0"),
+    Key("influx_down", G_MULTIPLE, "0"),
+    Key("influx_phn", G_MULTIPLE, "0"),
+    Key("tunneling_requires_broken_bond", BOOL, "true"),
+    Key("bond_term_requires_colocated", BOOL, "true"),
+    Key("literal_tunneling_form", BOOL, "false"),
+    Key("space_mode", _choice("full", "closure", "table-compat"),
+        "table-compat"),
+    Key("seeds", STATES, lambda v: INITIAL_COMPONENTS),
+    Key("include_dissipation", BOOL, "true"),
+    Key("periods_factor", POSITIVE, "1.45"),
+    Key("dt", POSITIVE, _from_scale(lambda params, v: default_dt(params))),
+    Key("t_end", NUMBER, _from_scale(
+        lambda params, v: default_t_end(params, v["periods_factor"]))),
+    Key("record_stride", _int_at_least(1), _from_scale(
+        lambda params, v: default_record_stride(params, v["dt"]))),
+    Key("renormalize_trace", BOOL, "false"),
+    Key("theta_points", _int_at_least(1), "17"),
+    Key("phi_points", _int_at_least(1), "17"),
+    Key("tie_thetas", BOOL, "false"),
+    Key("tie_phis", BOOL, "false"),
+    Key("zero_phases", BOOL, "true"),
+    Key("refine", BOOL, "true"),
+    Key("refine_tol", NUMBER, "1e-4"),
+    Key("discord_stride", _int_at_least(1), "1"),
+    Key("sweep_values", NUMBERS,
+        lambda v: _SWEEP_DEFAULTS.get(v["kind"], ())),
+    Key("envelope_window", _int_at_least(0), "0"),
+    Key("dump_rho", BOOL, "false"),
+    Key("dump_operators", BOOL, "false"),
+)
 
-    g = res.floatval("g", default=1.0e7)
-    if g <= 0:
-        raise ConfigTypeError("TypeError: g must be positive")
-    hbar = res.floatval("hbar", default=1.0)
-    if hbar <= 0:
-        raise ConfigTypeError("TypeError: hbar must be positive")
-    interaction_picture = res.boolval("interaction_picture", default=True)
-    omega_up = res.relfloat("omega_up", g, default=10 * g)
-    omega_down = res.relfloat("omega_down", g, default=10 * g)
-    omega_phn = res.relfloat("omega_phn", g, default=10 * g)
-    gamma_all = res.relfloat("gamma", g, default=None)
-    gamma_default = gamma_all if gamma_all is not None else 0.0
-    params = ModelParams(
-        hbar=hbar,
-        freq_pht_up=0.0 if interaction_picture else omega_up,
-        freq_pht_down=0.0 if interaction_picture else omega_down,
-        freq_phn=0.0 if interaction_picture else omega_phn,
-        g_up=res.relfloat("g_up", g, default=g),
-        g_down=res.relfloat("g_down", g, default=g),
-        g_bond=res.relfloat("g_omega", g, default=0.5 * g),
-        zeta=res.relfloat("zeta", g, default=g),
-        gamma_up=res.relfloat("gamma_up", g, default=gamma_default),
-        gamma_down=res.relfloat("gamma_down", g, default=gamma_default),
-        gamma_phn=res.relfloat("gamma_phn", g, default=gamma_default),
-        influx_up=res.relfloat("influx_up", g, default=0.0),
-        influx_down=res.relfloat("influx_down", g, default=0.0),
-        influx_phn=res.relfloat("influx_phn", g, default=0.0),
-    )
-    gating = GatingPolicy(
-        tunneling_requires_broken_bond=res.boolval(
-            "tunneling_requires_broken_bond", default=True),
-        bond_term_requires_colocated=res.boolval(
-            "bond_term_requires_colocated", default=True),
-        literal_tunneling_form=res.boolval(
-            "literal_tunneling_form", default=False),
-    )
-    space_mode = res.strval("space_mode", default="table-compat",
-                            choices=("full", "closure", "table-compat"))
 
-    periods_factor = res.floatval("periods_factor", default=1.45)
-    if periods_factor <= 0:
-        raise ConfigTypeError("TypeError: periods_factor must be positive")
-    dt = res.floatval("dt", default=None)
-    t_end = res.floatval("t_end", default=None)
-    record_stride = res.intval("record_stride", default=None, minimum=1)
-    if params.max_scale() == 0 and None in (dt, t_end, record_stride):
+@dataclass
+class ExperimentConfig:
+    kind: str
+    out: str
+    params: ModelParams
+    gating: GatingPolicy
+    sim: SimConfig
+    search: SearchConfig
+    space_mode: str
+    seeds: tuple
+    include_dissipation: bool
+    discord_stride: int
+    sweep_values: tuple
+    envelope_window: int
+    periods_factor: float
+    dump_rho: bool
+    dump_operators: bool
+    resolved: dict = field(default_factory=dict)
+
+    # the record grid, as perfbench's workload checks read it
+    dt = property(lambda self: self.sim.dt)
+    t_end = property(lambda self: self.sim.t_end)
+    record_stride = property(lambda self: self.sim.record_stride)
+
+
+def _value(key: Key, entry, v: dict):
+    """The key's entry (raw text, line number) parsed, or its default."""
+    if entry is None and key.default is None:
+        raise MissingRequired(f"missing required key {key.name!r}")
+    if entry is None and callable(key.default):
+        try:
+            return key.default(v)
+        except ValueError as exc:
+            raise ConfigTypeError(f"TypeError: {key.name} has no default "
+                                  f"here ({exc}); give it") from None
+    raw, lineno = entry or (key.default, None)
+    try:
+        value = key.type.parse(raw, v.get("g"))
+        if key.type.ok(value):
+            return value
+    except (ValueError, TypeError, KeyError):
+        pass
+    where = f" (line {lineno})" if lineno else ""
+    raise ConfigTypeError(f"TypeError: {key.name}={raw!r}{where} is not "
+                          f"{key.type.what}")
+
+
+def _bind(cls, v: dict, **given):
+    """cls(**given), each other field read from the key of its name."""
+    return cls(**given, **{f.name: v[f.name] for f in fields(cls)
+                           if f.name not in given})
+
+
+def _model(v: dict) -> ModelParams:
+    picture = v["interaction_picture"]
+    return _bind(ModelParams, v, g_bond=v["g_omega"],
+                 freq_pht_up=0.0 if picture else v["omega_up"],
+                 freq_pht_down=0.0 if picture else v["omega_down"],
+                 freq_phn=0.0 if picture else v["omega_phn"])
+
+
+def _check(v: dict, params: ModelParams):
+    """The rules that tie keys together."""
+    kind = v["kind"]
+    if None in (v["dt"], v["t_end"], v["record_stride"]):
         raise ConfigTypeError(
             "TypeError: g_up, g_down, g_omega, zeta, the frequencies and the "
             "rates are all zero, so dt, t_end and record_stride have no "
             "default; give all three")
-    if dt is None:
-        dt = default_dt(params)
-    if not 0 < dt < math.inf:
-        raise ConfigTypeError("TypeError: dt must be positive and finite")
-    if t_end is None:
-        t_end = _default_t_end(params, periods_factor)
-    if not dt <= t_end < math.inf:
+    if not v["dt"] <= v["t_end"] < math.inf:
         raise ConfigTypeError("TypeError: t_end must be finite and at least "
                               "one step")
     if kind == "evolve-open" and _closed(params):
         raise MissingRequired("evolve-open needs a positive gamma "
                               "(missing required key 'gamma')")
-
-    if record_stride is None:
-        steps = np.pi / (8 * params.max_scale()) / dt
-        if not math.isfinite(steps):
-            raise ConfigTypeError("TypeError: record_stride has no finite "
-                                  "default at this dt; give it")
-        record_stride = max(1, int(round(steps)))
-    search = SearchConfig(
-        theta_points=res.intval("theta_points", default=17, minimum=1),
-        phi_points=res.intval("phi_points", default=17, minimum=1),
-        tie_thetas=res.boolval("tie_thetas", default=False),
-        tie_phis=res.boolval("tie_phis", default=False),
-        zero_phases=res.boolval("zero_phases", default=True),
-        refine=res.boolval("refine", default=True),
-        refine_tol=res.floatval("refine_tol", default=1e-4),
-    )
-    sweep_values = res.floatlist("sweep_values",
-                                 default=_SWEEP_DEFAULTS.get(kind, ()))
-    if kind == "period-law" and not (
-            sweep_values and all(0 < v <= 1 for v in sweep_values)):
+    sweep = v["sweep_values"]
+    if kind == "period-law" and not (sweep and all(0 < x <= 1 for x in sweep)):
         raise ConfigTypeError("TypeError: period-law sweep_values must lie "
                               "in (0, 1]")
-    if any(v < 0 for v in sweep_values):
-        raise ConfigTypeError("TypeError: sweep_values must be nonnegative")
-    envelope_window = res.intval("envelope_window", default=0, minimum=0)
-    if envelope_window and envelope_window % 2 == 0:
+    window = v["envelope_window"]
+    if window % 2 == 0 and window:
         raise ConfigTypeError("TypeError: envelope_window must be odd "
                               "(0 picks it from the carrier period)")
     if params.g_up == 0 and kind == "period-law":
         raise ConfigTypeError("TypeError: period-law needs a positive g_up; "
                               "it sweeps g_omega in units of g_up")
     if params.g_up == 0 and kind == "discord-series" and params.zeta > 0 \
-            and _closed(params) and not envelope_window:
+            and _closed(params) and not window:
         raise ConfigTypeError("TypeError: g_up=0 leaves envelope_window "
                               "without a default (one carrier period, "
                               "2 pi/g_up); give envelope_window")
-    seeds_raw, seeds_line = res.take("seeds")
-    if seeds_raw is None:
-        seeds = INITIAL_COMPONENTS
-    else:
-        try:
-            seeds = tuple(BasisState.from_string(part.strip())
-                          for part in seeds_raw.split(",") if part.strip())
-        except ValueError as exc:
-            raise ConfigTypeError(
-                f"TypeError: seeds (line {seeds_line}): {exc}") from None
-
-    discord_stride = res.intval("discord_stride", default=1, minimum=1)
-    config = ExperimentConfig(
-        kind=kind,
-        out=out,
-        params=params,
-        gating=gating,
-        space_mode=space_mode,
-        dt=dt,
-        t_end=t_end,
-        record_stride=record_stride,
-        renormalize_trace=res.boolval("renormalize_trace", default=False),
-        search=search,
-        discord_stride=discord_stride,
-        sweep_values=sweep_values,
-        envelope_window=envelope_window,
-        periods_factor=periods_factor,
-        seeds=seeds,
-        include_dissipation=res.boolval("include_dissipation", default=True),
-        dump_rho=res.boolval("dump_rho", default=False),
-        dump_operators=res.boolval("dump_operators", default=False),
-        hbar=hbar,
-    )
-    res.reject_unknown()
-    config.resolved = _describe(config, g, interaction_picture,
-                                (omega_up, omega_down, omega_phn))
-    return config
 
 
-def _describe(config, g, interaction_picture, omegas) -> dict:
-    p = config.params
-    desc = {
-        "kind": config.kind,
-        "g": g,
-        "interaction_picture": interaction_picture,
-        "omega_up": omegas[0], "omega_down": omegas[1], "omega_phn": omegas[2],
-        "g_up": p.g_up, "g_down": p.g_down, "g_omega": p.g_bond,
-        "zeta": p.zeta, "hbar": p.hbar,
-        "gamma_up": p.gamma_up, "gamma_down": p.gamma_down,
-        "gamma_phn": p.gamma_phn,
-        "influx_up": p.influx_up, "influx_down": p.influx_down,
-        "influx_phn": p.influx_phn,
-        "tunneling_requires_broken_bond":
-            config.gating.tunneling_requires_broken_bond,
-        "bond_term_requires_colocated":
-            config.gating.bond_term_requires_colocated,
-        "literal_tunneling_form": config.gating.literal_tunneling_form,
-        "space_mode": config.space_mode,
-        "dt": config.dt, "t_end": config.t_end,
-        "record_stride": config.record_stride,
-        "renormalize_trace": config.renormalize_trace,
-        "discord_stride": config.discord_stride,
-        "theta_points": config.search.theta_points,
-        "phi_points": config.search.phi_points,
-        "tie_thetas": config.search.tie_thetas,
-        "tie_phis": config.search.tie_phis,
-        "zero_phases": config.search.zero_phases,
-        "refine": config.search.refine,
-        "refine_tol": config.search.refine_tol,
-        "sweep_values": ",".join(repr(v) for v in config.sweep_values),
-        "envelope_window": config.envelope_window,
-        "periods_factor": config.periods_factor,
-        "seeds": ",".join(s.to_string() for s in config.seeds),
-        "include_dissipation": config.include_dissipation,
-        "dump_rho": config.dump_rho,
-        "dump_operators": config.dump_operators,
-    }
-    return desc
+def resolve_config(entries: dict, kind: str = None,
+                   out: str = None) -> ExperimentConfig:
+    """Validate raw entries, fill defaults, and bind everything.
+
+    `kind` and `out`, when given, take the place of the entries'.
+    """
+    entries = dict(entries)
+    for name, value in (("kind", kind), ("out", out)):
+        if value:
+            entries[name] = (value, None)
+    unknown = sorted(set(entries) - {key.name for key in KEYS})
+    if unknown:
+        raise UnknownKey(f"unknown key {unknown[0]!r} "
+                         f"(line {entries[unknown[0]][1]})")
+
+    v = {}
+    for key in KEYS:
+        v[key.name] = _value(key, entries.get(key.name), v)
+    params = _model(v)
+    _check(v, params)
+    resolved = {key.name: key.type.show(v[key.name])
+                for key in KEYS if key.recorded}
+    return _bind(ExperimentConfig, v, params=params,
+                 gating=_bind(GatingPolicy, v), sim=_bind(SimConfig, v),
+                 search=_bind(SearchConfig, v), resolved=resolved)
 
 
 def _build_space(config: ExperimentConfig):
+    """The space every command uses: the 26-state table itself for
+    table-compat with the standard seeds, else the generated space."""
     if config.space_mode == "full":
         return full_space()
     if config.space_mode == "table-compat" \
@@ -408,46 +340,9 @@ def _write_lines(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _observables_rows(traj):
-    rows = []
-    for i, t in enumerate(traj.times):
-        rho = traj.density(i)
-        rows.append([
-            float(t),
-            population(rho, "bond_formed"),
-            population(rho, "bond_broken"),
-            population(rho, "photons_zero"),
-            population(rho, "photons_present"),
-            state_population(rho, _VACUUM),
-            rho.trace(),
-            rho.purity(),
-        ])
-    return rows
-
-
-_OBS_HEADER = ("t,pop_bond_formed,pop_bond_broken,pop_photons_zero,"
-               "pop_photons_present,pop_0000000,trace,purity")
-
-
 def _write_csv(path, header, rows):
-    lines = [header]
-    lines += [",".join(repr(float(x)) for x in row) for row in rows]
-    _write_lines(path, lines)
-
-
-def _guard_margins(traj) -> dict:
-    return {"min_eigenvalue": traj.min_eigenvalue,
-            "min_eigenvalue_t": traj.min_eigenvalue_t,
-            "max_trace_drift": traj.max_trace_drift}
-
-
-def _auto_window(config, times):
-    if config.envelope_window:
-        return config.envelope_window
-    g_ref = config.params.g_up
-    spacing = float(np.median(np.diff(times)))
-    window = max(1, int(round((2 * np.pi / g_ref) / spacing)))
-    return window + 1 if window % 2 == 0 else window
+    _write_lines(path, [header] + [",".join(repr(float(x)) for x in row)
+                                   for row in rows])
 
 
 _PLOT_SERIES = """\
@@ -483,8 +378,6 @@ fig.savefig({png!r}, dpi=150)
 
 def run(config: ExperimentConfig, out_dir=None) -> list:
     """Execute the experiment and write its artifacts; returns the paths."""
-    from pathlib import Path
-
     out = Path(out_dir or config.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
@@ -496,72 +389,41 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
         writer(path)
         written.append(path)
 
+    def plot(name, template, **fields):
+        emit(name, lambda p: _write_lines(p, [template.format(**fields)]))
+
     kind = config.kind
-    if config.dump_operators and kind in ("evolve-closed", "evolve-open",
-                                          "discord-series"):
-        from .operators import build_hamiltonian, write_operator
+    evolving = kind in ("evolve-closed", "evolve-open", "discord-series")
+    if config.dump_operators and evolving:
         h = build_hamiltonian(config.params, _build_space(config),
                               config.gating)
         emit("hamiltonian.txt", lambda p: write_operator(p, h))
     if kind == "generate-space":
-        space = generate_space(config.seeds, config.params, config.gating,
-                               include_dissipation=config.include_dissipation,
-                               mode=config.space_mode)
+        space = _build_space(config)
         emit("space.txt", space.dump)
         notes["space_size"] = space.size
-    elif kind in ("evolve-closed", "evolve-open"):
-        traj = _run_trajectory(config)
-        notes.update(_guard_margins(traj))
-        emit("observables.csv",
-             lambda p: _write_csv(p, _OBS_HEADER, _observables_rows(traj)))
-        if config.dump_rho:
-            emit("rho.csv", traj.to_csv)
-        emit("plot_observables.py", lambda p: _write_lines(p, [_PLOT_SERIES.format(
-            csv="observables.csv",
-            columns=["pop_bond_formed", "pop_bond_broken",
-                     "pop_photons_zero", "pop_photons_present"],
-            png="observables.png")]))
-    elif kind == "discord-series":
-        traj, points = _run_series(config)
-        notes.update(_guard_margins(traj))
-        notes["discord_pure_snapshots"] = \
-            f"{sum(pt.pure for pt in points)}/{len(points)}"
-        emit("observables.csv",
-             lambda p: _write_csv(p, _OBS_HEADER, _observables_rows(traj)))
-        emit("discord.csv", lambda p: _write_lines(
-            p, [DiscordPoint.CSV_HEADER] + [pt.csv_row() for pt in points]))
-        if config.dump_rho:
-            emit("rho.csv", traj.to_csv)
-        times = np.array([pt.t for pt in points])
-        series = np.array([pt.discord for pt in points])
-        p = config.params
-        if not _closed(p):
-            # the decaying open-system discord has no sensible sinusoid fit
-            notes["fit_skipped"] = "open-system run"
+    elif evolving:
+        if kind == "discord-series":
+            traj, points = _run_series(config)
         else:
-            use_envelope = p.zeta > 0
-            notes["fit_on_envelope"] = use_envelope
-            try:
-                if use_envelope:
-                    window = _auto_window(config, times)
-                    notes["envelope_window"] = window
-                    tf, vf = envelope(times, series, window)
-                else:
-                    tf, vf = times, series
-                fit = fit_sinusoid(tf, vf)
-                emit("fit.csv", lambda path: _write_csv(
-                    path, "amplitude,angular_frequency,phase,offset,period,"
-                          "rms_residual",
-                    [[fit.amplitude, fit.angular_frequency, fit.phase,
-                      fit.offset, fit.period, fit.rms_residual]]))
-            except SimulationError as exc:
-                notes["fit_error"] = f"{type(exc).__name__}: {exc}"
-        emit("plot_discord.py", lambda p: _write_lines(p, [_PLOT_SERIES.format(
-            csv="discord.csv", columns=["D", "I", "J"], png="discord.png")]))
-        emit("plot_observables.py", lambda p: _write_lines(p, [_PLOT_SERIES.format(
-            csv="observables.csv",
-            columns=["pop_photons_zero", "pop_photons_present"],
-            png="observables.png")]))
+            traj = evolve_model(config.params, config.sim,
+                                _build_space(config), config.gating)
+        notes.update(min_eigenvalue=traj.min_eigenvalue,
+                     min_eigenvalue_t=traj.min_eigenvalue_t,
+                     max_trace_drift=traj.max_trace_drift)
+        emit("observables.csv", lambda p: _write_csv(
+            p, ",".join(OBSERVABLES), observables(traj)))
+        if config.dump_rho:
+            emit("rho.csv", traj.to_csv)
+        if kind == "discord-series":
+            _discord_artifacts(config, points, notes, emit)
+            plot("plot_discord.py", _PLOT_SERIES, csv="discord.csv",
+                 columns=["D", "I", "J"], png="discord.png")
+        # a discord series plots only the photon populations
+        columns = [f"pop_{name}" for name in PREDICATES
+                   if kind != "discord-series" or name.startswith("photons")]
+        plot("plot_observables.py", _PLOT_SERIES, csv="observables.csv",
+             columns=columns, png="observables.png")
     elif kind == "period-law":
         result = period_law(config.sweep_values, config.params.zeta,
                             config.params, search=config.search,
@@ -576,27 +438,23 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
             [[result.constant_c, result.fit_residual]]))
         notes["fit_on_envelope"] = result.used_envelope
         notes["constant_c"] = result.constant_c
-        emit("plot_sweep.py", lambda p: _write_lines(p, [_PLOT_SWEEP.format(
-            csv="sweep.csv", xcol="g_omega_over_g", ycol="fitted_period_s",
-            constant=result.constant_c, png="sweep.png")]))
+        plot("plot_sweep.py", _PLOT_SWEEP, csv="sweep.csv",
+             xcol="g_omega_over_g", ycol="fitted_period_s",
+             constant=result.constant_c, png="sweep.png")
     elif kind in ("sweep-g-omega", "sweep-gamma"):
         rows = []
-        g_ref = config.params.g_up
+        swept = ("g_bond",) if kind == "sweep-g-omega" \
+            else ("gamma_up", "gamma_down", "gamma_phn")
         for x in sorted(config.sweep_values):
-            if kind == "sweep-g-omega":
-                params = replace(config.params, g_bond=x * g_ref)
-            else:
-                params = replace(config.params, gamma_up=x * g_ref,
-                                 gamma_down=x * g_ref, gamma_phn=x * g_ref)
-            sweep_cfg = replace(config, params=params)
-            _, points = _run_series(sweep_cfg)
+            params = replace(config.params, **dict.fromkeys(
+                swept, x * config.params.g_up))
+            _, points = _run_series(replace(config, params=params))
             rows.append([x, max(pt.discord for pt in points)])
         xcol = "g_omega_over_g" if kind == "sweep-g-omega" else "gamma_over_g"
         emit("sweep_peak.csv", lambda p: _write_csv(
             p, f"{xcol},peak_discord", rows))
-        emit("plot_sweep.py", lambda p: _write_lines(p, [_PLOT_SWEEP.format(
-            csv="sweep_peak.csv", xcol=xcol, ycol="peak_discord",
-            constant=None, png="sweep_peak.png")]))
+        plot("plot_sweep.py", _PLOT_SWEEP, csv="sweep_peak.csv", xcol=xcol,
+             ycol="peak_discord", constant=None, png="sweep_peak.png")
 
     meta = dict(config.resolved)
     meta.update(notes)
@@ -607,40 +465,36 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
     return written
 
 
-def _run_trajectory(config: ExperimentConfig):
-    from .dynamics import evolve, initial_state
-    from .operators import build_hamiltonian, build_jump_channels
-
-    space = _build_space(config)
-    h = build_hamiltonian(config.params, space, config.gating)
-    channels = build_jump_channels(config.params, space)
-    sim = SimConfig(dt=config.dt, t_end=config.t_end,
-                    record_stride=config.record_stride,
-                    renormalize_trace=config.renormalize_trace)
-    traj = evolve(initial_state(space), h, channels, sim, hbar=config.hbar)
-    traj.params = config.params
-    return traj
+def _discord_artifacts(config, points, notes, emit):
+    """discord.csv, and for a closed run the fit of its slow period."""
+    notes["discord_pure_snapshots"] = \
+        f"{sum(pt.pure for pt in points)}/{len(points)}"
+    emit("discord.csv", lambda p: _write_lines(
+        p, [DiscordPoint.CSV_HEADER] + [pt.csv_row() for pt in points]))
+    params = config.params
+    if not _closed(params):
+        # the decaying open-system discord has no sensible sinusoid fit
+        notes["fit_skipped"] = "open-system run"
+        return
+    notes["fit_on_envelope"] = params.zeta > 0
+    try:
+        fit, window = fit_period([pt.t for pt in points],
+                                 [pt.discord for pt in points], params.zeta,
+                                 params.g_up, config.envelope_window)
+    except SimulationError as exc:
+        notes["fit_error"] = f"{type(exc).__name__}: {exc}"
+        return
+    if window:
+        notes["envelope_window"] = window
+    emit("fit.csv", lambda path: _write_csv(
+        path, ",".join(f.name for f in fields(fit)), [astuple(fit)]))
 
 
 def _run_series(config: ExperimentConfig):
-    sim = SimConfig(dt=config.dt, t_end=config.t_end,
-                    record_stride=config.record_stride,
-                    renormalize_trace=config.renormalize_trace)
-    return run_discord_series(config.params, sim, space=_build_space(config),
+    return run_discord_series(config.params, config.sim,
+                              space=_build_space(config),
                               gating=config.gating, search=config.search,
                               discord_stride=config.discord_stride)
-
-
-def _load(path, kind, out, overrides):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    entries = parse_config(text)
-    for item in overrides or ():
-        if "=" not in item:
-            raise ConfigTypeError(f"override {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        entries[key.strip()] = (value.strip(), 0)
-    return resolve_config(entries, kind=kind, out=out)
 
 
 def main(argv=None) -> int:
@@ -658,17 +512,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = _load(args.config, args.kind, args.out, args.override)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            entries = parse_config(fh.read())
+        for item in args.override:
+            if "=" not in item:
+                raise ConfigTypeError(f"override {item!r} is not key=value")
+            key, value = item.split("=", 1)
+            entries[key.strip()] = (value.strip(), 0)
+        config = resolve_config(entries, kind=args.kind, out=args.out)
         if args.command == "validate":
             for key in sorted(config.resolved):
                 print(f"{key}={config.resolved[key]}")
             return EXIT_OK
         if args.command == "dump-space":
-            space = generate_space(
-                config.seeds, config.params, config.gating,
-                include_dissipation=config.include_dissipation,
-                mode=config.space_mode)
-            sys.stdout.write("\n".join(space.dump_lines()) + "\n")
+            lines = _build_space(config).dump_lines()
+            sys.stdout.write("\n".join(lines) + "\n")
             return EXIT_OK
         written = run(config)
         for path in written:

@@ -3,9 +3,7 @@
 Closed runs hop with the spectral propagator exp(-i H tau / hbar); open
 runs apply the exact Lindblad solution exp(L tau) to row-major vec(rho),
 with a sparse L and scipy's expm_multiply (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 488 (2011)), so dt only sets the record grid.  The
-first-order split step (exact unitary, then the Euler dissipator
-increment) stays as the opt-in SimConfig(scheme="split-step").
+Comput. 33, 488 (2011)), so dt only sets the record grid.
 """
 
 import math
@@ -57,21 +55,14 @@ class DensityMatrix:
         return self
 
 
-SCHEMES = ("exact", "split-step")
-
-
 @dataclass
 class SimConfig:
     dt: float
     t_end: float
     record_stride: int = 1
     renormalize_trace: bool = False
-    scheme: str = "exact"
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, "
-                             f"got {self.scheme!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
@@ -150,20 +141,16 @@ def _lindblad_terms(channels):
     return terms
 
 
-def _apply_dissipator(rho, terms):
-    out = np.zeros_like(rho)
-    for rate, a, adag, adag_a in terms:
-        out += rate * (a @ rho @ adag
-                       - 0.5 * (adag_a @ rho + rho @ adag_a))
-    return out
-
-
 def dissipator(rho: DensityMatrix, channels) -> np.ndarray:
     """Sum of the sandwich-minus-anticommutator increments, one per channel."""
     for ch in channels:
         if ch.op.space is not rho.space:
             raise SpaceMismatch("channel bound to a different space")
-    return _apply_dissipator(rho.mat, _lindblad_terms(channels))
+    out = np.zeros_like(rho.mat)
+    for rate, a, adag, adag_a in _lindblad_terms(channels):
+        out += rate * (a @ rho.mat @ adag
+                       - 0.5 * (adag_a @ rho.mat + rho.mat @ adag_a))
+    return out
 
 
 def _liouvillian(h, terms, hbar):
@@ -190,10 +177,10 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
            cfg: SimConfig, hbar: float = 1.0) -> Trajectory:
     """Propagate rho0 and record every record_stride steps plus the endpoint.
 
-    Closed runs, and open runs under scheme "exact", hop over each record
-    interval with an exact propagator; scheme "split-step" steps open
-    runs literally.  Each record is symmetrised, optionally renormalised
-    and checked for positivity; the trajectory keeps the worst margins.
+    Each record interval is one exact hop: a cached spectral propagator
+    for closed runs, expm_multiply of the Liouvillian for open runs.
+    Each record is symmetrised, optionally renormalised and checked for
+    positivity; the trajectory keeps the worst margins.
     """
     if rho0.space is not H.space:
         raise SpaceMismatch("state and Hamiltonian bound to different spaces")
@@ -203,7 +190,6 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
 
     terms = _lindblad_terms(channels)
     n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
-    record_at = _record_points(n_steps, cfg.record_stride)
     dim = rho0.space.size
 
     rho = rho0.mat.astype(complex).copy()
@@ -220,44 +206,33 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
             rho = rho / trace
         low = float(np.linalg.eigvalsh(rho)[0])
         if low < -1e-6:
-            raise PositivityLost(
-                f"eigenvalue {low:g} at step {step}; reduce dt")
+            raise PositivityLost(f"eigenvalue {low:g} at step {step}")
         if low < min_eig:
             min_eig, min_eig_t = low, step * cfg.dt
         times.append(step * cfg.dt)
         snapshots.append(rho.copy())
         return rho
 
-    if not terms:
-        # pure unitary: hop exactly over each recording interval
-        hop_cache = {}
-        previous = 0
-        for step in record_at:
-            hop = step - previous
-            if hop not in hop_cache:
-                hop_cache[hop] = make_propagator(H, cfg.dt * hop, hbar).mat
-            u = hop_cache[hop]
-            rho = u @ rho @ u.conj().T
-            rho = record(step, rho)
-            previous = step
-    elif cfg.scheme == "exact":
+    if terms:
         gen = _liouvillian(_hermitian(H.mat), terms, hbar)
-        previous = 0
-        for step in record_at:
-            vec = expm_multiply(gen * ((step - previous) * cfg.dt),
-                                rho.reshape(-1))
-            rho = record(step, vec.reshape(dim, dim))
-            previous = step
+
+        def hop(rho, steps):
+            vec = expm_multiply(gen * (steps * cfg.dt), rho.reshape(-1))
+            return vec.reshape(dim, dim)
     else:
-        u = make_propagator(H, cfg.dt, hbar).mat
-        udag = u.conj().T
-        record_set = set(record_at)
-        for step in range(1, n_steps + 1):
-            rho = u @ rho @ udag
-            rho = rho + cfg.dt * _apply_dissipator(rho, terms)
-            rho = 0.5 * (rho + rho.conj().T)
-            if step in record_set:
-                rho = record(step, rho)
+        unitaries = {}
+
+        def hop(rho, steps):
+            if steps not in unitaries:
+                unitaries[steps] = make_propagator(H, cfg.dt * steps,
+                                                   hbar).mat
+            u = unitaries[steps]
+            return u @ rho @ u.conj().T
+
+    previous = 0
+    for step in _record_points(n_steps, cfg.record_stride):
+        rho = record(step, hop(rho, step - previous))
+        previous = step
     return Trajectory(np.array(times), snapshots, rho0.space,
                       min_eigenvalue=min_eig, min_eigenvalue_t=min_eig_t,
                       max_trace_drift=max_drift)

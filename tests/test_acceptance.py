@@ -39,8 +39,8 @@ OPEN_SEARCH = SearchConfig(zero_phases=True)
 
 
 def open_sim(params) -> SimConfig:
-    """Step small enough that the Euler dissipator's transient negative
-    eigenvalues stay inside the -1e-8 reporting floor."""
+    """400 records over 2e-6 s.  The propagator is exact, so dt only
+    fixes the record grid."""
     dt = 5e-14 * G / params.max_scale()
     steps = int(round(2e-6 / dt))
     return SimConfig(dt=dt, t_end=2e-6, record_stride=steps // 400)

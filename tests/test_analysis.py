@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from h2discord.analysis import envelope, fit_sinusoid, period_law, \
-    population, run_discord_series, state_population
+from h2discord.analysis import envelope, fit_period, fit_sinusoid, \
+    period_law, population, run_discord_series, state_population
 from h2discord.dynamics import DensityMatrix, SimConfig, initial_state
 from h2discord.errors import InsufficientData, NoDominantFrequency, \
     WindowTooLarge
@@ -111,6 +111,30 @@ class TestEnvelope:
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
             envelope(np.arange(10.0), np.arange(10.0), 4)
+
+
+class TestFitPeriod:
+    TIMES = np.arange(2000) * 1e-9
+    # a slow oscillation under a rectified fast carrier of period 100 dt
+    SERIES = (1.5 + np.sin(1e7 * TIMES)) \
+        * np.abs(np.sin(np.pi * TIMES / 1e-7))
+
+    def test_direct_fit_without_tunneling(self):
+        fit, window = fit_period(self.TIMES, self.SERIES, 0.0, G)
+        assert window == 0
+        assert fit == fit_sinusoid(self.TIMES, self.SERIES)
+
+    def test_envelope_window_spans_one_carrier_period(self):
+        fit, window = fit_period(self.TIMES, self.SERIES, G,
+                                 2 * np.pi / 1e-7)
+        assert window == 101
+        assert fit == fit_sinusoid(*envelope(self.TIMES, self.SERIES, 101))
+        assert fit.angular_frequency == pytest.approx(1e7, rel=1e-2)
+
+    def test_given_window_is_used(self):
+        fit, window = fit_period(self.TIMES, self.SERIES, G, 0.0, window=5)
+        assert window == 5
+        assert fit == fit_sinusoid(*envelope(self.TIMES, self.SERIES, 5))
 
 
 class TestRunDiscordSeries:

@@ -1,10 +1,13 @@
 from pathlib import Path
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from h2discord.cli import KINDS, main, parse_config, resolve_config, run
+from h2discord.cli import KEYS as CONFIG_KEYS, KINDS, _build_space, main, \
+    parse_config, resolve_config, run
 from h2discord.errors import ConfigError, ConfigTypeError, MissingRequired, \
     UnknownKey
 from h2discord.statespace import TABLE_STATES
@@ -14,8 +17,8 @@ def resolve(text, **kwargs):
     return resolve_config(parse_config(text), **kwargs)
 
 
-CONFIGS = sorted(
-    (Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
 
 # every key a config may set: the resolved ones, the gamma shorthand, out
 KEYS = sorted(set(resolve("", kind="discord-series").resolved) - {"kind"}
@@ -151,6 +154,15 @@ class TestResolveConfig:
         except ConfigError:
             pass
 
+    def test_readme_key_table_matches_keys(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Keys and defaults", 1)[1]
+        rows = [line for line in section.split("\n### ", 1)[0].splitlines()
+                if line.startswith("| `")]
+        names = {name for row in rows
+                 for name in re.findall(r"`([a-z_]+)`", row.split("|")[1])}
+        assert names == {key.name for key in CONFIG_KEYS}
+
     def test_frequencies_kept_outside_interaction_picture(self):
         config = resolve("interaction_picture=false\nomega_up=12g\n",
                          kind="evolve-closed")
@@ -173,7 +185,39 @@ SMALL_SERIES = ("kind=discord-series\n"
                 "refine=false\n")
 
 
+SWEEP = ("sweep_values=0.5,1\ngamma=g\nt_end=4e-8\ndt=1e-10\n"
+         "record_stride=100\ntheta_points=5\nrefine=false\n")
+
+
+@pytest.fixture(scope="module")
+def sweep_peaks(tmp_path_factory):
+    """sweep_peak.csv lines of both sweep kinds on a tiny open config."""
+    peaks = {}
+    for kind in ("sweep-g-omega", "sweep-gamma"):
+        out = tmp_path_factory.mktemp(kind)
+        run(resolve(f"kind={kind}\n" + SWEEP, out=str(out)))
+        peaks[kind] = (out / "sweep_peak.csv").read_text().splitlines()
+    return peaks
+
+
 class TestRun:
+    @pytest.mark.parametrize("kind,column", [("sweep-g-omega",
+                                              "g_omega_over_g"),
+                                             ("sweep-gamma", "gamma_over_g")])
+    def test_sweep_peak_csv(self, sweep_peaks, kind, column):
+        header, *rows = sweep_peaks[kind]
+        assert header == f"{column},peak_discord"
+        assert [float(row.split(",")[0]) for row in rows] == [0.5, 1.0]
+        assert all(0 < float(row.split(",")[1]) < np.log(4) for row in rows)
+
+    def test_sweeps_agree_at_their_shared_point(self, sweep_peaks):
+        # g_omega = 0.5g with gamma = g is the default g_omega at gamma = g
+        by_g_omega = sweep_peaks["sweep-g-omega"][1].split(",")
+        by_gamma = sweep_peaks["sweep-gamma"][2].split(",")
+        assert by_g_omega[0] == "0.5" and by_gamma[0] == "1.0"
+        assert by_g_omega[1] == by_gamma[1]
+        assert float(by_gamma[1]) == pytest.approx(0.0092896, rel=1e-4)
+
     def test_generate_space_dump(self, tmp_path):
         config = resolve("kind=generate-space\n", out=str(tmp_path / "o"))
         run(config)
@@ -288,6 +332,20 @@ class TestMain:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 26
         assert lines[0] == "0\t0000000"
+
+    def test_dump_space_prints_the_space_run_evolves(self, tmp_path,
+                                                     capsys):
+        # without tunneling the closure misses 4 states of the table
+        text = "kind=discord-series\nzeta=0\n"
+        assert main(["dump-space", write_config(tmp_path, text)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines == _build_space(resolve(text)).dump_lines()
+        assert len(lines) == 26
+
+    def test_out_flag_replaces_out_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, "kind=generate-space\nout=a\n")
+        assert main(["run", path, "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b" / "space.txt").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("override", ["g=nan", "dt=nan",

@@ -219,39 +219,14 @@ class TestEvolve:
             assert abs((snap @ snap).trace().real - 1.0) <= 1e-8
             assert abs((snap @ h.mat).trace().real - e0) <= 1e-8 * h_norm
 
-    def test_first_order_convergence(self):
-        sp = table_space()
-        params = dataclasses.replace(PARAMS, freq_pht_up=0, freq_pht_down=0,
-                                     freq_phn=0, gamma_up=G, gamma_down=G,
-                                     gamma_phn=G)
-        h = build_hamiltonian(params, sp)
-        channels = build_jump_channels(params, sp)
-        rho0 = initial_state(sp)
-        t_end = 1e-7
-        finals = []
-        vac = sp.index_of(BasisState.from_string("0000000"))
-        for dt in (1e-11, 5e-12, 2.5e-12):
-            steps = int(round(t_end / dt))
-            traj = evolve(rho0, h, channels,
-                          SimConfig(dt=dt, t_end=t_end, record_stride=steps,
-                                    scheme="split-step"))
-            finals.append(traj.snapshots[-1][vac, vac].real)
-        order = np.log2(abs(finals[0] - finals[1])
-                        / abs(finals[1] - finals[2]))
-        assert 0.8 <= order <= 1.2
-
     def test_positivity_guard(self):
-        space, params = damped_mode_space()
-        h = build_hamiltonian(
-            dataclasses.replace(params, freq_pht_up=0, freq_pht_down=0,
-                                freq_phn=0), space)
-        channels = build_jump_channels(params, space)
-        excited = space.index_of(BasisState.from_string("1000000"))
-        rho0 = DensityMatrix.from_pure(np.eye(2)[excited], space)
+        # a closed run keeps the eigenvalues of rho0, so a negative one
+        # is still there at the first record
+        space, params = two_level_space()
+        h = build_hamiltonian(params, space)
+        rho0 = DensityMatrix(np.diag([1.5, -0.5]).astype(complex), space)
         with pytest.raises(PositivityLost):
-            evolve(rho0, h, channels,
-                   SimConfig(dt=3e-7, t_end=6e-7, record_stride=1,
-                             scheme="split-step"))
+            evolve(rho0, h, [], SimConfig(dt=1e-10, t_end=1e-9))
 
     def test_space_mismatch(self):
         sp_a, sp_b = table_space(), table_space()
@@ -319,27 +294,6 @@ class TestExactPropagator:
             vec = hop @ vec
             assert np.abs(snap - vec.reshape(n, n)).max() <= 1e-12
 
-    @pytest.mark.parametrize("g_bond,gamma", [(0.1 * G, G), (1.0 * G, G),
-                                              (0.5 * G, 0.2 * G),
-                                              (0.5 * G, 2.0 * G)],
-                             ids=["g_omega=0.1g", "g_omega=g", "gamma=0.2g",
-                                  "gamma=2g"])
-    def test_split_step_agrees_within_first_order(self, g_bond, gamma):
-        sp = table_space()
-        params = open_params(g_bond, gamma)
-        h = build_hamiltonian(params, sp)
-        channels = build_jump_channels(params, sp)
-        rho0 = initial_state(sp)
-        dt = 4e-12
-        runs = [evolve(rho0, h, channels,
-                       SimConfig(dt=dt, t_end=2e-8, record_stride=500,
-                                 scheme=scheme))
-                for scheme in ("exact", "split-step")]
-        worst = max(np.abs(a - b).max()
-                    for a, b in zip(runs[0].snapshots, runs[1].snapshots))
-        assert len(runs[0]) == len(runs[1]) == 11
-        assert 0 < worst <= gamma * dt
-
     def test_trajectory_keeps_guard_margins(self):
         sp = table_space()
         params = open_params(0.5 * G, G)
@@ -362,10 +316,6 @@ class TestConfigsAndValidation:
             SimConfig(dt=1.0, t_end=0.5)
         with pytest.raises(ValueError):
             SimConfig(dt=1.0, t_end=2.0, record_stride=0)
-
-    def test_sim_config_rejects_unknown_scheme(self):
-        with pytest.raises(ValueError, match="scheme"):
-            SimConfig(dt=1e-10, t_end=1e-9, scheme="rk4")
 
     def test_density_matrix_validate(self):
         from h2discord.errors import NotDensityMatrix
