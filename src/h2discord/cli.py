@@ -22,11 +22,11 @@ from .analysis import OBSERVABLES, PREDICATES, default_dt, \
     observables, period_law, run_discord_series
 from .discord import DiscordPoint, SearchConfig
 from .dynamics import SimConfig
-from .errors import ConfigError, ConfigTypeError, MissingRequired, \
-    SimulationError, UnknownKey
+from .errors import ConfigError, ConfigTypeError, EmptySeeds, \
+    MissingRequired, SeedOutsideCompatTable, SimulationError, UnknownKey
 from .operators import ModelParams, build_hamiltonian, write_operator
 from .statespace import INITIAL_COMPONENTS, BasisState, GatingPolicy, \
-    full_space, generate_space, table_space
+    check_seeds, full_space, generate_space, table_space
 
 KINDS = ("evolve-closed", "evolve-open", "discord-series", "sweep-g-omega",
          "sweep-gamma", "period-law", "generate-space")
@@ -192,7 +192,7 @@ KEYS = (
     Key("tie_phis", BOOL, "false"),
     Key("zero_phases", BOOL, "true"),
     Key("refine", BOOL, "true"),
-    Key("refine_tol", NUMBER, "1e-4"),
+    Key("refine_tol", POSITIVE, "1e-4"),
     Key("discord_stride", _int_at_least(1), "1"),
     Key("sweep_values", NUMBERS,
         lambda v: _SWEEP_DEFAULTS.get(v["kind"], ())),
@@ -281,6 +281,12 @@ def _check(v: dict, params: ModelParams):
     if kind == "period-law" and not (sweep and all(0 < x <= 1 for x in sweep)):
         raise ConfigTypeError("TypeError: period-law sweep_values must lie "
                               "in (0, 1]")
+    if v["space_mode"] != "full":  # the full space ignores the seeds
+        try:
+            check_seeds(v["seeds"], v["space_mode"])
+        except (EmptySeeds, SeedOutsideCompatTable) as exc:
+            raise ConfigTypeError(f"TypeError: seeds with space_mode="
+                                  f"{v['space_mode']}: {exc}") from None
     window = v["envelope_window"]
     if window % 2 == 0 and window:
         raise ConfigTypeError("TypeError: envelope_window must be odd "
@@ -410,7 +416,8 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
                                 _build_space(config), config.gating)
         notes.update(min_eigenvalue=traj.min_eigenvalue,
                      min_eigenvalue_t=traj.min_eigenvalue_t,
-                     max_trace_drift=traj.max_trace_drift)
+                     max_trace_drift=traj.max_trace_drift,
+                     max_hermiticity_error=traj.max_hermiticity_error)
         emit("observables.csv", lambda p: _write_csv(
             p, ",".join(OBSERVABLES), observables(traj)))
         if config.dump_rho:

@@ -13,10 +13,18 @@ The measurement family is the product of two single-qubit bases
 
 (and the primed pair for the second qubit), which is orthonormal for
 every angle choice and reduces to the real-valued family at phi = 0.
-Classical correlation maximizes over a deterministic coarse grid of
-the free angles followed by coordinate-descent refinement; ties within
-1e-9 nats resolve to the lexicographically smallest angle tuple, so
-results are reproducible bit for bit.
+Classical correlation maximizes over a deterministic grid of the free
+angles, evaluated once per distinct measurement, followed by a batched
+pattern-search refinement; ties within 1e-9 nats resolve to the
+lexicographically smallest angle tuple, so results are reproducible
+bit for bit.  The grid drops every point whose unordered set of
+product projectors an earlier point (in ij order) already gives: theta
+= pi/2 repeats theta = 0 with the outcomes swapped, the phase does
+nothing at theta in {0, pi/2}, phi = 2 pi repeats phi = 0, and (theta,
+phi) and (pi/2 - theta, phi + pi) give the same basis.  The 17-point
+grids keep 256 of 289 zero-phase points and 14641 of 83521 four-angle
+points.  Computing discord is NP-complete in general (Huang, New J.
+Phys. 16, 033027 (2014)), so the search is a heuristic.
 
 A pure joint state needs no search.  Every rank-1 measurement on A
 then leaves B pure, so the conditional entropy is zero for every
@@ -31,10 +39,10 @@ of that measurement, the diagonal of rho_A in outcome order.  Closed
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dynamics import DensityMatrix
 from .errors import AngleOutOfRange, NotDensityMatrix, SpaceMismatch
@@ -211,6 +219,10 @@ class SearchConfig:
     refine: bool = True
     refine_tol: float = 1e-4
 
+    def __post_init__(self):
+        if not 0 < self.refine_tol < np.inf:
+            raise ValueError("refine_tol must be positive and finite")
+
 
 _ANGLE_BOUNDS = {"theta": (0.0, np.pi / 2), "theta_prime": (0.0, np.pi / 2),
                  "phi": (0.0, 2 * np.pi), "phi_prime": (0.0, 2 * np.pi)}
@@ -245,12 +257,46 @@ def _resolve(free: dict, flags):
     return theta, theta_p, phi, phi_p
 
 
+def _ac_bd(rho4: np.ndarray) -> np.ndarray:
+    """rho4[a, b, c, d] as the (a c) x (b d) matrix."""
+    return rho4.transpose(0, 2, 1, 3).reshape(16, -1)
+
+
+def _outer(vectors: np.ndarray) -> np.ndarray:
+    """conj(u_a) u_c as one row of 16 per outcome vector u."""
+    return (vectors.conj()[:, :, None]
+            * vectors[:, None, :]).reshape(-1, 16)
+
+
 class _Evaluator:
-    """Batched conditional-entropy evaluation for one embedded state."""
+    """Batched conditional-entropy evaluation for one embedded state.
+
+    The B blocks <u|rho|u> of a batch of outcome vectors u are one matmul
+    of the outer products conj(u_a) u_c against rho as an (a c) x (b d)
+    matrix.  B labels that rho never couples, directly or through other
+    labels, form separate groups (the model's conservation laws leave
+    such exact zeros); every block is then block diagonal, and its
+    spectrum is the union of the groups' spectra.
+    """
 
     def __init__(self, rho4: np.ndarray):
         self.rho4 = rho4
         self.nb = rho4.shape[1]
+
+    @cached_property
+    def groups(self) -> list:
+        """(size, (a c) x (b d) matrix) per group of coupled B labels."""
+        coupled = (self.rho4 != 0).any(axis=(0, 2))
+        linked = coupled | coupled.T | np.eye(self.nb, dtype=bool)
+        for _ in range(self.nb.bit_length()):  # transitive closure
+            linked = (linked.astype(int) @ linked) > 0
+        first = linked.argmax(axis=0)  # each label's lowest group member
+        groups = []
+        for label in np.unique(first):
+            idx = np.flatnonzero(first == label)
+            block = self.rho4[:, idx][:, :, :, idx]
+            groups.append((len(idx), _ac_bd(block)))
+        return groups
 
     def _outcome_vectors(self, theta, theta_p, phi, phi_p):
         c, s = np.cos(theta), np.sin(theta)
@@ -263,10 +309,17 @@ class _Evaluator:
         w1 = np.stack([sp * ep.conj(), -cp + 0j], axis=-1)
 
         def pair(x, y):
-            return np.einsum("gi,gj->gij", x, y).reshape(-1, 4)
+            return (x[:, :, None] * y[:, None, :]).reshape(-1, 4)
 
         return np.stack([pair(v0, w0), pair(v1, w0),
                          pair(v0, w1), pair(v1, w1)], axis=1)
+
+    def _spectra(self, vectors: np.ndarray) -> np.ndarray:
+        """Eigenvalues of <u|rho|u> for each row u of `vectors`."""
+        outer = _outer(vectors)
+        return np.concatenate(
+            [np.linalg.eigvalsh((outer @ mat).reshape(-1, size, size))
+             for size, mat in self.groups], axis=-1)
 
     def conditional_entropies(self, theta, theta_p, phi, phi_p) -> np.ndarray:
         """Sum_k p_k S(rho_k) for a batch of angle tuples."""
@@ -278,10 +331,7 @@ class _Evaluator:
         flat = vectors.reshape(-1, 4)
         contrib = np.empty(flat.shape[0])
         for start in range(0, flat.shape[0], _CHUNK):
-            chunk = flat[start:start + _CHUNK]
-            m = np.einsum("ga,abcd,gc->gbd", chunk.conj(), self.rho4,
-                          chunk, optimize=True)
-            w = np.linalg.eigvalsh(m)
+            w = self._spectra(flat[start:start + _CHUNK])
             p = w.sum(axis=-1)
             safe_p = np.where(p > EPS_OUTCOME, p, 1.0)
             r = w / safe_p[:, None]
@@ -291,61 +341,96 @@ class _Evaluator:
                                                      p * ent, 0.0)
         return contrib.reshape(len(theta), 4).sum(axis=-1)
 
-    def value(self, angles4) -> float:
-        theta, theta_p, phi, phi_p = angles4
-        return float(self.conditional_entropies(
-            np.array([theta]), np.array([theta_p]),
-            np.array([phi]), np.array([phi_p]))[0])
-
     def probabilities(self, angles4) -> np.ndarray:
         vectors = self._outcome_vectors(*[np.array([a]) for a in angles4])[0]
-        m = np.einsum("ga,abcd,gc->gbd", vectors.conj(), self.rho4, vectors)
-        return np.einsum("gbb->g", m).real
+        blocks = (_outer(vectors) @ _ac_bd(self.rho4)).reshape(
+            -1, self.nb, self.nb)
+        return np.einsum("gbb->g", blocks).real
+
+
+def _measurement_ids(i, j, n_theta: int, n_phi: int):
+    """One id per single-qubit measurement at grid indices (i, j) of
+    `n_theta` thetas on [0, pi/2] and `n_phi` phis on [0, 2 pi]; grid
+    points giving the same unordered projector pair share it."""
+    period = n_phi - 1
+    if period:
+        j = j % period  # phi = 2 pi repeats phi = 0
+    ids = i * n_phi + j
+    if period and period % 2 == 0:
+        # (theta, phi) and (pi/2 - theta, phi + pi) swap the two outcomes
+        ids = np.minimum(ids, (n_theta - 1 - i) * n_phi
+                         + (j + period // 2) % period)
+    # theta = 0 and theta = pi/2 both measure the z basis, whatever phi
+    return np.where((i == 0) | (i == n_theta - 1), -1, ids)
+
+
+@lru_cache(maxsize=16)
+def _grid(search: SearchConfig):
+    """(kept, free angles): the indices into the ij-ordered grid of the
+    points whose measurement no earlier point makes, ascending, and the
+    free angles at those points."""
+    axes = _free_axes(search)
+    grids = np.meshgrid(*[np.arange(len(values)) for _, values in axes],
+                        indexing="ij")
+    index = {name: grid.ravel() for (name, _), grid in zip(axes, grids)}
+    i, i_p, j, j_p = _resolve(index, search)
+    n_phi = search.phi_points
+    if search.zero_phases:
+        n_phi, j, j_p = 1, 0, 0
+    ids = np.stack([_measurement_ids(i, j, search.theta_points, n_phi),
+                    _measurement_ids(i_p, j_p, search.theta_points, n_phi)],
+                   axis=1)
+    kept = np.sort(np.unique(ids, axis=0, return_index=True)[1])
+    free = {name: values[index[name][kept]] for name, values in axes}
+    for array in (kept, *free.values()):
+        array.setflags(write=False)
+    return kept, free
 
 
 def _grid_minimum(ev: _Evaluator, search: SearchConfig):
-    axes = _free_axes(search)
-    grids = np.meshgrid(*[values for _, values in axes], indexing="ij")
-    flat = {name: grid.ravel() for (name, _), grid in zip(axes, grids)}
-    values = ev.conditional_entropies(*_resolve(flat, search))
-    # lexicographic tie-break: the ij-ordered grid enumerates angle
-    # tuples in ascending order, so the first near-minimal index wins
+    _, grid = _grid(search)
+    values = ev.conditional_entropies(*_resolve(grid, search))
+    # lexicographic tie-break: the kept points are in ij order, which
+    # enumerates angle tuples in ascending order, and a dropped point only
+    # repeats an earlier one, so the first near-minimal index wins
     best = int(np.nonzero(values <= values.min() + TIE_TOL)[0][0])
-    free = {name: float(flat[name][best]) for name, _ in axes}
-    spacing = {name: float(vals[1] - vals[0]) if len(vals) > 1 else 0.1
-               for name, vals in axes}
-    return free, spacing, float(values[best])
+    free = {name: float(angles[best]) for name, angles in grid.items()}
+    return free, float(values[best])
 
 
 def _refine(ev: _Evaluator, search: SearchConfig, free: dict,
-            spacing: dict, f_best: float):
-    names = list(free)
-    for _ in range(12):
-        moved = 0.0
-        for name in names:
-            lo_bound, hi_bound = _ANGLE_BOUNDS[name]
-            lo = max(lo_bound, free[name] - spacing[name])
-            hi = min(hi_bound, free[name] + spacing[name])
-            if hi - lo <= search.refine_tol * 1e-3:
-                continue
+            f_best: float):
+    """Pattern search from the grid minimum.
 
-            def objective(x, _name=name):
-                trial = dict(free)
-                trial[_name] = x
-                return ev.value(_resolve(trial, search))
-
-            res = minimize_scalar(objective, bounds=(lo, hi),
-                                  method="bounded",
-                                  options={"xatol": search.refine_tol / 4})
-            # ignore float-noise "improvements" so degenerate landscapes
-            # (pure states) keep the grid tie-break angles
-            if res.fun < f_best - 1e-12:
-                moved = max(moved, abs(float(res.x) - free[name]))
-                free[name] = float(res.x)
-                f_best = float(res.fun)
-        if moved < search.refine_tol:
+    Each step evaluates +-h on every free axis, clipped to the angle
+    bounds, in one batch, and moves to the best trial (the first, on a
+    tie) while it gains more than 1e-12; then h halves, from the largest
+    grid spacing down to refine_tol / 4.  Float-noise gains are ignored,
+    so flat landscapes keep the grid tie-break angles.
+    """
+    axes = _free_axes(search)
+    names = [name for name, _ in axes]
+    lo, hi = np.array([_ANGLE_BOUNDS[name] for name in names]).T
+    # rows -e_0, +e_0, -e_1, +e_1, ...
+    moves = np.kron(np.eye(len(names)), [[-1.0], [1.0]])
+    point = np.array([free[name] for name in names])
+    h = max(values[1] - values[0] if len(values) > 1 else 0.1
+            for _, values in axes)
+    while True:
+        while True:
+            trials = np.clip(point + h * moves, lo, hi)
+            # a trial clipped back onto the point repeats it
+            trials = trials[(trials != point).any(axis=1)]
+            values = ev.conditional_entropies(
+                *_resolve(dict(zip(names, trials.T)), search))
+            k = int(np.argmin(values))
+            if not values[k] < f_best - 1e-12:
+                break
+            point, f_best = trials[k], float(values[k])
+        if h <= search.refine_tol / 4:
             break
-    return free, f_best
+        h /= 2
+    return {name: float(x) for name, x in zip(names, point)}, f_best
 
 
 def _measurement(ev: _Evaluator, search: SearchConfig, angles):
@@ -365,11 +450,10 @@ def _search_minimum(rho4: np.ndarray, search: SearchConfig):
     pure-state closed form in `_minimum`.
     """
     ev = _Evaluator(rho4)
-    free, spacing, f_best = _grid_minimum(ev, search)
+    free, f_best = _grid_minimum(ev, search)
     if search.refine:
-        free, f_best = _refine(ev, search, free, spacing, f_best)
-    angles = _resolve(free, search)
-    return (ev.value(angles), *_measurement(ev, search, angles))
+        free, f_best = _refine(ev, search, free, f_best)
+    return (f_best, *_measurement(ev, search, _resolve(free, search)))
 
 
 def is_pure(rho: DensityMatrix) -> bool:

@@ -77,10 +77,12 @@ class Trajectory:
     snapshots: list
     space: StateSpace
     params: Optional[ModelParams] = None
-    # worst record: lowest eigenvalue, its time, |tr rho - 1| before renorm
+    # worst record: lowest eigenvalue, its time, |tr rho - 1| before
+    # renorm, max |rho - rho^dagger| before symmetrisation
     min_eigenvalue: float = math.inf
     min_eigenvalue_t: float = math.nan
     max_trace_drift: float = 0.0
+    max_hermiticity_error: float = 0.0
 
     def __len__(self):
         return len(self.times)
@@ -195,10 +197,11 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
     rho = rho0.mat.astype(complex).copy()
     times = [0.0]
     snapshots = [rho.copy()]
-    min_eig, min_eig_t, max_drift = math.inf, math.nan, 0.0
+    min_eig, min_eig_t, max_drift, max_herm = math.inf, math.nan, 0.0, 0.0
 
     def record(step, rho):
-        nonlocal min_eig, min_eig_t, max_drift
+        nonlocal min_eig, min_eig_t, max_drift, max_herm
+        max_herm = max(max_herm, float(np.abs(rho - rho.conj().T).max()))
         rho = 0.5 * (rho + rho.conj().T)
         trace = rho.trace().real
         max_drift = max(max_drift, abs(trace - 1.0))
@@ -235,4 +238,5 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
         previous = step
     return Trajectory(np.array(times), snapshots, rho0.space,
                       min_eigenvalue=min_eig, min_eigenvalue_t=min_eig_t,
-                      max_trace_drift=max_drift)
+                      max_trace_drift=max_drift,
+                      max_hermiticity_error=max_herm)

@@ -245,6 +245,20 @@ def _neighbors(s: BasisState, params, gating: GatingPolicy,
     return out
 
 
+def check_seeds(seeds, mode: str):
+    """Raise EmptySeeds without seeds, and SeedOutsideCompatTable for a
+    table-compat seed outside the 26-state compatibility basis."""
+    if not seeds:
+        raise EmptySeeds("need at least one seed state")
+    if mode == MODE_TABLE:
+        outside = [s for s in map(BasisState._make, seeds)
+                   if s not in _TABLE_SET]
+        if outside:
+            listing = ", ".join(s.to_string() for s in outside)
+            raise SeedOutsideCompatTable(
+                f"seeds outside the compatibility basis: {listing}")
+
+
 def generate_space(seeds, params, gating: GatingPolicy = None,
                    include_dissipation: bool = True,
                    mode: str = MODE_CLOSURE) -> StateSpace:
@@ -258,20 +272,13 @@ def generate_space(seeds, params, gating: GatingPolicy = None,
     outside that basis are rejected.
     """
     seeds = [BasisState(*s) for s in seeds]
-    if not seeds:
-        raise EmptySeeds("need at least one seed state")
+    check_seeds(seeds, mode)
     if gating is None:
         gating = GatingPolicy()
     if mode not in (MODE_FULL, MODE_CLOSURE, MODE_TABLE):
         raise ValueError(f"unknown space mode {mode!r}")
     if mode == MODE_FULL:
         return full_space()
-    if mode == MODE_TABLE:
-        outside = [s for s in seeds if s not in _TABLE_SET]
-        if outside:
-            listing = ", ".join(s.to_string() for s in outside)
-            raise SeedOutsideCompatTable(
-                f"seeds outside the compatibility basis: {listing}")
 
     seen = set(seeds)
     queue = deque(seeds)

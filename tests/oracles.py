@@ -5,7 +5,9 @@ cannot share a bug with the library paths it checks.
 """
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
+from h2discord.discord import TIE_TOL, _ANGLE_BOUNDS, _free_axes, _resolve
 from h2discord.statespace import BasisState
 
 
@@ -66,3 +68,75 @@ def random_pure(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
     return np.outer(v, v.conj())
+
+
+def reference_conditional_entropies(rho4, theta, theta_p, phi, phi_p):
+    """Sum_k p_k S(rho_k) per angle tuple: each outcome's B block by one
+    einsum sandwich over the full embedded state, then its spectrum."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    theta_p, phi, phi_p = (np.broadcast_to(x, theta.shape)
+                           for x in (theta_p, phi, phi_p))
+
+    def qubit(t, f):
+        c, s, e = np.cos(t), np.sin(t), np.exp(1j * f)
+        return (np.stack([c + 0j, s * e], axis=-1),
+                np.stack([s * e.conj(), -c + 0j], axis=-1))
+
+    (v0, v1), (w0, w1) = qubit(theta, phi), qubit(theta_p, phi_p)
+    vectors = np.stack([np.einsum("gi,gj->gij", x, y).reshape(-1, 4)
+                        for x, y in ((v0, w0), (v1, w0), (v0, w1),
+                                     (v1, w1))], axis=1).reshape(-1, 4)
+    blocks = np.einsum("ga,abcd,gc->gbd", vectors.conj(), rho4, vectors)
+    total = np.zeros(len(vectors))
+    for k, w in enumerate(np.linalg.eigvalsh(blocks)):
+        p = w.sum()
+        if p > 1e-12:
+            r = w[w / p > 1e-12] / p
+            total[k] = -p * (r * np.log(r)).sum()
+    return total.reshape(-1, 4).sum(axis=-1)
+
+
+def full_grid_minimum(evaluate, search):
+    """The first near-minimal point of the whole ij-ordered grid, no
+    point dropped: (free angles, grid spacing per axis, value).
+    `evaluate(theta, theta', phi, phi')` takes arrays of angles."""
+    axes = _free_axes(search)
+    grids = np.meshgrid(*[values for _, values in axes], indexing="ij")
+    flat = {name: grid.ravel() for (name, _), grid in zip(axes, grids)}
+    values = evaluate(*_resolve(flat, search))
+    best = int(np.nonzero(values <= values.min() + TIE_TOL)[0][0])
+    free = {name: float(flat[name][best]) for name, _ in axes}
+    spacing = {name: float(vals[1] - vals[0]) if len(vals) > 1 else 0.1
+               for name, vals in axes}
+    return free, spacing, float(values[best])
+
+
+def reference_search_minimum(rho4, search):
+    """The minimum of the measured conditional entropy by the full grid,
+    then bounded `minimize_scalar` coordinate descent, one axis at a
+    time within one grid spacing: (value, resolved angles)."""
+    def value(free):
+        angles = _resolve(free, search)
+        return float(reference_conditional_entropies(rho4, *angles)[0])
+
+    free, spacing, f_best = full_grid_minimum(
+        lambda *angles: reference_conditional_entropies(rho4, *angles),
+        search)
+    for _ in range(12 if search.refine else 0):
+        moved = 0.0
+        for name in list(free):
+            lo = max(_ANGLE_BOUNDS[name][0], free[name] - spacing[name])
+            hi = min(_ANGLE_BOUNDS[name][1], free[name] + spacing[name])
+            if hi - lo <= search.refine_tol * 1e-3:
+                continue
+            res = minimize_scalar(
+                lambda x, name=name: value({**free, name: x}),
+                bounds=(lo, hi), method="bounded",
+                options={"xatol": search.refine_tol / 4})
+            if res.fun < f_best - 1e-12:
+                moved = max(moved, abs(float(res.x) - free[name]))
+                free[name] = float(res.x)
+                f_best = float(res.fun)
+        if moved < search.refine_tol:
+            break
+    return value(free), _resolve(free, search)

@@ -13,8 +13,8 @@ import pytest
 
 from h2discord.analysis import period_law, run_discord_series, \
     state_population
-from h2discord.discord import MeasurementConfig, SearchConfig, discord, \
-    projector_set
+from h2discord.discord import MeasurementConfig, SearchConfig, _embedded, \
+    discord, projector_set
 from h2discord.dynamics import DensityMatrix, SimConfig, evolve, \
     initial_state
 from h2discord.operators import ModelParams, build_hamiltonian, \
@@ -23,7 +23,8 @@ from h2discord.statespace import BasisState, INITIAL_COMPONENTS, \
     TABLE_STATES, full_space, generate_space, table_space
 
 from oracles import brute_force_trace_A, brute_force_trace_B, \
-    random_density, random_pure, tied_pattern_projectors
+    random_density, random_pure, reference_search_minimum, \
+    tied_pattern_projectors
 
 G = 1.0e7
 SWEEP_XS = (0.01, 0.02, 0.05, 0.1, 0.2)
@@ -278,6 +279,23 @@ class TestCriterion6:
         ok = worst <= 1e-4
         report(6, ok, f"grid doubling moves J by at most {worst:.2e} nats")
         assert worst <= 1e-4
+
+    def test_search_matches_reference(self, open_endpoint):
+        # every discord record of the criterion-4 run (every 10th
+        # snapshot) against the full-grid, minimize_scalar search
+        traj, points, _ = open_endpoint
+        lowest, worst = 0.0, 0.0
+        for i, point in zip(range(0, len(traj), 10), points):
+            assert point.t == traj.times[i]
+            old, _ = reference_search_minimum(_embedded(traj.density(i)),
+                                              OPEN_SEARCH)
+            gain = point.classical_corr - (point.s_b - old)
+            lowest, worst = min(lowest, gain), max(worst, abs(gain))
+        ok = lowest >= -1e-12 and worst <= 1e-9
+        report(6, ok, f"J - J_reference in [{lowest:.2e}, {worst:.2e}] "
+                      f"nats over {len(points)} records")
+        assert lowest >= -1e-12
+        assert worst <= 1e-9
 
 
 class TestCriterion7:

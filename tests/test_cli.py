@@ -102,7 +102,8 @@ class TestResolveConfig:
                                       "g_up=0\ng_down=0\ng_omega=0\nzeta=0\n"
                                       "dt=1e-10\nt_end=1e-8\n",
                                       "dt=1e-320\n", "refine=maybe\n",
-                                      "periods_factor=-1\n", "g_up=0\n"])
+                                      "periods_factor=-1\n", "g_up=0\n",
+                                      "refine_tol=0\n", "refine_tol=-1e-4\n"])
     def test_rejects_non_finite_numbers_and_empty_grids(self, text):
         with pytest.raises(ConfigTypeError) as err:
             resolve(text, kind="discord-series")
@@ -272,6 +273,7 @@ class TestRun:
         low, drift = float(meta["min_eigenvalue"]), \
             float(meta["max_trace_drift"])
         assert -1e-12 <= low <= 1e-12 and 0 <= drift <= 1e-12
+        assert 0 <= float(meta["max_hermiticity_error"]) <= 1e-12
         assert float(meta["min_eigenvalue_t"]) in \
             {step * 1e-10 for step in (100, 200, 300, 400)}
 
@@ -366,6 +368,17 @@ class TestMain:
         path = write_config(tmp_path, "kind=period-law\ng_up=0\n")
         assert main([command, path, "--out", str(tmp_path / "o")]) == 2
         assert "g_up" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
+    @pytest.mark.parametrize("text", [
+        "seeds=0000010,1111111\n",
+        "seeds=\nspace_mode=closure\n"], ids=["outside-table", "empty"])
+    def test_seeds_no_space_can_take_exit_as_config_errors(
+            self, tmp_path, capsys, command, text):
+        path = write_config(tmp_path, "kind=generate-space\n" + text)
+        assert main([command, path, "--out", str(tmp_path / "o")]) == 2
+        assert "seeds" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 4

@@ -16,7 +16,8 @@ from h2discord.statespace import INITIAL_COMPONENTS, BasisState, \
     StateSpace, full_space, generate_space, table_space
 
 from oracles import brute_force_trace_A, brute_force_trace_B, \
-    random_density, random_pure
+    full_grid_minimum, random_density, random_pure, \
+    reference_conditional_entropies, reference_search_minimum
 
 FULL = full_space()
 LN2 = np.log(2.0)
@@ -237,7 +238,7 @@ class TestMeasuredConditionalEntropy:
         angles = (0.4, 1.1, 2.2, 5.0)
         value, _, _ = measured_conditional_entropy(
             rho, projector_set(MeasurementConfig(*angles)))
-        fast = _Evaluator(_embedded(rho)).value(angles)
+        fast = _Evaluator(_embedded(rho)).conditional_entropies(*angles)[0]
         assert value == pytest.approx(fast, abs=1e-11)
 
 
@@ -378,6 +379,11 @@ class TestFreeRotationInvariance:
 
 
 class TestSearchBounds:
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, np.inf, np.nan])
+    def test_search_config_rejects_refine_tol(self, tol):
+        with pytest.raises(ValueError):
+            SearchConfig(refine_tol=tol)
+
     def test_conditional_entropy_nonnegative_and_j_capped(self):
         rng = np.random.default_rng(55)
         sp = table_space()
@@ -464,3 +470,81 @@ class TestPureClosedForm:
         classical_correlation(above, search)
         assert len(search_calls) == 2
         assert not point.pure
+
+
+# refine=False presets covering each way a grid point can repeat another
+GRID_PRESETS = {
+    "zero-phase": SearchConfig(zero_phases=True, refine=False),
+    "four-angle": SearchConfig(theta_points=5, phi_points=5, refine=False),
+    "tie-thetas": SearchConfig(theta_points=9, phi_points=9, tie_thetas=True,
+                               refine=False),
+    "tie-phis": SearchConfig(theta_points=9, phi_points=9, tie_phis=True,
+                             refine=False),
+}
+
+
+class TestGridDeduplication:
+    @pytest.mark.parametrize("search,kept,total", [
+        (SearchConfig(zero_phases=True), 256, 289),
+        (SearchConfig(), 14641, 83521)], ids=["zero-phase", "four-angle"])
+    def test_kept_point_counts(self, search, kept, total):
+        indices, free = discord_module._grid(search)
+        sizes = [len(v) for _, v in discord_module._free_axes(search)]
+        assert (len(indices), int(np.prod(sizes))) == (kept, total)
+        assert all(len(angles) == kept for angles in free.values())
+
+    @pytest.mark.parametrize("preset", sorted(GRID_PRESETS))
+    def test_kept_indices_rise_strictly(self, preset):
+        indices, _ = discord_module._grid(GRID_PRESETS[preset])
+        assert indices[0] == 0 and np.all(np.diff(indices) > 0)
+
+    @pytest.mark.parametrize("preset", sorted(GRID_PRESETS))
+    def test_same_minimum_as_full_grid(self, preset):
+        search = GRID_PRESETS[preset]
+        rng = np.random.default_rng(71)
+        for _ in range(3):
+            rho4 = discord_module._embedded(
+                DensityMatrix(random_density(rng, 26), table_space()))
+            ev = discord_module._Evaluator(rho4)
+            free, _, want = full_grid_minimum(ev.conditional_entropies,
+                                              search)
+            value, config, _ = SEARCH_MINIMUM(rho4, search)
+            assert abs(value - want) <= 1e-15
+            assert config.resolved() == discord_module._resolve(free, search)
+
+
+def coupling_groups_state(rng):
+    """A mixed 26-state density whose B labels split into two groups
+    that no entry of rho couples."""
+    space = table_space()
+    group = np.array([space.b_labels[b][0] for b in space.b_index])
+    mat = random_density(rng, space.size)
+    mat[group[:, None] != group[None, :]] = 0.0
+    return DensityMatrix(mat / mat.trace(), space)
+
+
+class TestAgainstReferenceSearch:
+    def test_coupling_groups_keep_the_spectra(self):
+        rng = np.random.default_rng(72)
+        rho4 = discord_module._embedded(coupling_groups_state(rng))
+        ev = discord_module._Evaluator(rho4)
+        assert sorted(size for size, _ in ev.groups) == [4, 12]
+        angles = rng.uniform(0, np.pi / 2, size=(4, 20))
+        angles[2:] *= 4
+        assert np.abs(ev.conditional_entropies(*angles)
+                      - reference_conditional_entropies(rho4, *angles)
+                      ).max() <= 1e-13
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_no_lower_j_than_reference(self, preset):
+        search = PRESETS[preset]
+        rng = np.random.default_rng(73)
+        states = [random_density(rng, 26) for _ in range(3)]
+        states.append(coupling_groups_state(rng).mat)
+        for mat in states:
+            rho = DensityMatrix(mat, table_space())
+            point = discord(rho, search)
+            old, _ = reference_search_minimum(
+                discord_module._embedded(rho), search)
+            assert not point.pure
+            assert point.classical_corr >= point.s_b - old - 1e-9

@@ -306,6 +306,10 @@ class TestExactPropagator:
         assert traj.min_eigenvalue_t == traj.times[1 + int(np.argmin(lows))]
         assert traj.max_trace_drift == max(drifts)
         assert -1e-12 <= traj.min_eigenvalue and traj.max_trace_drift < 1e-12
+        # the margin before symmetrisation; the records are symmetrised
+        assert 0 <= traj.max_hermiticity_error < 1e-12
+        assert all(np.array_equal(snap, snap.conj().T)
+                   for snap in traj.snapshots[1:])
 
 
 class TestConfigsAndValidation:
