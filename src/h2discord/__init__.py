@@ -5,9 +5,9 @@ __version__ = "0.1.0"
 from .analysis import FitResult, PeriodLawResult, envelope, fit_sinusoid, \
     period_law, population, run_discord_series, state_population
 from .discord import DiscordPoint, MeasurementConfig, ProjectorSet, \
-    SearchConfig, classical_correlation, discord, measured_conditional_entropy, \
-    mutual_information, partial_trace_A, partial_trace_B, projector_set, \
-    von_neumann_entropy
+    SearchConfig, classical_correlation, discord, discord_series, \
+    measured_conditional_entropy, mutual_information, partial_trace_A, \
+    partial_trace_B, projector_set, von_neumann_entropy
 from .dynamics import DensityMatrix, SimConfig, Trajectory, dissipator, \
     evolve, initial_state, make_propagator
 from .operators import JumpChannel, ModelParams, OperatorMatrix, \

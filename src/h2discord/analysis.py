@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .discord import SearchConfig, discord
+from .discord import SearchConfig, discord_series
 from .dynamics import DensityMatrix, SimConfig, Trajectory, evolve, \
     initial_state
 from .errors import InsufficientData, NoDominantFrequency, WindowTooLarge
@@ -209,14 +209,20 @@ def run_discord_series(params: ModelParams, sim: SimConfig,
     """Evolve the standard initial state and compute discord on snapshots.
 
     Returns (trajectory, discord points).  The final snapshot is always
-    included even when discord_stride skips over it.
+    included even when discord_stride skips over it.  The points come
+    from `discord_series`: each mixed snapshot's search starts from the
+    last mixed snapshot's argmin when a 5x5 guard grid of the search's
+    family finds nothing better more than one guard spacing from it,
+    and searches the full grid otherwise (always, for the first mixed
+    snapshot).  The pattern search then tries every step size in one
+    batch, so a point it cannot improve costs one batch more.
     """
     traj = evolve_model(params, sim, space, gating)
     picks = list(range(0, len(traj), discord_stride))
     if picks[-1] != len(traj) - 1:
         picks.append(len(traj) - 1)
-    points = [discord(traj.density(i), search, t=float(traj.times[i]))
-              for i in picks]
+    points = discord_series([traj.density(i) for i in picks], search,
+                            [float(traj.times[i]) for i in picks])
     return traj, points
 
 

@@ -476,6 +476,9 @@ def _discord_artifacts(config, points, notes, emit):
     """discord.csv, and for a closed run the fit of its slow period."""
     notes["discord_pure_snapshots"] = \
         f"{sum(pt.pure for pt in points)}/{len(points)}"
+    mixed = [pt for pt in points if not pt.pure]
+    notes["discord_grid_fallbacks"] = \
+        f"{sum(pt.full_grid for pt in mixed)}/{len(mixed)}"
     emit("discord.csv", lambda p: _write_lines(
         p, [DiscordPoint.CSV_HEADER] + [pt.csv_row() for pt in points]))
     params = config.params

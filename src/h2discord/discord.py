@@ -26,6 +26,22 @@ grids keep 256 of 289 zero-phase points and 14641 of 83521 four-angle
 points.  Computing discord is NP-complete in general (Huang, New J.
 Phys. 16, 033027 (2014)), so the search is a heuristic.
 
+The refinement steps h from the largest grid spacing down to
+refine_tol / 4, halving: at each h it moves to the best of the +-h
+trials on every free angle while that gains more than 1e-12 nats.
+Where h would halve, one batch evaluates every smaller h as well, and
+the largest h with a gain takes its best trial, so the moves are those
+of the step-by-step rule and a point no step improves costs one batch.
+
+Along a trajectory (`discord_series`) each mixed snapshot may start
+from the argmin of the last mixed snapshot, the warm point.  One batch
+evaluates the warm point and the guard grid, the search's family on
+GUARD_POINTS = 5 points per free angle (16 distinct measurements with
+zero phases).  When the best of these lies within one guard spacing of
+the warm point on every free angle, the refinement starts there;
+otherwise, and for the first mixed snapshot, the full grid runs, as it
+always does for a lone `discord()` call and with refine off.
+
 A pure joint state needs no search.  Every rank-1 measurement on A
 then leaves B pure, so the conditional entropy is zero for every
 angle choice and J = S(B), D = I - J = S(A) exactly (Ollivier & Zurek,
@@ -51,6 +67,7 @@ EPS_EIGENVALUE = 1e-12  # floor below which spectrum weight is treated as 0
 EPS_OUTCOME = 1e-12     # outcomes rarer than this contribute nothing
 TIE_TOL = 1e-9
 PURE_TOL = 1e-10        # 1 - tr(rho^2) below this takes the closed form
+GUARD_POINTS = 5        # guard grid points per free angle of a warm start
 _CHUNK = 8192
 
 A_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -398,15 +415,48 @@ def _grid_minimum(ev: _Evaluator, search: SearchConfig):
     return free, float(values[best])
 
 
+def _warm_start(ev: _Evaluator, search: SearchConfig,
+                warm: MeasurementConfig):
+    """(free angles, value) to refine from, or None to take the full grid.
+
+    One batch evaluates the warm point and the guard grid, the search's
+    family on GUARD_POINTS points per free angle.  The best of them is
+    adopted when it lies within one guard spacing of the warm point on
+    every free angle; a better guard point farther out means the
+    minimum may have moved to another basin.
+    """
+    guard = replace(search, theta_points=GUARD_POINTS,
+                    phi_points=GUARD_POINTS)
+    axes = _free_axes(guard)
+    names = [name for name, _ in axes]
+    _, grid = _grid(guard)
+    points = np.column_stack([np.concatenate([[getattr(warm, name)],
+                                              grid[name]])
+                              for name in names])
+    values = ev.conditional_entropies(
+        *_resolve(dict(zip(names, points.T)), search))
+    best = int(np.argmin(values))
+    spacing = np.array([angles[1] - angles[0] for _, angles in axes])
+    if (np.abs(points[best] - points[0]) > spacing).any():
+        return None
+    return dict(zip(names, points[best].tolist())), float(values[best])
+
+
 def _refine(ev: _Evaluator, search: SearchConfig, free: dict,
             f_best: float):
-    """Pattern search from the grid minimum.
+    """Pattern search from a grid or warm-start minimum.
 
-    Each step evaluates +-h on every free axis, clipped to the angle
-    bounds, in one batch, and moves to the best trial (the first, on a
-    tie) while it gains more than 1e-12; then h halves, from the largest
-    grid spacing down to refine_tol / 4.  Float-noise gains are ignored,
-    so flat landscapes keep the grid tie-break angles.
+    The rule: at each step h, from the largest grid spacing down to
+    refine_tol / 4 by halving, evaluate +-h on every free axis, clipped
+    to the angle bounds, and move to the best trial (the first, on a
+    tie) while it gains more than 1e-12; float-noise gains are ignored,
+    so flat landscapes keep the grid tie-break angles.  Where h would
+    halve, one batch evaluates the trials of every smaller h as well,
+    and the largest h with a gain takes its best trial: the smaller
+    steps it skips gain nothing at this point, so the moves are those
+    of the rule, and a point no step improves costs one batch.  After a
+    move only the same h is tried again, as a descent usually gains
+    there once more.
     """
     axes = _free_axes(search)
     names = [name for name, _ in axes]
@@ -414,22 +464,32 @@ def _refine(ev: _Evaluator, search: SearchConfig, free: dict,
     # rows -e_0, +e_0, -e_1, +e_1, ...
     moves = np.kron(np.eye(len(names)), [[-1.0], [1.0]])
     point = np.array([free[name] for name in names])
-    h = max(values[1] - values[0] if len(values) > 1 else 0.1
-            for _, values in axes)
-    while True:
-        while True:
-            trials = np.clip(point + h * moves, lo, hi)
-            # a trial clipped back onto the point repeats it
-            trials = trials[(trials != point).any(axis=1)]
-            values = ev.conditional_entropies(
-                *_resolve(dict(zip(names, trials.T)), search))
-            k = int(np.argmin(values))
-            if not values[k] < f_best - 1e-12:
-                break
+    steps = [max(values[1] - values[0] if len(values) > 1 else 0.1
+                 for _, values in axes)]
+    while steps[-1] > search.refine_tol / 4:
+        steps.append(steps[-1] / 2)
+    level, smaller = 0, True  # try steps[level], and all smaller ones?
+    while level < len(steps):
+        tried = np.array(steps[level:] if smaller else steps[level:level + 1])
+        trials = np.clip(point + tried[:, None, None] * moves,
+                         lo, hi).reshape(-1, len(names))
+        levels = level + np.repeat(np.arange(len(tried)), len(moves))
+        # a trial clipped back onto the point repeats it
+        keep = (trials != point).any(axis=1)
+        trials, levels = trials[keep], levels[keep]
+        values = ev.conditional_entropies(
+            *_resolve(dict(zip(names, trials.T)), search))
+        gains = values < f_best - 1e-12
+        if gains.any():
+            level = levels[np.argmax(gains)]
+            at_level = np.flatnonzero(levels == level)
+            k = at_level[np.argmin(values[at_level])]
             point, f_best = trials[k], float(values[k])
-        if h <= search.refine_tol / 4:
+            smaller = False
+        elif smaller:
             break
-        h /= 2
+        else:
+            level, smaller = level + 1, True
     return {name: float(x) for name, x in zip(names, point)}, f_best
 
 
@@ -443,17 +503,26 @@ def _measurement(ev: _Evaluator, search: SearchConfig, angles):
     return config, ev.probabilities(angles)
 
 
-def _search_minimum(rho4: np.ndarray, search: SearchConfig):
+def _search_minimum(rho4: np.ndarray, search: SearchConfig,
+                    warm: Optional[MeasurementConfig] = None):
     """Grid-plus-refinement minimum of the measured conditional entropy.
 
-    Returns (value, config, probabilities); the reference path for the
-    pure-state closed form in `_minimum`.
+    With a warm point and refine on, the refinement may start from the
+    guard grid instead (`_warm_start`).  Returns (value, config,
+    probabilities, whether the full grid was searched); without a warm
+    point, the reference path for the pure-state closed form in
+    `_minimum`.
     """
     ev = _Evaluator(rho4)
-    free, f_best = _grid_minimum(ev, search)
+    start = None
+    if warm is not None and search.refine:
+        start = _warm_start(ev, search, warm)
+    full_grid = start is None
+    free, f_best = _grid_minimum(ev, search) if full_grid else start
     if search.refine:
         free, f_best = _refine(ev, search, free, f_best)
-    return (f_best, *_measurement(ev, search, _resolve(free, search)))
+    return (f_best, *_measurement(ev, search, _resolve(free, search)),
+            full_grid)
 
 
 def is_pure(rho: DensityMatrix) -> bool:
@@ -462,16 +531,18 @@ def is_pure(rho: DensityMatrix) -> bool:
     return 1.0 - float(np.vdot(mat, mat).real) < PURE_TOL
 
 
-def _minimum(rho4: np.ndarray, search: SearchConfig, pure: bool):
-    """(conditional entropy, config, probabilities) at the optimum.
+def _minimum(rho4: np.ndarray, search: SearchConfig, pure: bool,
+             warm: Optional[MeasurementConfig] = None):
+    """(conditional entropy, config, probabilities, full grid searched)
+    at the optimum.
 
     A pure state has zero conditional entropy under every measurement;
     it reports the all-zero angles the search's tie-break would pick.
     """
     if pure:
         angles = (0.0, 0.0, 0.0, 0.0)
-        return (0.0, *_measurement(_Evaluator(rho4), search, angles))
-    return _search_minimum(rho4, search)
+        return (0.0, *_measurement(_Evaluator(rho4), search, angles), False)
+    return _search_minimum(rho4, search, warm)
 
 
 def classical_correlation(rho_AB: DensityMatrix,
@@ -481,7 +552,7 @@ def classical_correlation(rho_AB: DensityMatrix,
         search = SearchConfig()
     rho4 = _embedded(rho_AB)
     s_b = _entropy_psd(np.einsum("abad->bd", rho4))
-    value, config, _ = _minimum(rho4, search, is_pure(rho_AB))
+    value, config, _, _ = _minimum(rho4, search, is_pure(rho_AB))
     return s_b - value, config
 
 
@@ -499,6 +570,7 @@ class DiscordPoint:
     argmin_config: MeasurementConfig
     outcome_probs: tuple
     pure: bool = False      # closed form used: 1 - tr(rho^2) < PURE_TOL
+    full_grid: bool = False  # the search evaluated the full grid
 
     CSV_HEADER = ("t,S_A,S_B,S_AB,I,J,D,"
                   "theta,theta_prime,phi,phi_prime,p0,p1,p2,p3")
@@ -533,8 +605,14 @@ class DiscordPoint:
 
 
 def discord(rho_AB: DensityMatrix, search: Optional[SearchConfig] = None,
-            t: float = 0.0) -> DiscordPoint:
-    """Full discord record for one joint state."""
+            t: float = 0.0,
+            warm: Optional[MeasurementConfig] = None) -> DiscordPoint:
+    """Full discord record for one joint state.
+
+    `warm`, the argmin of an earlier mixed snapshot, lets the search
+    start from the guard grid and that point instead of the full grid
+    (see `discord_series`); without it the search is cold.
+    """
     if search is None:
         search = SearchConfig()
     rho4 = _embedded(rho_AB)
@@ -543,9 +621,27 @@ def discord(rho_AB: DensityMatrix, search: Optional[SearchConfig] = None,
     s_ab = _entropy_psd(rho_AB.mat)
     info = s_a + s_b - s_ab
     pure = is_pure(rho_AB)
-    value, config, probs = _minimum(rho4, search, pure)
+    value, config, probs, full_grid = _minimum(rho4, search, pure, warm)
     j = s_b - value
     return DiscordPoint(t=t, s_a=s_a, s_b=s_b, s_ab=s_ab, mutual_info=info,
                         classical_corr=j, discord=info - j,
                         argmin_config=config, outcome_probs=tuple(probs),
-                        pure=pure)
+                        pure=pure, full_grid=full_grid)
+
+
+def discord_series(rhos, search: Optional[SearchConfig], times) -> list:
+    """Discord records of a sequence of joint states taken at `times`.
+
+    Each mixed state's search is warm-started from the argmin of the
+    last mixed state before it; the first mixed state, and any whose
+    guard grid finds a better point more than one guard spacing away,
+    search the full grid (`DiscordPoint.full_grid`).
+    """
+    points = []
+    warm = None
+    for rho, t in zip(rhos, times, strict=True):
+        point = discord(rho, search, t, warm)
+        if not point.pure:
+            warm = point.argmin_config
+        points.append(point)
+    return points

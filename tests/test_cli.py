@@ -248,17 +248,22 @@ class TestRun:
             second = (tmp_path / "b" / artifact).read_bytes()
             assert first == second
 
-    @pytest.mark.parametrize("steps,pure", [("dt=1e-10\nrecord_stride=100\n",
-                                             "5/5"),
-                                            ("gamma=g\ndt=1e-12\n"
-                                             "record_stride=10000\n", "1/5")])
-    def test_pure_snapshot_count_in_metadata(self, tmp_path, steps, pure):
-        # closed runs stay pure; an open one is pure only at t = 0
+    @pytest.mark.parametrize("steps,pure,fallbacks", [
+        ("dt=1e-10\nrecord_stride=100\n", "5/5", "0/0"),
+        ("gamma=g\ndt=1e-12\nrecord_stride=10000\n", "1/5", "1/4"),
+        ("gamma=g\ndt=1e-12\nrecord_stride=10000\nrefine=false\n", "1/5",
+         "4/4")])
+    def test_pure_snapshot_count_in_metadata(self, tmp_path, steps, pure,
+                                             fallbacks):
+        # closed runs stay pure; an open one is pure only at t = 0, and
+        # only its first mixed snapshot searches the full grid, unless
+        # refine is off, which leaves every search cold
         text = ("kind=discord-series\ng_omega=0.1g\nt_end=4e-8\n"
-                "theta_points=5\nrefine=false\n" + steps)
+                "theta_points=5\n" + steps)
         run(resolve(text, out=str(tmp_path / "o")))
         meta = (tmp_path / "o" / "run-metadata.txt").read_text().splitlines()
         assert f"discord_pure_snapshots={pure}" in meta
+        assert f"discord_grid_fallbacks={fallbacks}" in meta
 
     @pytest.mark.parametrize("kind,extra", [
         ("evolve-closed", ""), ("evolve-open", "gamma=g\n"),

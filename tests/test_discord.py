@@ -447,7 +447,7 @@ class TestPureClosedForm:
             point = discord(rho, search)
             j, cfg = classical_correlation(rho, search)
             assert search_calls == []
-            value, want_cfg, want_probs = SEARCH_MINIMUM(
+            value, want_cfg, want_probs, _ = SEARCH_MINIMUM(
                 discord_module._embedded(rho), search)
             want_j = point.s_b - value
             assert abs(point.classical_corr - want_j) <= 1e-9
@@ -508,7 +508,7 @@ class TestGridDeduplication:
             ev = discord_module._Evaluator(rho4)
             free, _, want = full_grid_minimum(ev.conditional_entropies,
                                               search)
-            value, config, _ = SEARCH_MINIMUM(rho4, search)
+            value, config, _, _ = SEARCH_MINIMUM(rho4, search)
             assert abs(value - want) <= 1e-15
             assert config.resolved() == discord_module._resolve(free, search)
 
@@ -548,3 +548,70 @@ class TestAgainstReferenceSearch:
                 discord_module._embedded(rho), search)
             assert not point.pure
             assert point.classical_corr >= point.s_b - old - 1e-9
+
+
+# both photon qubits against two matter bits, every (A, B) pair present
+CQ_SPACE = StateSpace([BasisState.from_string(a + b)
+                       for a in ("00", "01", "10", "11")
+                       for b in ("00000", "00100", "00010", "00110")],
+                      mode="closure")
+
+
+def cq_state(theta, theta_p, probs, b_vectors):
+    """sum_k p_k |u_k><u_k| x |s_k><s_k| for the product basis u_k at
+    (theta, theta_p) with zero phases: its measured conditional entropy
+    is zero there and positive for every other basis, so that is its
+    only minimum."""
+    basis = discord_module._basis_vectors(theta, theta_p, 0.0, 0.0)
+    order = [4 * a + b for a, b in zip(CQ_SPACE.a_index, CQ_SPACE.b_index)]
+    vectors = [np.kron(u, s)[order] for u, s in zip(basis, b_vectors)]
+    mat = sum(p * np.outer(v, v.conj()) for p, v in zip(probs, vectors))
+    return DensityMatrix(mat, CQ_SPACE)
+
+
+class TestDiscordSeries:
+    def test_basin_jump_takes_the_full_grid(self):
+        rng = np.random.default_rng(81)
+        b_vectors = [v / np.linalg.norm(v) for v in
+                     rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))]
+        probs = [np.array([0.4, 0.3, 0.2, 0.1]) + shift
+                 for shift in np.linspace(0, 0.02, 6)[:, None]
+                 * np.array([1, -1, 1, -1])]
+        # three snapshots at the (0, 0) corner, three at an interior point
+        # more than one guard spacing (pi/8) away on both angles
+        angles = [(0.0, 0.0)] * 3 + [(1.0, 0.9)] * 3
+        rhos = [cq_state(*a, p, b_vectors) for a, p in zip(angles, probs)]
+        search = PRESETS["cli"]
+        points = discord_module.discord_series(rhos, search, range(6))
+        assert [pt.full_grid for pt in points] == [True, False, False,
+                                                   True, False, False]
+        for pt, rho, (theta, theta_p) in zip(points, rhos, angles):
+            cold = discord(rho, search)
+            assert not pt.pure and cold.full_grid
+            assert abs(pt.classical_corr - cold.classical_corr) <= 1e-12
+            got = pt.argmin_config.resolved()
+            assert np.abs(np.subtract(got[:2], (theta, theta_p))).max() \
+                <= 1e-3
+
+    def test_interior_minima_match_the_cold_search(self):
+        # a path between two random mixtures, whose minima lie off the
+        # grid, so the refine moves; the angles may differ from the cold
+        # search's on a flat minimum, J may not
+        rng = np.random.default_rng(1)
+        start, end = random_density(rng, 26), random_density(rng, 26)
+        rhos = [DensityMatrix((1 - s) * start + s * end, table_space())
+                for s in np.linspace(0, 1, 40)]
+        search = PRESETS["cli"]
+        points = discord_module.discord_series(rhos, search, range(40))
+        assert 1 <= sum(pt.full_grid for pt in points) < len(points)
+        grid = np.linspace(0, np.pi / 2, search.theta_points)
+        assert any(np.abs(grid - pt.argmin_config.theta_prime).min() > 1e-6
+                   for pt in points)
+        for i, (pt, rho) in enumerate(zip(points, rhos)):
+            assert pt.t == i
+            cold = discord(rho, search)
+            assert abs(pt.classical_corr - cold.classical_corr) <= 1e-12
+            if i % 8 == 0:
+                old, _ = reference_search_minimum(
+                    discord_module._embedded(rho), search)
+                assert pt.classical_corr >= pt.s_b - old - 1e-9

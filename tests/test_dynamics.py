@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import expm_multiply
 
-from h2discord.dynamics import DensityMatrix, SimConfig, dissipator, evolve, \
-    initial_state, make_propagator
+from h2discord.dynamics import DensityMatrix, SimConfig, _lindblad_terms, \
+    _liouvillian, _record_points, dissipator, evolve, initial_state, \
+    make_propagator
 from h2discord.errors import NotHermitian, PositivityLost, SpaceMismatch, \
     StateMissing
 from h2discord.discord import partial_trace_B
@@ -293,6 +295,30 @@ class TestExactPropagator:
         for snap in traj.snapshots[1:]:
             vec = hop @ vec
             assert np.abs(snap - vec.reshape(n, n)).max() <= 1e-12
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_interval_call_matches_hop_per_record(self, renormalize):
+        # 650 steps at stride 100: six equal intervals, then a short one;
+        # a trace of 1.1 gives the renormalisation something to remove
+        sp = table_space()
+        params = open_params(0.5 * G, G)
+        h = build_hamiltonian(params, sp)
+        channels = build_jump_channels(params, sp)
+        rho0 = DensityMatrix(1.1 * initial_state(sp).mat, sp)
+        cfg = SimConfig(dt=1e-10, t_end=6.5e-8, record_stride=100,
+                        renormalize_trace=renormalize)
+        traj = evolve(rho0, h, channels, cfg)
+        gen = _liouvillian(h.mat, _lindblad_terms(channels), 1.0)
+        rho, previous = rho0.mat, 0
+        assert len(traj) == 8
+        for step, snap in zip(_record_points(650, 100), traj.snapshots[1:]):
+            rho = expm_multiply(gen * ((step - previous) * cfg.dt),
+                                rho.reshape(-1)).reshape(sp.size, sp.size)
+            rho = 0.5 * (rho + rho.conj().T)
+            if renormalize:
+                rho = rho / rho.trace().real
+            previous = step
+            assert np.abs(snap - rho).max() <= 1e-12
 
     def test_trajectory_keeps_guard_margins(self):
         sp = table_space()
