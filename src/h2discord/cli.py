@@ -9,6 +9,7 @@ from that guarantee.
 """
 
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -30,6 +31,8 @@ from .statespace import INITIAL_COMPONENTS, BasisState, GatingPolicy, \
 
 KINDS = ("evolve-closed", "evolve-open", "discord-series", "sweep-g-omega",
          "sweep-gamma", "period-law", "generate-space")
+# the kinds that evolve the standard initial state on the built space
+EVOLVING = ("evolve-closed", "evolve-open", "discord-series")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -131,6 +134,11 @@ class Key:
     recorded: bool = True
 
 
+def _search_key(name: str, key_type: _Type) -> Key:
+    """A search key; its default is SearchConfig's."""
+    return Key(name, key_type, str(getattr(SearchConfig, name)))
+
+
 _SWEEP_DEFAULTS = {"period-law": (0.01, 0.02, 0.05, 0.1, 0.2),
                    "sweep-g-omega": (0.1, 0.2, 0.5, 1.0),
                    "sweep-gamma": (0.2, 0.5, 1.0, 2.0)}
@@ -186,13 +194,13 @@ KEYS = (
     Key("record_stride", _int_at_least(1), _from_scale(
         lambda params, v: default_record_stride(params, v["dt"]))),
     Key("renormalize_trace", BOOL, "false"),
-    Key("theta_points", _int_at_least(1), "17"),
-    Key("phi_points", _int_at_least(1), "17"),
-    Key("tie_thetas", BOOL, "false"),
-    Key("tie_phis", BOOL, "false"),
-    Key("zero_phases", BOOL, "true"),
-    Key("refine", BOOL, "true"),
-    Key("refine_tol", POSITIVE, "1e-4"),
+    _search_key("theta_points", _int_at_least(1)),
+    _search_key("phi_points", _int_at_least(1)),
+    _search_key("tie_thetas", BOOL),
+    _search_key("tie_phis", BOOL),
+    _search_key("zero_phases", BOOL),
+    _search_key("refine", BOOL),
+    _search_key("refine_tol", POSITIVE),
     Key("discord_stride", _int_at_least(1), "1"),
     Key("sweep_values", NUMBERS,
         lambda v: _SWEEP_DEFAULTS.get(v["kind"], ())),
@@ -323,9 +331,18 @@ def resolve_config(entries: dict, kind: str = None,
     _check(v, params)
     resolved = {key.name: key.type.show(v[key.name])
                 for key in KEYS if key.recorded}
-    return _bind(ExperimentConfig, v, params=params,
-                 gating=_bind(GatingPolicy, v), sim=_bind(SimConfig, v),
-                 search=_bind(SearchConfig, v), resolved=resolved)
+    config = _bind(ExperimentConfig, v, params=params,
+                   gating=_bind(GatingPolicy, v), sim=_bind(SimConfig, v),
+                   search=_bind(SearchConfig, v), resolved=resolved)
+    if config.kind in EVOLVING:
+        space = _build_space(config)
+        missing = [state.to_string() for state in INITIAL_COMPONENTS
+                   if space.get_index(state) is None]
+        if missing:
+            raise ConfigTypeError(f"TypeError: seeds with space_mode="
+                                  f"{config.space_mode}: the space lacks "
+                                  f"initial component(s) {','.join(missing)}")
+    return config
 
 
 def _build_space(config: ExperimentConfig):
@@ -343,12 +360,24 @@ def _build_space(config: ExperimentConfig):
 
 def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _write_csv(path, header, rows):
-    _write_lines(path, [header] + [",".join(repr(float(x)) for x in row)
-                                   for row in rows])
+    """One line per row, written as it is formed."""
+    _write_lines(path, itertools.chain(
+        [header], (",".join(repr(float(x)) for x in row) for row in rows)))
+
+
+def _rho_rows(traj):
+    """rho.csv: t, re(rho_ij) row-major, im(rho_ij) row-major."""
+    n = traj.space.size
+    header = ["t"] + [f"{part}_rho_{i}_{j}" for part in ("re", "im")
+                      for i in range(n) for j in range(n)]
+    rows = ([t, *rho.real.ravel(), *rho.imag.ravel()]
+            for t, rho in zip(traj.times, traj.snapshots))
+    return ",".join(header), rows
 
 
 _PLOT_SERIES = """\
@@ -399,7 +428,7 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
         emit(name, lambda p: _write_lines(p, [template.format(**fields)]))
 
     kind = config.kind
-    evolving = kind in ("evolve-closed", "evolve-open", "discord-series")
+    evolving = kind in EVOLVING
     if config.dump_operators and evolving:
         h = build_hamiltonian(config.params, _build_space(config),
                               config.gating)
@@ -421,7 +450,7 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
         emit("observables.csv", lambda p: _write_csv(
             p, ",".join(OBSERVABLES), observables(traj)))
         if config.dump_rho:
-            emit("rho.csv", traj.to_csv)
+            emit("rho.csv", lambda p: _write_csv(p, *_rho_rows(traj)))
         if kind == "discord-series":
             _discord_artifacts(config, points, notes, emit)
             plot("plot_discord.py", _PLOT_SERIES, csv="discord.csv",

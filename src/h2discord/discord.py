@@ -13,18 +13,24 @@ The measurement family is the product of two single-qubit bases
 
 (and the primed pair for the second qubit), which is orthonormal for
 every angle choice and reduces to the real-valued family at phi = 0.
+One builder makes the outcome vectors u of a batch of angle tuples,
+and one matmul kernel the B blocks <u|rho|u>.  A search point is a row
+of its free angles, in `_free_axes` order.
+
 Classical correlation maximizes over a deterministic grid of the free
 angles, evaluated once per distinct measurement, followed by a batched
 pattern-search refinement; ties within 1e-9 nats resolve to the
 lexicographically smallest angle tuple, so results are reproducible
-bit for bit.  The grid drops every point whose unordered set of
-product projectors an earlier point (in ij order) already gives: theta
-= pi/2 repeats theta = 0 with the outcomes swapped, the phase does
-nothing at theta in {0, pi/2}, phi = 2 pi repeats phi = 0, and (theta,
-phi) and (pi/2 - theta, phi + pi) give the same basis.  The 17-point
-grids keep 256 of 289 zero-phase points and 14641 of 83521 four-angle
-points.  Computing discord is NP-complete in general (Huang, New J.
-Phys. 16, 033027 (2014)), so the search is a heuristic.
+bit for bit.  `SearchConfig()` is the CLI preset: 17 thetas per qubit,
+zero phases, refinement on.  The grid drops every point whose
+unordered set of product projectors an earlier point (in ij order)
+already gives: theta = pi/2 repeats theta = 0 with the outcomes
+swapped, the phase does nothing at theta in {0, pi/2}, phi = 2 pi
+repeats phi = 0, and (theta, phi) and (pi/2 - theta, phi + pi) give
+the same basis.  The 17-point grids keep 256 of 289 zero-phase points
+and 14641 of 83521 four-angle points.  Computing discord is
+NP-complete in general (Huang, New J. Phys. 16, 033027 (2014)), so the
+search is a heuristic.
 
 The refinement steps h from the largest grid spacing down to
 refine_tol / 4, halving: at each h it moves to the best of the +-h
@@ -52,6 +58,7 @@ the search's tie-break picks on a flat landscape: all four angles
 zero, with the search's tie/zero flags, and the outcome probabilities
 of that measurement, the diagonal of rho_A in outcome order.  Closed
 (unitary) runs stay pure, so all their snapshots take this path.
+Every record `discord()` returns has passed `DiscordPoint.check`.
 """
 
 from dataclasses import dataclass, replace
@@ -61,7 +68,8 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DensityMatrix
-from .errors import AngleOutOfRange, NotDensityMatrix, SpaceMismatch
+from .errors import AngleOutOfRange, DiscordOutOfBounds, NotDensityMatrix, \
+    SpaceMismatch
 
 EPS_EIGENVALUE = 1e-12  # floor below which spectrum weight is treated as 0
 EPS_OUTCOME = 1e-12     # outcomes rarer than this contribute nothing
@@ -98,6 +106,11 @@ def _embedded(rho: DensityMatrix) -> np.ndarray:
     return rho4
 
 
+def _marginals(rho4: np.ndarray):
+    """(rho_A, rho_B), the photon-pair and matter marginals of rho4."""
+    return np.einsum("abcb->ac", rho4), np.einsum("abad->bd", rho4)
+
+
 def _entropy_from_eigs(w: np.ndarray) -> float:
     w = w[w > EPS_EIGENVALUE]
     if w.size == 0:
@@ -111,14 +124,13 @@ def _entropy_psd(mat: np.ndarray) -> float:
 
 def partial_trace_B(rho: DensityMatrix) -> DensityMatrix:
     """Trace out the matter labels; always a 4x4 photon-pair state."""
-    reduced = np.einsum("abcb->ac", _embedded(rho))
-    return DensityMatrix(reduced, A_LABEL_SPACE)
+    return DensityMatrix(_marginals(_embedded(rho))[0], A_LABEL_SPACE)
 
 
 def partial_trace_A(rho: DensityMatrix) -> DensityMatrix:
     """Trace out the photon pair; indexed by the B-labels present."""
-    reduced = np.einsum("abad->bd", _embedded(rho))
-    return DensityMatrix(reduced, _b_label_space(rho.space))
+    return DensityMatrix(_marginals(_embedded(rho))[1],
+                         _b_label_space(rho.space))
 
 
 def von_neumann_entropy(rho, trace_tol: float = 1e-6,
@@ -138,11 +150,35 @@ def von_neumann_entropy(rho, trace_tol: float = 1e-6,
 
 def mutual_information(rho_AB: DensityMatrix) -> float:
     """S(A) + S(B) - S(AB) of the joint state."""
-    rho4 = _embedded(rho_AB)
-    s_a = _entropy_psd(np.einsum("abcb->ac", rho4))
-    s_b = _entropy_psd(np.einsum("abad->bd", rho4))
-    s_ab = von_neumann_entropy(rho_AB)
-    return s_a + s_b - s_ab
+    s_a, s_b = (_entropy_psd(m) for m in _marginals(_embedded(rho_AB)))
+    return s_a + s_b - von_neumann_entropy(rho_AB)
+
+
+_ANGLE_BOUNDS = {"theta": (0.0, np.pi / 2), "theta_prime": (0.0, np.pi / 2),
+                 "phi": (0.0, 2 * np.pi), "phi_prime": (0.0, 2 * np.pi)}
+
+
+def _free_names(flags) -> list:
+    """The free angles under the tie/zero flags of `flags` (a SearchConfig
+    or a MeasurementConfig), in the order of a point's row."""
+    names = ["theta"] + ([] if flags.tie_thetas else ["theta_prime"])
+    if not flags.zero_phases:
+        names += ["phi"] + ([] if flags.tie_phis else ["phi_prime"])
+    return names
+
+
+def _resolve(free, flags):
+    """(theta, theta', phi, phi') from `free`, a point's row or one array
+    per free angle, under the flags of `flags`; zeroed phases come back
+    as scalar 0.0, which the batched evaluator broadcasts."""
+    free = iter(free)
+    theta = next(free)
+    theta_p = theta if flags.tie_thetas else next(free)
+    if flags.zero_phases:
+        return theta, theta_p, 0.0, 0.0
+    phi = next(free)
+    phi_p = phi if flags.tie_phis else next(free)
+    return theta, theta_p, phi, phi_p
 
 
 @dataclass(frozen=True)
@@ -158,43 +194,58 @@ class MeasurementConfig:
     zero_phases: bool = False
 
     def resolved(self) -> tuple:
-        return _resolve(vars(self), self)
+        return _resolve([getattr(self, name) for name in _free_names(self)],
+                        self)
 
 
 @dataclass
 class ProjectorSet:
     projectors: list
-    source_config: MeasurementConfig
 
 
-def _qubit_vectors(theta: float, phi: float):
-    c, s = np.cos(theta), np.sin(theta)
-    e = np.exp(1j * phi)
-    v0 = np.array([c, s * e], dtype=complex)
-    v1 = np.array([s * e.conjugate(), -c], dtype=complex)
-    return v0, v1
+def _basis_vectors(theta, theta_p, phi, phi_p) -> np.ndarray:
+    """The four two-qubit outcome vectors, in the order 00', 10', 01',
+    11', along the second-to-last axis; the angles are scalars or
+    equal-shape arrays."""
+    def qubit(t, f):
+        c, s, e = np.cos(t), np.sin(t), np.exp(1j * f)
+        return (np.stack([c + 0j, s * e], axis=-1),
+                np.stack([s * e.conj(), -c + 0j], axis=-1))
+
+    def pair(x, y):
+        return (x[..., :, None] * y[..., None, :]).reshape(*x.shape[:-1], 4)
+
+    (v0, v1), (w0, w1) = qubit(theta, phi), qubit(theta_p, phi_p)
+    return np.stack([pair(v0, w0), pair(v1, w0), pair(v0, w1),
+                     pair(v1, w1)], axis=-2)
 
 
-def _basis_vectors(theta, theta_p, phi, phi_p):
-    """The four two-qubit basis vectors, outcome order 00', 10', 01', 11'."""
-    v0, v1 = _qubit_vectors(theta, phi)
-    w0, w1 = _qubit_vectors(theta_p, phi_p)
-    return np.stack([np.kron(v0, w0), np.kron(v1, w0),
-                     np.kron(v0, w1), np.kron(v1, w1)])
+def _outer(vectors: np.ndarray) -> np.ndarray:
+    """conj(u_a) u_c as one row of 16 per outcome vector u."""
+    return (vectors.conj()[:, :, None]
+            * vectors[:, None, :]).reshape(-1, 16)
+
+
+def _blocks(rows: np.ndarray, rho4: np.ndarray) -> np.ndarray:
+    """tr_A[(P (x) 1) rho] for each row P^T flattened, as (nB, nB) blocks.
+
+    For P = |u><u| the row is conj(u_a) u_c and the block is <u|rho|u>;
+    rho enters as the (a c) x (b d) matrix, so a batch is one matmul.
+    """
+    nb = rho4.shape[1]
+    return (rows @ rho4.transpose(0, 2, 1, 3).reshape(16, -1)).reshape(
+        -1, nb, nb)
 
 
 def projector_set(config: MeasurementConfig) -> ProjectorSet:
     """Four rank-1 projectors from the product single-qubit bases."""
-    theta, theta_p, phi, phi_p = config.resolved()
-    for name, value, hi in (("theta", theta, np.pi / 2),
-                            ("theta_prime", theta_p, np.pi / 2),
-                            ("phi", phi, 2 * np.pi),
-                            ("phi_prime", phi_p, 2 * np.pi)):
-        if not -1e-12 <= value <= hi + 1e-12:
-            raise AngleOutOfRange(f"{name}={value:g} outside [0, {hi:g}]")
-    basis = _basis_vectors(theta, theta_p, phi, phi_p)
-    projectors = [np.outer(b, b.conj()) for b in basis]
-    return ProjectorSet(projectors, config)
+    angles = config.resolved()
+    for (name, (lo, hi)), value in zip(_ANGLE_BOUNDS.items(), angles):
+        if not lo - 1e-12 <= value <= hi + 1e-12:
+            raise AngleOutOfRange(f"{name}={value:g} outside "
+                                  f"[{lo:g}, {hi:g}]")
+    return ProjectorSet([np.outer(u, u.conj())
+                         for u in _basis_vectors(*angles)])
 
 
 def measured_conditional_entropy(rho_AB: DensityMatrix, pset: ProjectorSet):
@@ -206,19 +257,15 @@ def measured_conditional_entropy(rho_AB: DensityMatrix, pset: ProjectorSet):
     """
     if isinstance(rho_AB.space, LabelSpace):
         raise SpaceMismatch("need a joint state over a StateSpace")
-    rho4 = _embedded(rho_AB)
+    rows = np.array([proj.T.ravel() for proj in pset.projectors])
     b_space = _b_label_space(rho_AB.space)
-    value = 0.0
-    probs = []
-    posts = []
-    for proj in pset.projectors:
-        sandwich = np.einsum("ae,ebfd,cf->abcd", proj, rho4, proj.conj())
-        p = float(np.einsum("abab->", sandwich).real)
+    value, probs, posts = 0.0, [], []
+    for block in _blocks(rows, _embedded(rho_AB)):
+        p = float(np.trace(block).real)
         probs.append(p)
         if p > EPS_OUTCOME:
-            post = np.einsum("abad->bd", sandwich) / p
-            posts.append(DensityMatrix(post, b_space))
-            value += p * _entropy_psd(post)
+            posts.append(DensityMatrix(block / p, b_space))
+            value += p * _entropy_psd(posts[-1].mat)
         else:
             posts.append(None)
     return value, tuple(probs), posts
@@ -226,13 +273,14 @@ def measured_conditional_entropy(rho_AB: DensityMatrix, pset: ProjectorSet):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Grid-plus-refinement search over the measurement family."""
+    """Grid-plus-refinement search over the measurement family; the
+    defaults are the CLI's."""
 
     theta_points: int = 17
     phi_points: int = 17
     tie_thetas: bool = False
     tie_phis: bool = False
-    zero_phases: bool = False
+    zero_phases: bool = True
     refine: bool = True
     refine_tol: float = 1e-4
 
@@ -241,111 +289,57 @@ class SearchConfig:
             raise ValueError("refine_tol must be positive and finite")
 
 
-_ANGLE_BOUNDS = {"theta": (0.0, np.pi / 2), "theta_prime": (0.0, np.pi / 2),
-                 "phi": (0.0, 2 * np.pi), "phi_prime": (0.0, 2 * np.pi)}
+def _free_axes(search: SearchConfig) -> list:
+    """(name, grid over its range) per free angle, in row order."""
+    return [(name, np.linspace(*_ANGLE_BOUNDS[name], search.theta_points
+                               if name.startswith("theta")
+                               else search.phi_points))
+            for name in _free_names(search)]
 
 
-def _free_axes(search: SearchConfig):
-    thetas = np.linspace(0.0, np.pi / 2, search.theta_points)
-    axes = [("theta", thetas)]
-    if not search.tie_thetas:
-        axes.append(("theta_prime", thetas))
-    if not search.zero_phases:
-        phis = np.linspace(0.0, 2 * np.pi, search.phi_points)
-        axes.append(("phi", phis))
-        if not search.tie_phis:
-            axes.append(("phi_prime", phis))
-    return axes
-
-
-def _resolve(free: dict, flags):
-    """(theta, theta', phi, phi') from the free angles under the tie/zero
-    flags of `flags` (a SearchConfig or a MeasurementConfig).
-
-    The angles may be scalars or equal-shape arrays; zeroed phases come
-    back as scalar 0.0, which the batched evaluator broadcasts.
-    """
-    theta = free["theta"]
-    theta_p = theta if flags.tie_thetas else free["theta_prime"]
-    if flags.zero_phases:
-        return theta, theta_p, 0.0, 0.0
-    phi = free["phi"]
-    phi_p = phi if flags.tie_phis else free["phi_prime"]
-    return theta, theta_p, phi, phi_p
-
-
-def _ac_bd(rho4: np.ndarray) -> np.ndarray:
-    """rho4[a, b, c, d] as the (a c) x (b d) matrix."""
-    return rho4.transpose(0, 2, 1, 3).reshape(16, -1)
-
-
-def _outer(vectors: np.ndarray) -> np.ndarray:
-    """conj(u_a) u_c as one row of 16 per outcome vector u."""
-    return (vectors.conj()[:, :, None]
-            * vectors[:, None, :]).reshape(-1, 16)
+def _spacing(search: SearchConfig) -> np.ndarray:
+    """The grid spacing per free angle; 0.1 on a one-point axis."""
+    return np.array([grid[1] - grid[0] if len(grid) > 1 else 0.1
+                     for _, grid in _free_axes(search)])
 
 
 class _Evaluator:
     """Batched conditional-entropy evaluation for one embedded state.
 
-    The B blocks <u|rho|u> of a batch of outcome vectors u are one matmul
-    of the outer products conj(u_a) u_c against rho as an (a c) x (b d)
-    matrix.  B labels that rho never couples, directly or through other
-    labels, form separate groups (the model's conservation laws leave
-    such exact zeros); every block is then block diagonal, and its
-    spectrum is the union of the groups' spectra.
+    B labels that rho never couples, directly or through other labels,
+    form separate groups (the model's conservation laws leave such exact
+    zeros); every B block is then block diagonal, and its spectrum is
+    the union of the groups' spectra.
     """
 
     def __init__(self, rho4: np.ndarray):
         self.rho4 = rho4
-        self.nb = rho4.shape[1]
 
     @cached_property
     def groups(self) -> list:
-        """(size, (a c) x (b d) matrix) per group of coupled B labels."""
+        """rho4 restricted to each group of coupled B labels."""
+        nb = self.rho4.shape[1]
         coupled = (self.rho4 != 0).any(axis=(0, 2))
-        linked = coupled | coupled.T | np.eye(self.nb, dtype=bool)
-        for _ in range(self.nb.bit_length()):  # transitive closure
+        linked = coupled | coupled.T | np.eye(nb, dtype=bool)
+        for _ in range(nb.bit_length()):  # transitive closure
             linked = (linked.astype(int) @ linked) > 0
         first = linked.argmax(axis=0)  # each label's lowest group member
-        groups = []
-        for label in np.unique(first):
-            idx = np.flatnonzero(first == label)
-            block = self.rho4[:, idx][:, :, :, idx]
-            groups.append((len(idx), _ac_bd(block)))
-        return groups
-
-    def _outcome_vectors(self, theta, theta_p, phi, phi_p):
-        c, s = np.cos(theta), np.sin(theta)
-        e = np.exp(1j * phi)
-        v0 = np.stack([c + 0j, s * e], axis=-1)
-        v1 = np.stack([s * e.conj(), -c + 0j], axis=-1)
-        cp, sp = np.cos(theta_p), np.sin(theta_p)
-        ep = np.exp(1j * phi_p)
-        w0 = np.stack([cp + 0j, sp * ep], axis=-1)
-        w1 = np.stack([sp * ep.conj(), -cp + 0j], axis=-1)
-
-        def pair(x, y):
-            return (x[:, :, None] * y[:, None, :]).reshape(-1, 4)
-
-        return np.stack([pair(v0, w0), pair(v1, w0),
-                         pair(v0, w1), pair(v1, w1)], axis=1)
+        return [self.rho4[:, idx][:, :, :, idx]
+                for idx in (np.flatnonzero(first == label)
+                            for label in np.unique(first))]
 
     def _spectra(self, vectors: np.ndarray) -> np.ndarray:
         """Eigenvalues of <u|rho|u> for each row u of `vectors`."""
-        outer = _outer(vectors)
-        return np.concatenate(
-            [np.linalg.eigvalsh((outer @ mat).reshape(-1, size, size))
-             for size, mat in self.groups], axis=-1)
+        rows = _outer(vectors)
+        return np.concatenate([np.linalg.eigvalsh(_blocks(rows, group))
+                               for group in self.groups], axis=-1)
 
     def conditional_entropies(self, theta, theta_p, phi, phi_p) -> np.ndarray:
         """Sum_k p_k S(rho_k) for a batch of angle tuples."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        theta_p = np.broadcast_to(theta_p, theta.shape)
-        phi = np.broadcast_to(phi, theta.shape)
-        phi_p = np.broadcast_to(phi_p, theta.shape)
-        vectors = self._outcome_vectors(theta, theta_p, phi, phi_p)
-        flat = vectors.reshape(-1, 4)
+        theta_p, phi, phi_p = (np.broadcast_to(x, theta.shape)
+                               for x in (theta_p, phi, phi_p))
+        flat = _basis_vectors(theta, theta_p, phi, phi_p).reshape(-1, 4)
         contrib = np.empty(flat.shape[0])
         for start in range(0, flat.shape[0], _CHUNK):
             w = self._spectra(flat[start:start + _CHUNK])
@@ -358,11 +352,13 @@ class _Evaluator:
                                                      p * ent, 0.0)
         return contrib.reshape(len(theta), 4).sum(axis=-1)
 
-    def probabilities(self, angles4) -> np.ndarray:
-        vectors = self._outcome_vectors(*[np.array([a]) for a in angles4])[0]
-        blocks = (_outer(vectors) @ _ac_bd(self.rho4)).reshape(
-            -1, self.nb, self.nb)
-        return np.einsum("gbb->g", blocks).real
+    def values(self, points: np.ndarray, search: SearchConfig) -> np.ndarray:
+        """Conditional entropies at the rows of `points`."""
+        return self.conditional_entropies(*_resolve(points.T, search))
+
+    def probabilities(self, angles) -> np.ndarray:
+        vectors = _basis_vectors(*np.array(angles)[:, None])[0]
+        return np.einsum("gbb->g", _blocks(_outer(vectors), self.rho4)).real
 
 
 def _measurement_ids(i, j, n_theta: int, n_phi: int):
@@ -383,13 +379,11 @@ def _measurement_ids(i, j, n_theta: int, n_phi: int):
 
 @lru_cache(maxsize=16)
 def _grid(search: SearchConfig):
-    """(kept, free angles): the indices into the ij-ordered grid of the
-    points whose measurement no earlier point makes, ascending, and the
-    free angles at those points."""
+    """(kept, points): the indices into the ij-ordered grid of the points
+    whose measurement no earlier point makes, ascending, and those
+    points, one row each."""
     axes = _free_axes(search)
-    grids = np.meshgrid(*[np.arange(len(values)) for _, values in axes],
-                        indexing="ij")
-    index = {name: grid.ravel() for (name, _), grid in zip(axes, grids)}
+    index = np.indices([len(grid) for _, grid in axes]).reshape(len(axes), -1)
     i, i_p, j, j_p = _resolve(index, search)
     n_phi = search.phi_points
     if search.zero_phases:
@@ -398,26 +392,26 @@ def _grid(search: SearchConfig):
                     _measurement_ids(i_p, j_p, search.theta_points, n_phi)],
                    axis=1)
     kept = np.sort(np.unique(ids, axis=0, return_index=True)[1])
-    free = {name: values[index[name][kept]] for name, values in axes}
-    for array in (kept, *free.values()):
+    points = np.column_stack([grid[axis[kept]]
+                              for (_, grid), axis in zip(axes, index)])
+    for array in (kept, points):
         array.setflags(write=False)
-    return kept, free
+    return kept, points
 
 
 def _grid_minimum(ev: _Evaluator, search: SearchConfig):
-    _, grid = _grid(search)
-    values = ev.conditional_entropies(*_resolve(grid, search))
+    points = _grid(search)[1]
+    values = ev.values(points, search)
     # lexicographic tie-break: the kept points are in ij order, which
     # enumerates angle tuples in ascending order, and a dropped point only
     # repeats an earlier one, so the first near-minimal index wins
     best = int(np.nonzero(values <= values.min() + TIE_TOL)[0][0])
-    free = {name: float(angles[best]) for name, angles in grid.items()}
-    return free, float(values[best])
+    return points[best], float(values[best])
 
 
 def _warm_start(ev: _Evaluator, search: SearchConfig,
                 warm: MeasurementConfig):
-    """(free angles, value) to refine from, or None to take the full grid.
+    """(point, value) to refine from, or None to take the full grid.
 
     One batch evaluates the warm point and the guard grid, the search's
     family on GUARD_POINTS points per free angle.  The best of them is
@@ -427,22 +421,16 @@ def _warm_start(ev: _Evaluator, search: SearchConfig,
     """
     guard = replace(search, theta_points=GUARD_POINTS,
                     phi_points=GUARD_POINTS)
-    axes = _free_axes(guard)
-    names = [name for name, _ in axes]
-    _, grid = _grid(guard)
-    points = np.column_stack([np.concatenate([[getattr(warm, name)],
-                                              grid[name]])
-                              for name in names])
-    values = ev.conditional_entropies(
-        *_resolve(dict(zip(names, points.T)), search))
+    points = np.vstack([[getattr(warm, name) for name in _free_names(search)],
+                        _grid(guard)[1]])
+    values = ev.values(points, search)
     best = int(np.argmin(values))
-    spacing = np.array([angles[1] - angles[0] for _, angles in axes])
-    if (np.abs(points[best] - points[0]) > spacing).any():
+    if (np.abs(points[best] - points[0]) > _spacing(guard)).any():
         return None
-    return dict(zip(names, points[best].tolist())), float(values[best])
+    return points[best], float(values[best])
 
 
-def _refine(ev: _Evaluator, search: SearchConfig, free: dict,
+def _refine(ev: _Evaluator, search: SearchConfig, point: np.ndarray,
             f_best: float):
     """Pattern search from a grid or warm-start minimum.
 
@@ -458,14 +446,11 @@ def _refine(ev: _Evaluator, search: SearchConfig, free: dict,
     move only the same h is tried again, as a descent usually gains
     there once more.
     """
-    axes = _free_axes(search)
-    names = [name for name, _ in axes]
+    names = _free_names(search)
     lo, hi = np.array([_ANGLE_BOUNDS[name] for name in names]).T
     # rows -e_0, +e_0, -e_1, +e_1, ...
     moves = np.kron(np.eye(len(names)), [[-1.0], [1.0]])
-    point = np.array([free[name] for name in names])
-    steps = [max(values[1] - values[0] if len(values) > 1 else 0.1
-                 for _, values in axes)]
+    steps = [_spacing(search).max()]
     while steps[-1] > search.refine_tol / 4:
         steps.append(steps[-1] / 2)
     level, smaller = 0, True  # try steps[level], and all smaller ones?
@@ -477,8 +462,7 @@ def _refine(ev: _Evaluator, search: SearchConfig, free: dict,
         # a trial clipped back onto the point repeats it
         keep = (trials != point).any(axis=1)
         trials, levels = trials[keep], levels[keep]
-        values = ev.conditional_entropies(
-            *_resolve(dict(zip(names, trials.T)), search))
+        values = ev.values(trials, search)
         gains = values < f_best - 1e-12
         if gains.any():
             level = levels[np.argmax(gains)]
@@ -490,14 +474,13 @@ def _refine(ev: _Evaluator, search: SearchConfig, free: dict,
             break
         else:
             level, smaller = level + 1, True
-    return {name: float(x) for name, x in zip(names, point)}, f_best
+    return point, f_best
 
 
-def _measurement(ev: _Evaluator, search: SearchConfig, angles):
+def _measurement(ev: _Evaluator, search: SearchConfig, point):
     """The argmin record: measurement config and outcome probabilities."""
-    config = MeasurementConfig(theta=angles[0], theta_prime=angles[1],
-                               phi=angles[2], phi_prime=angles[3],
-                               tie_thetas=search.tie_thetas,
+    angles = [float(x) for x in _resolve(point, search)]
+    config = MeasurementConfig(*angles, tie_thetas=search.tie_thetas,
                                tie_phis=search.tie_phis,
                                zero_phases=search.zero_phases)
     return config, ev.probabilities(angles)
@@ -510,19 +493,16 @@ def _search_minimum(rho4: np.ndarray, search: SearchConfig,
     With a warm point and refine on, the refinement may start from the
     guard grid instead (`_warm_start`).  Returns (value, config,
     probabilities, whether the full grid was searched); without a warm
-    point, the reference path for the pure-state closed form in
-    `_minimum`.
+    point, the reference for the pure-state closed form in `discord`.
     """
     ev = _Evaluator(rho4)
-    start = None
-    if warm is not None and search.refine:
-        start = _warm_start(ev, search, warm)
+    start = _warm_start(ev, search, warm) \
+        if warm is not None and search.refine else None
     full_grid = start is None
-    free, f_best = _grid_minimum(ev, search) if full_grid else start
+    point, f_best = _grid_minimum(ev, search) if full_grid else start
     if search.refine:
-        free, f_best = _refine(ev, search, free, f_best)
-    return (f_best, *_measurement(ev, search, _resolve(free, search)),
-            full_grid)
+        point, f_best = _refine(ev, search, point, f_best)
+    return (f_best, *_measurement(ev, search, point), full_grid)
 
 
 def is_pure(rho: DensityMatrix) -> bool:
@@ -531,29 +511,11 @@ def is_pure(rho: DensityMatrix) -> bool:
     return 1.0 - float(np.vdot(mat, mat).real) < PURE_TOL
 
 
-def _minimum(rho4: np.ndarray, search: SearchConfig, pure: bool,
-             warm: Optional[MeasurementConfig] = None):
-    """(conditional entropy, config, probabilities, full grid searched)
-    at the optimum.
-
-    A pure state has zero conditional entropy under every measurement;
-    it reports the all-zero angles the search's tie-break would pick.
-    """
-    if pure:
-        angles = (0.0, 0.0, 0.0, 0.0)
-        return (0.0, *_measurement(_Evaluator(rho4), search, angles), False)
-    return _search_minimum(rho4, search, warm)
-
-
 def classical_correlation(rho_AB: DensityMatrix,
                           search: Optional[SearchConfig] = None):
     """Maximized classical correlation J and the optimizing measurement."""
-    if search is None:
-        search = SearchConfig()
-    rho4 = _embedded(rho_AB)
-    s_b = _entropy_psd(np.einsum("abad->bd", rho4))
-    value, config, _, _ = _minimum(rho4, search, is_pure(rho_AB))
-    return s_b - value, config
+    point = discord(rho_AB, search)
+    return point.classical_corr, point.argmin_config
 
 
 @dataclass
@@ -590,17 +552,16 @@ class DiscordPoint:
                        classical_corr=self.classical_corr / ln2,
                        discord=self.discord / ln2)
 
-    def check(self):
-        if abs(self.discord - (self.mutual_info - self.classical_corr)) > 1e-9:
-            raise ValueError("discord is not I - J")
-        if self.discord < -1e-9:
-            raise ValueError(f"negative discord {self.discord:g}")
-        if self.discord > self.s_a + 1e-6:
-            raise ValueError("discord exceeds S(A)")
-        if self.discord > self.mutual_info + 1e-9:
-            raise ValueError("discord exceeds mutual information")
-        if abs(sum(self.outcome_probs) - 1.0) > 1e-9:
-            raise ValueError("outcome probabilities do not sum to 1")
+    def check(self) -> "DiscordPoint":
+        """self, or DiscordOutOfBounds when a bound of discord fails."""
+        d, info = self.discord, self.mutual_info
+        for failed, what in (
+                (abs(d - (info - self.classical_corr)) > 1e-9, "D != I - J"),
+                (d < -1e-9, "D < 0"), (d > self.s_a + 1e-6, "D > S_A"),
+                (d > info + 1e-9, "D > I"),
+                (abs(sum(self.outcome_probs) - 1.0) > 1e-9, "sum p != 1")):
+            if failed:
+                raise DiscordOutOfBounds(f"{what} in the row {self.csv_row()}")
         return self
 
 
@@ -611,22 +572,26 @@ def discord(rho_AB: DensityMatrix, search: Optional[SearchConfig] = None,
 
     `warm`, the argmin of an earlier mixed snapshot, lets the search
     start from the guard grid and that point instead of the full grid
-    (see `discord_series`); without it the search is cold.
+    (see `discord_series`); without it the search is cold.  A pure
+    state has zero conditional entropy under every measurement; it
+    reports the all-zero angles the search's tie-break would pick.
     """
-    if search is None:
-        search = SearchConfig()
+    search = search or SearchConfig()
     rho4 = _embedded(rho_AB)
-    s_a = _entropy_psd(np.einsum("abcb->ac", rho4))
-    s_b = _entropy_psd(np.einsum("abad->bd", rho4))
+    s_a, s_b = (_entropy_psd(m) for m in _marginals(rho4))
     s_ab = _entropy_psd(rho_AB.mat)
     info = s_a + s_b - s_ab
     pure = is_pure(rho_AB)
-    value, config, probs, full_grid = _minimum(rho4, search, pure, warm)
+    if pure:  # the all-zero angles
+        value, full_grid = 0.0, False
+        config, probs = _measurement(_Evaluator(rho4), search, (0.0,) * 4)
+    else:
+        value, config, probs, full_grid = _search_minimum(rho4, search, warm)
     j = s_b - value
     return DiscordPoint(t=t, s_a=s_a, s_b=s_b, s_ab=s_ab, mutual_info=info,
                         classical_corr=j, discord=info - j,
                         argmin_config=config, outcome_probs=tuple(probs),
-                        pure=pure, full_grid=full_grid)
+                        pure=pure, full_grid=full_grid).check()
 
 
 def discord_series(rhos, search: Optional[SearchConfig], times) -> list:
@@ -637,8 +602,7 @@ def discord_series(rhos, search: Optional[SearchConfig], times) -> list:
     guard grid finds a better point more than one guard spacing away,
     search the full grid (`DiscordPoint.full_grid`).
     """
-    points = []
-    warm = None
+    points, warm = [], None
     for rho, t in zip(rhos, times, strict=True):
         point = discord(rho, search, t, warm)
         if not point.pure:

@@ -92,19 +92,6 @@ class Trajectory:
     def density(self, i: int) -> DensityMatrix:
         return DensityMatrix(self.snapshots[i], self.space)
 
-    def to_csv(self, path):
-        """Full snapshot dump: t, re(rho_ij) row-major, im(rho_ij) row-major."""
-        n = self.space.size
-        header = ["t"]
-        header += [f"re_rho_{i}_{j}" for i in range(n) for j in range(n)]
-        header += [f"im_rho_{i}_{j}" for i in range(n) for j in range(n)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for t, rho in zip(self.times, self.snapshots):
-                row = [repr(float(t))]
-                row += [repr(float(x)) for x in rho.real.ravel()]
-                row += [repr(float(x)) for x in rho.imag.ravel()]
-                fh.write(",".join(row) + "\n")
 
 
 def initial_state(space: StateSpace) -> DensityMatrix:

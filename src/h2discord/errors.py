@@ -41,6 +41,10 @@ class AngleOutOfRange(SimulationError):
     """A measurement angle lies outside its allowed interval."""
 
 
+class DiscordOutOfBounds(SimulationError):
+    """A discord record breaks 0 <= D <= min(I, S_A), D = I - J or sum p = 1."""
+
+
 class InsufficientData(SimulationError):
     """Too few samples for the requested fit."""
 

@@ -67,9 +67,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.mat.conj().T, self.space)
-
     def _check(self, other):
         if self.space is not other.space:
             raise SpaceMismatch("operands bound to different spaces")

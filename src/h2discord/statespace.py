@@ -20,7 +20,6 @@ from .errors import EmptySeeds, SeedOutsideCompatTable
 
 N_QUBITS = 7
 FULL_DIM = 2**N_QUBITS
-A_DIM = 4
 
 MODE_FULL = "full"
 MODE_CLOSURE = "closure"

@@ -7,7 +7,7 @@ cannot share a bug with the library paths it checks.
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from h2discord.discord import TIE_TOL, _ANGLE_BOUNDS, _free_axes, _resolve
+from h2discord.discord import TIE_TOL, _ANGLE_BOUNDS, _free_axes
 from h2discord.statespace import BasisState
 
 
@@ -96,6 +96,17 @@ def reference_conditional_entropies(rho4, theta, theta_p, phi, phi_p):
     return total.reshape(-1, 4).sum(axis=-1)
 
 
+def resolve_free(free, search):
+    """(theta, theta', phi, phi') from a {name: angle} dict of the free
+    angles under the search's tie/zero flags."""
+    theta = free["theta"]
+    theta_p = theta if search.tie_thetas else free["theta_prime"]
+    if search.zero_phases:
+        return theta, theta_p, 0.0, 0.0
+    phi = free["phi"]
+    return theta, theta_p, phi, phi if search.tie_phis else free["phi_prime"]
+
+
 def full_grid_minimum(evaluate, search):
     """The first near-minimal point of the whole ij-ordered grid, no
     point dropped: (free angles, grid spacing per axis, value).
@@ -103,7 +114,7 @@ def full_grid_minimum(evaluate, search):
     axes = _free_axes(search)
     grids = np.meshgrid(*[values for _, values in axes], indexing="ij")
     flat = {name: grid.ravel() for (name, _), grid in zip(axes, grids)}
-    values = evaluate(*_resolve(flat, search))
+    values = evaluate(*resolve_free(flat, search))
     best = int(np.nonzero(values <= values.min() + TIE_TOL)[0][0])
     free = {name: float(flat[name][best]) for name, _ in axes}
     spacing = {name: float(vals[1] - vals[0]) if len(vals) > 1 else 0.1
@@ -116,7 +127,7 @@ def reference_search_minimum(rho4, search):
     then bounded `minimize_scalar` coordinate descent, one axis at a
     time within one grid spacing: (value, resolved angles)."""
     def value(free):
-        angles = _resolve(free, search)
+        angles = resolve_free(free, search)
         return float(reference_conditional_entropies(rho4, *angles)[0])
 
     free, spacing, f_best = full_grid_minimum(
@@ -139,4 +150,4 @@ def reference_search_minimum(rho4, search):
                 f_best = float(res.fun)
         if moved < search.refine_tol:
             break
-    return value(free), _resolve(free, search)
+    return value(free), resolve_free(free, search)

@@ -380,7 +380,8 @@ class TestCriterion7:
     def test_pure_state_discord_is_marginal_entropy(self):
         rng = np.random.default_rng(77)
         full = full_space()
-        search = SearchConfig(theta_points=3, phi_points=3, refine=False)
+        search = SearchConfig(theta_points=3, phi_points=3,
+                              zero_phases=False, refine=False)
         worst = 0.0
         for _ in range(50):
             point = discord(DensityMatrix(random_pure(rng, 128), full),

@@ -1,6 +1,6 @@
-from pathlib import Path
-
+import importlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from h2discord.cli import KEYS as CONFIG_KEYS, KINDS, _build_space, main, \
     parse_config, resolve_config, run
+from h2discord.discord import SearchConfig
 from h2discord.errors import ConfigError, ConfigTypeError, MissingRequired, \
     UnknownKey
 from h2discord.statespace import TABLE_STATES
@@ -163,6 +164,9 @@ class TestResolveConfig:
         names = {name for row in rows
                  for name in re.findall(r"`([a-z_]+)`", row.split("|")[1])}
         assert names == {key.name for key in CONFIG_KEYS}
+
+    def test_search_defaults_are_search_config_defaults(self):
+        assert resolve("", kind="discord-series").search == SearchConfig()
 
     def test_frequencies_kept_outside_interaction_picture(self):
         config = resolve("interaction_picture=false\nomega_up=12g\n",
@@ -384,6 +388,34 @@ class TestMain:
         assert main([command, path, "--out", str(tmp_path / "o")]) == 2
         assert "seeds" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
+    @pytest.mark.parametrize("kind", ["evolve-closed", "evolve-open",
+                                      "discord-series"])
+    def test_space_without_the_initial_state_exits_as_config_error(
+            self, tmp_path, capsys, command, kind):
+        # the closure of the vacuum holds none of the initial components
+        path = write_config(tmp_path, f"kind={kind}\nspace_mode=closure\n"
+                                      "seeds=0000000\ngamma=0.2g\n")
+        assert main([command, path, "--out", str(tmp_path / "o")]) == 2
+        assert "0000010" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_discord_bound_violation_exits_as_numerical_error(
+            self, tmp_path, capsys, monkeypatch):
+        # a search minimum 10 nats too low makes J exceed I, so D < 0
+        module = importlib.import_module("h2discord.discord")
+        search_minimum = module._search_minimum
+
+        def too_low(*args, **kwargs):
+            value, *rest = search_minimum(*args, **kwargs)
+            return value - 10.0, *rest
+
+        monkeypatch.setattr(module, "_search_minimum", too_low)
+        path = write_config(tmp_path, SMALL_SERIES + "gamma=g\n")
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
+        assert "DiscordOutOfBounds" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "discord.csv").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 4

@@ -17,7 +17,7 @@ from h2discord.statespace import INITIAL_COMPONENTS, BasisState, \
 
 from oracles import brute_force_trace_A, brute_force_trace_B, \
     full_grid_minimum, random_density, random_pure, \
-    reference_conditional_entropies, reference_search_minimum
+    reference_conditional_entropies, reference_search_minimum, resolve_free
 
 FULL = full_space()
 LN2 = np.log(2.0)
@@ -231,7 +231,8 @@ class TestMeasuredConditionalEntropy:
         assert value == pytest.approx(LN2, abs=1e-12)
 
     def test_routes_agree(self):
-        # the projector-sandwich route must match the basis-vector route
+        # the projector route, the basis-vector route and the oracle's
+        # einsum sandwich must agree
         from h2discord.discord import _Evaluator, _embedded
         rng = np.random.default_rng(31)
         rho = DensityMatrix(random_density(rng, 26), table_space())
@@ -239,22 +240,24 @@ class TestMeasuredConditionalEntropy:
         value, _, _ = measured_conditional_entropy(
             rho, projector_set(MeasurementConfig(*angles)))
         fast = _Evaluator(_embedded(rho)).conditional_entropies(*angles)[0]
+        oracle = reference_conditional_entropies(_embedded(rho), *angles)[0]
         assert value == pytest.approx(fast, abs=1e-11)
+        assert value == pytest.approx(oracle, abs=1e-11)
 
 
 class TestClassicalCorrelation:
     def test_product_state(self):
         rho, _, _ = product_state()
-        j, _ = classical_correlation(rho, SearchConfig(theta_points=5,
-                                                       phi_points=5))
+        j, _ = classical_correlation(rho, SearchConfig(
+            theta_points=5, phi_points=5, zero_phases=False))
         assert abs(j) <= 1e-9
 
     def test_pure_state(self):
         rng = np.random.default_rng(8)
         rho = DensityMatrix(random_pure(rng, 128), FULL)
         s_b = von_neumann_entropy(partial_trace_A(rho).mat, trace_tol=1e-6)
-        j, _ = classical_correlation(rho, SearchConfig(theta_points=3,
-                                                       phi_points=3))
+        j, _ = classical_correlation(rho, SearchConfig(
+            theta_points=3, phi_points=3, zero_phases=False))
         assert j == pytest.approx(s_b, abs=1e-9)
 
     def test_bell_pair(self):
@@ -284,7 +287,8 @@ def werner_state(q=0.7):
 class TestDiscord:
     def test_product_state(self):
         rho, _, _ = product_state()
-        point = discord(rho, SearchConfig(theta_points=5, phi_points=5))
+        point = discord(rho, SearchConfig(theta_points=5, phi_points=5,
+                                          zero_phases=False))
         assert abs(point.discord) <= 1e-8
         point.check()
 
@@ -292,7 +296,8 @@ class TestDiscord:
         rng = np.random.default_rng(10)
         for _ in range(5):
             rho = DensityMatrix(random_pure(rng, 128), FULL)
-            point = discord(rho, SearchConfig(theta_points=3, phi_points=3))
+            point = discord(rho, SearchConfig(theta_points=3, phi_points=3,
+                                              zero_phases=False))
             assert point.discord == pytest.approx(point.s_a, abs=1e-6)
             point.check()
 
@@ -309,7 +314,7 @@ class TestDiscord:
 
     def test_werner_state_bounds_and_determinism(self):
         rho = werner_state()
-        search = SearchConfig(theta_points=9, phi_points=9)
+        search = SearchConfig(theta_points=9, phi_points=9, zero_phases=False)
         one = discord(rho, search)
         two = discord(rho, search)
         assert one.discord > 0.01
@@ -318,7 +323,7 @@ class TestDiscord:
 
     def test_local_phase_invariance(self):
         rho = werner_state()
-        search = SearchConfig()
+        search = SearchConfig(zero_phases=False)
         base = discord(rho, search)
         # phase rotation of the photon-down mode: acts on the two
         # states with p2 = 1 (sorted positions 2 and 3 of the space)
@@ -330,15 +335,15 @@ class TestDiscord:
     def test_grid_refinement_consistency(self):
         rho = werner_state(0.55)
         coarse = discord(rho, SearchConfig(theta_points=17, phi_points=17,
-                                           tie_phis=True))
+                                           tie_phis=True, zero_phases=False))
         fine = discord(rho, SearchConfig(theta_points=33, phi_points=33,
-                                         tie_phis=True))
+                                         tie_phis=True, zero_phases=False))
         assert abs(coarse.classical_corr - fine.classical_corr) <= 1e-4
 
     def test_lexicographic_tie_break(self):
         rho = DensityMatrix(np.eye(4, dtype=complex) / 4, TINY)
         point = discord(rho, SearchConfig(theta_points=5, phi_points=5,
-                                          refine=False))
+                                          zero_phases=False, refine=False))
         assert point.argmin_config.resolved() == (0.0, 0.0, 0.0, 0.0)
 
     def test_csv_row_shape(self):
@@ -365,7 +370,7 @@ class TestFreeRotationInvariance:
         from h2discord.operators import ModelParams
 
         sim = SimConfig(dt=1e-10, t_end=8.3e-9, record_stride=83)
-        search = SearchConfig()
+        search = SearchConfig(zero_phases=False)
         points = {}
         for label, freq in (("rotating", 0.0), ("lab", 1e8)):
             params = ModelParams(freq_pht_up=freq, freq_pht_down=freq,
@@ -405,7 +410,8 @@ CLOSURE = generate_space(INITIAL_COMPONENTS,
                                      gamma_phn=1e7), mode="closure")
 # the CLI's default family and a four-free-angle family
 PRESETS = {"cli": SearchConfig(theta_points=17, zero_phases=True),
-           "four-angle": SearchConfig(theta_points=5, phi_points=5)}
+           "four-angle": SearchConfig(theta_points=5, phi_points=5,
+                                      zero_phases=False)}
 # the package re-exports the discord() function under the module's name
 discord_module = importlib.import_module("h2discord.discord")
 SEARCH_MINIMUM = discord_module._search_minimum
@@ -475,23 +481,25 @@ class TestPureClosedForm:
 # refine=False presets covering each way a grid point can repeat another
 GRID_PRESETS = {
     "zero-phase": SearchConfig(zero_phases=True, refine=False),
-    "four-angle": SearchConfig(theta_points=5, phi_points=5, refine=False),
+    "four-angle": SearchConfig(theta_points=5, phi_points=5,
+                               zero_phases=False, refine=False),
     "tie-thetas": SearchConfig(theta_points=9, phi_points=9, tie_thetas=True,
-                               refine=False),
+                               zero_phases=False, refine=False),
     "tie-phis": SearchConfig(theta_points=9, phi_points=9, tie_phis=True,
-                             refine=False),
+                             zero_phases=False, refine=False),
 }
 
 
 class TestGridDeduplication:
     @pytest.mark.parametrize("search,kept,total", [
         (SearchConfig(zero_phases=True), 256, 289),
-        (SearchConfig(), 14641, 83521)], ids=["zero-phase", "four-angle"])
+        (SearchConfig(zero_phases=False), 14641, 83521)],
+        ids=["zero-phase", "four-angle"])
     def test_kept_point_counts(self, search, kept, total):
-        indices, free = discord_module._grid(search)
+        indices, points = discord_module._grid(search)
         sizes = [len(v) for _, v in discord_module._free_axes(search)]
         assert (len(indices), int(np.prod(sizes))) == (kept, total)
-        assert all(len(angles) == kept for angles in free.values())
+        assert points.shape == (kept, len(sizes))
 
     @pytest.mark.parametrize("preset", sorted(GRID_PRESETS))
     def test_kept_indices_rise_strictly(self, preset):
@@ -510,7 +518,7 @@ class TestGridDeduplication:
                                               search)
             value, config, _, _ = SEARCH_MINIMUM(rho4, search)
             assert abs(value - want) <= 1e-15
-            assert config.resolved() == discord_module._resolve(free, search)
+            assert config.resolved() == resolve_free(free, search)
 
 
 def coupling_groups_state(rng):
@@ -528,7 +536,7 @@ class TestAgainstReferenceSearch:
         rng = np.random.default_rng(72)
         rho4 = discord_module._embedded(coupling_groups_state(rng))
         ev = discord_module._Evaluator(rho4)
-        assert sorted(size for size, _ in ev.groups) == [4, 12]
+        assert sorted(group.shape[1] for group in ev.groups) == [4, 12]
         angles = rng.uniform(0, np.pi / 2, size=(4, 20))
         angles[2:] *= 4
         assert np.abs(ev.conditional_entropies(*angles)
