@@ -22,9 +22,10 @@ from .analysis import OBSERVABLES, PREDICATES, default_dt, \
     default_record_stride, default_t_end, evolve_model, fit_period, \
     observables, period_law, run_discord_series
 from .discord import DiscordPoint, SearchConfig
-from .dynamics import SimConfig
+from .dynamics import SimConfig, initial_state
 from .errors import ConfigError, ConfigTypeError, EmptySeeds, \
-    MissingRequired, SeedOutsideCompatTable, SimulationError, UnknownKey
+    MissingRequired, SeedOutsideCompatTable, SimulationError, StateMissing, \
+    UnknownKey
 from .operators import ModelParams, build_hamiltonian, write_operator
 from .statespace import INITIAL_COMPONENTS, BasisState, GatingPolicy, \
     check_seeds, full_space, generate_space, table_space
@@ -289,12 +290,6 @@ def _check(v: dict, params: ModelParams):
     if kind == "period-law" and not (sweep and all(0 < x <= 1 for x in sweep)):
         raise ConfigTypeError("TypeError: period-law sweep_values must lie "
                               "in (0, 1]")
-    if v["space_mode"] != "full":  # the full space ignores the seeds
-        try:
-            check_seeds(v["seeds"], v["space_mode"])
-        except (EmptySeeds, SeedOutsideCompatTable) as exc:
-            raise ConfigTypeError(f"TypeError: seeds with space_mode="
-                                  f"{v['space_mode']}: {exc}") from None
     window = v["envelope_window"]
     if window % 2 == 0 and window:
         raise ConfigTypeError("TypeError: envelope_window must be odd "
@@ -334,15 +329,22 @@ def resolve_config(entries: dict, kind: str = None,
     config = _bind(ExperimentConfig, v, params=params,
                    gating=_bind(GatingPolicy, v), sim=_bind(SimConfig, v),
                    search=_bind(SearchConfig, v), resolved=resolved)
-    if config.kind in EVOLVING:
-        space = _build_space(config)
-        missing = [state.to_string() for state in INITIAL_COMPONENTS
-                   if space.get_index(state) is None]
-        if missing:
-            raise ConfigTypeError(f"TypeError: seeds with space_mode="
-                                  f"{config.space_mode}: the space lacks "
-                                  f"initial component(s) {','.join(missing)}")
+    _check_seeds(config)
     return config
+
+
+def _check_seeds(config: ExperimentConfig):
+    """The seed rules: seeds valid for the space mode, whose space holds
+    the standard initial state when the kind evolves it."""
+    if config.space_mode == "full":  # the full space ignores the seeds
+        return
+    try:
+        check_seeds(config.seeds, config.space_mode)
+        if config.kind in EVOLVING:
+            initial_state(_build_space(config))
+    except (EmptySeeds, SeedOutsideCompatTable, StateMissing) as exc:
+        raise ConfigTypeError(f"TypeError: seeds with space_mode="
+                              f"{config.space_mode}: {exc}") from None
 
 
 def _build_space(config: ExperimentConfig):

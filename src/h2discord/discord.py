@@ -150,8 +150,11 @@ def von_neumann_entropy(rho, trace_tol: float = 1e-6,
 
 def mutual_information(rho_AB: DensityMatrix) -> float:
     """S(A) + S(B) - S(AB) of the joint state."""
-    s_a, s_b = (_entropy_psd(m) for m in _marginals(_embedded(rho_AB)))
-    return s_a + s_b - von_neumann_entropy(rho_AB)
+    rho_a, rho_b = _marginals(_embedded(rho_AB))
+    s_a = _entropy_psd(rho_a)
+    s_b = _entropy_psd(rho_b)
+    s_ab = von_neumann_entropy(rho_AB)
+    return s_a + s_b - s_ab
 
 
 _ANGLE_BOUNDS = {"theta": (0.0, np.pi / 2), "theta_prime": (0.0, np.pi / 2),
@@ -226,15 +229,19 @@ def _outer(vectors: np.ndarray) -> np.ndarray:
             * vectors[:, None, :]).reshape(-1, 16)
 
 
-def _blocks(rows: np.ndarray, rho4: np.ndarray) -> np.ndarray:
+def _ac_bd(rho4: np.ndarray) -> np.ndarray:
+    """rho4[a, b, c, d] as 16 (b, d) matrices, one per (a c)."""
+    return rho4.transpose(0, 2, 1, 3).reshape(16, *rho4.shape[1::2])
+
+
+def _blocks(rows: np.ndarray, ac_bd: np.ndarray) -> np.ndarray:
     """tr_A[(P (x) 1) rho] for each row P^T flattened, as (nB, nB) blocks.
 
     For P = |u><u| the row is conj(u_a) u_c and the block is <u|rho|u>;
-    rho enters as the (a c) x (b d) matrix, so a batch is one matmul.
+    rho enters as `_ac_bd(rho4)`, read as the (a c) x (b d) matrix, so a
+    batch is one matmul.
     """
-    nb = rho4.shape[1]
-    return (rows @ rho4.transpose(0, 2, 1, 3).reshape(16, -1)).reshape(
-        -1, nb, nb)
+    return (rows @ ac_bd.reshape(16, -1)).reshape(-1, *ac_bd.shape[1:])
 
 
 def projector_set(config: MeasurementConfig) -> ProjectorSet:
@@ -259,8 +266,10 @@ def measured_conditional_entropy(rho_AB: DensityMatrix, pset: ProjectorSet):
         raise SpaceMismatch("need a joint state over a StateSpace")
     rows = np.array([proj.T.ravel() for proj in pset.projectors])
     b_space = _b_label_space(rho_AB.space)
-    value, probs, posts = 0.0, [], []
-    for block in _blocks(rows, _embedded(rho_AB)):
+    value = 0.0
+    probs = []
+    posts = []
+    for block in _blocks(rows, _ac_bd(_embedded(rho_AB))):
         p = float(np.trace(block).real)
         probs.append(p)
         if p > EPS_OUTCOME:
@@ -317,16 +326,18 @@ class _Evaluator:
 
     @cached_property
     def groups(self) -> list:
-        """rho4 restricted to each group of coupled B labels."""
+        """`_ac_bd` of rho4 restricted to each group of coupled B labels."""
         nb = self.rho4.shape[1]
         coupled = (self.rho4 != 0).any(axis=(0, 2))
         linked = coupled | coupled.T | np.eye(nb, dtype=bool)
         for _ in range(nb.bit_length()):  # transitive closure
             linked = (linked.astype(int) @ linked) > 0
         first = linked.argmax(axis=0)  # each label's lowest group member
-        return [self.rho4[:, idx][:, :, :, idx]
-                for idx in (np.flatnonzero(first == label)
-                            for label in np.unique(first))]
+        groups = []
+        for label in np.unique(first):
+            idx = np.flatnonzero(first == label)
+            groups.append(_ac_bd(self.rho4[:, idx][:, :, :, idx]))
+        return groups
 
     def _spectra(self, vectors: np.ndarray) -> np.ndarray:
         """Eigenvalues of <u|rho|u> for each row u of `vectors`."""
@@ -337,8 +348,9 @@ class _Evaluator:
     def conditional_entropies(self, theta, theta_p, phi, phi_p) -> np.ndarray:
         """Sum_k p_k S(rho_k) for a batch of angle tuples."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        theta_p, phi, phi_p = (np.broadcast_to(x, theta.shape)
-                               for x in (theta_p, phi, phi_p))
+        theta_p = np.broadcast_to(theta_p, theta.shape)
+        phi = np.broadcast_to(phi, theta.shape)
+        phi_p = np.broadcast_to(phi_p, theta.shape)
         flat = _basis_vectors(theta, theta_p, phi, phi_p).reshape(-1, 4)
         contrib = np.empty(flat.shape[0])
         for start in range(0, flat.shape[0], _CHUNK):
@@ -358,7 +370,8 @@ class _Evaluator:
 
     def probabilities(self, angles) -> np.ndarray:
         vectors = _basis_vectors(*np.array(angles)[:, None])[0]
-        return np.einsum("gbb->g", _blocks(_outer(vectors), self.rho4)).real
+        blocks = _blocks(_outer(vectors), _ac_bd(self.rho4))
+        return np.einsum("gbb->g", blocks).real
 
 
 def _measurement_ids(i, j, n_theta: int, n_phi: int):
@@ -496,8 +509,9 @@ def _search_minimum(rho4: np.ndarray, search: SearchConfig,
     point, the reference for the pure-state closed form in `discord`.
     """
     ev = _Evaluator(rho4)
-    start = _warm_start(ev, search, warm) \
-        if warm is not None and search.refine else None
+    start = None
+    if warm is not None and search.refine:
+        start = _warm_start(ev, search, warm)
     full_grid = start is None
     point, f_best = _grid_minimum(ev, search) if full_grid else start
     if search.refine:
@@ -554,14 +568,18 @@ class DiscordPoint:
 
     def check(self) -> "DiscordPoint":
         """self, or DiscordOutOfBounds when a bound of discord fails."""
-        d, info = self.discord, self.mutual_info
-        for failed, what in (
-                (abs(d - (info - self.classical_corr)) > 1e-9, "D != I - J"),
-                (d < -1e-9, "D < 0"), (d > self.s_a + 1e-6, "D > S_A"),
-                (d > info + 1e-9, "D > I"),
-                (abs(sum(self.outcome_probs) - 1.0) > 1e-9, "sum p != 1")):
-            if failed:
-                raise DiscordOutOfBounds(f"{what} in the row {self.csv_row()}")
+        at = f"at t={self.t!r}"
+        if abs(self.discord - (self.mutual_info - self.classical_corr)) > 1e-9:
+            raise DiscordOutOfBounds(f"D != I - J {at}")
+        if self.discord < -1e-9:
+            raise DiscordOutOfBounds(f"D={self.discord!r} < 0 {at}")
+        if self.discord > self.s_a + 1e-6:
+            raise DiscordOutOfBounds(f"D={self.discord!r} > S_A {at}")
+        if self.discord > self.mutual_info + 1e-9:
+            raise DiscordOutOfBounds(f"D={self.discord!r} > I {at}")
+        if abs(sum(self.outcome_probs) - 1.0) > 1e-9:
+            raise DiscordOutOfBounds(f"outcome probabilities sum to "
+                                     f"{sum(self.outcome_probs)!r} {at}")
         return self
 
 
@@ -575,15 +593,25 @@ def discord(rho_AB: DensityMatrix, search: Optional[SearchConfig] = None,
     (see `discord_series`); without it the search is cold.  A pure
     state has zero conditional entropy under every measurement; it
     reports the all-zero angles the search's tie-break would pick.
+    A trace off 1 by more than 1e-9, the tolerance of
+    `DensityMatrix.validate`, raises NotDensityMatrix; a record that
+    breaks a bound of `DiscordPoint.check` raises DiscordOutOfBounds.
     """
-    search = search or SearchConfig()
+    if search is None:
+        search = SearchConfig()
+    trace = rho_AB.trace()
+    if abs(trace - 1.0) > 1e-9:
+        raise NotDensityMatrix(f"trace deviates by {trace - 1.0:g}")
     rho4 = _embedded(rho_AB)
-    s_a, s_b = (_entropy_psd(m) for m in _marginals(rho4))
+    rho_a, rho_b = _marginals(rho4)
+    s_a = _entropy_psd(rho_a)
+    s_b = _entropy_psd(rho_b)
     s_ab = _entropy_psd(rho_AB.mat)
     info = s_a + s_b - s_ab
     pure = is_pure(rho_AB)
     if pure:  # the all-zero angles
-        value, full_grid = 0.0, False
+        value = 0.0
+        full_grid = False
         config, probs = _measurement(_Evaluator(rho4), search, (0.0,) * 4)
     else:
         value, config, probs, full_grid = _search_minimum(rho4, search, warm)
@@ -602,7 +630,8 @@ def discord_series(rhos, search: Optional[SearchConfig], times) -> list:
     guard grid finds a better point more than one guard spacing away,
     search the full grid (`DiscordPoint.full_grid`).
     """
-    points, warm = [], None
+    points = []
+    warm = None
     for rho, t in zip(rhos, times, strict=True):
         point = discord(rho, search, t, warm)
         if not point.pure:

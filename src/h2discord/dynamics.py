@@ -93,7 +93,6 @@ class Trajectory:
         return DensityMatrix(self.snapshots[i], self.space)
 
 
-
 def initial_state(space: StateSpace) -> DensityMatrix:
     """Equal-weight four-component superposition with alternating signs."""
     signs = (1.0, -1.0, 1.0, -1.0)

@@ -42,7 +42,7 @@ class AngleOutOfRange(SimulationError):
 
 
 class DiscordOutOfBounds(SimulationError):
-    """A discord record breaks 0 <= D <= min(I, S_A), D = I - J or sum p = 1."""
+    """A discord record breaks a bound that `DiscordPoint.check` tests."""
 
 
 class InsufficientData(SimulationError):

@@ -346,6 +346,18 @@ class TestDiscord:
                                           zero_phases=False, refine=False))
         assert point.argmin_config.resolved() == (0.0, 0.0, 0.0, 0.0)
 
+    def test_unnormalised_state_fails_on_its_trace(self):
+        # sum p = tr rho, so an off trace must be named as such, not as a
+        # broken discord bound; mixed and pure states alike
+        search = SearchConfig(theta_points=5)
+        for state in (werner_state(), bell_state()):
+            discord(DensityMatrix((1 + 1e-12) * state.mat, state.space),
+                    search)
+            for scale in (1.1, 1 + 1e-8):
+                rho = DensityMatrix(scale * state.mat, state.space)
+                with pytest.raises(NotDensityMatrix, match="trace deviates"):
+                    discord(rho, search)
+
     def test_csv_row_shape(self):
         point = discord(werner_state(), SearchConfig(theta_points=5,
                                                      zero_phases=True), t=1.5)
