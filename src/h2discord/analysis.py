@@ -6,7 +6,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .discord import SearchConfig, discord_series
 from .dynamics import DensityMatrix, SimConfig, Trajectory, evolve, \
@@ -65,21 +64,37 @@ class FitResult:
     rms_residual: float
 
 
-def _linear_fit(times, values, b):
-    design = np.column_stack([np.sin(b * times), np.cos(b * times),
-                              np.ones_like(times)])
+def _projection(times, values, b):
+    """The linear parameters (sin, cos, offset) at angular frequency b,
+    the RMS residual, and the variable-projection slope dRSS/db.
+
+    With the linear parameters c projected out, r = y - A(b) c is
+    orthogonal to the columns of A, so dRSS/db = -2 r^T (dA/db) c
+    (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).
+    """
+    sin, cos = np.sin(b * times), np.cos(b * times)
+    design = np.column_stack([sin, cos, np.ones_like(times)])
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     residual = values - design @ coef
-    return coef, float(np.sqrt(np.mean(residual**2)))
+    slope = -2.0 * float(residual @ (times * (coef[0] * cos - coef[1] * sin)))
+    return coef, float(np.sqrt(np.mean(residual**2))), slope
+
+
+# coarse samples of the residual across the bracket; the residual's
+# features are about one spectral bin wide, the samples 3/32 bin apart
+_BASIN_SAMPLES = 33
 
 
 def fit_sinusoid(times, values) -> FitResult:
     """Least-squares fit of a*sin(b*t + c) + d.
 
     The angular frequency starts from the dominant discrete-spectrum
-    peak of the mean-removed series and is refined by a bounded scalar
-    search around that bin, with the linear parameters re-solved at
-    every trial frequency.
+    peak of the mean-removed series.  Within 1.5 spectral bins of that
+    peak, coarse samples of the residual pick the basin of the minimum,
+    and bisection of the variable-projection slope dRSS/db (the linear
+    parameters re-solved at every trial frequency) locates its root to
+    machine precision.  A slope root is well-conditioned where the flat
+    residual minimum is not, so b moves with the data, not with rounding.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -97,16 +112,21 @@ def fit_sinusoid(times, values) -> FitResult:
     b0 = 2 * np.pi * freqs[peak]
     # true frequency sits within one spectral bin of the peak
     bin_width = 2 * np.pi / (times[-1] - times[0])
-    lo = max(0.25 * bin_width, b0 - 1.5 * bin_width)
-    hi = b0 + 1.5 * bin_width
-
-    def rss(b):
-        return _linear_fit(times, values, b)[1]
-
-    res = minimize_scalar(rss, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-9 * max(b0, bin_width)})
-    b = float(res.x)
-    (a_sin, a_cos, offset), rms = _linear_fit(times, values, b)
+    grid = np.linspace(max(0.25 * bin_width, b0 - 1.5 * bin_width),
+                       b0 + 1.5 * bin_width, _BASIN_SAMPLES)
+    best = int(np.argmin([_projection(times, values, b)[1] for b in grid]))
+    # bisect the slope's sign change between the neighbours of the lowest
+    # sample; a minimum on an end of the range, where the slope keeps one
+    # sign, ends the search on that end
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if _projection(times, values, mid)[2] < 0:
+            lo = mid
+        else:
+            hi = mid
+    b = float(min((lo, hi), key=lambda x: _projection(times, values, x)[1]))
+    (a_sin, a_cos, offset), rms, _ = _projection(times, values, b)
     amplitude = float(np.hypot(a_sin, a_cos))
     phase = float(np.arctan2(a_cos, a_sin))
     return FitResult(amplitude=amplitude, angular_frequency=b, phase=phase,
@@ -235,19 +255,31 @@ class PeriodLawResult:
     used_envelope: bool
 
 
+def law_params(base_params: ModelParams, zeta: float,
+               x: float) -> ModelParams:
+    """The closed model of one period-law point: g_omega = x g_up, the
+    given zeta, every loss and influx rate zero."""
+    return replace(base_params, zeta=zeta, g_bond=x * base_params.g_up,
+                   gamma_up=0.0, gamma_down=0.0, gamma_phn=0.0,
+                   influx_up=0.0, influx_down=0.0, influx_phn=0.0)
+
+
 def period_law(g_omega_values, zeta: float, base_params: ModelParams,
                sim_cfg: Optional[SimConfig] = None,
                search: Optional[SearchConfig] = None,
                gating: Optional[GatingPolicy] = None,
                on_point: Optional[Callable] = None,
-               periods_factor: float = 1.45) -> PeriodLawResult:
+               periods_factor: float = 1.45,
+               space_of: Optional[Callable] = None) -> PeriodLawResult:
     """Fit T = c / (g_omega / g) over a closed-system coupling sweep.
 
-    Each sweep point evolves the closed model, computes the discord
-    series, and fits the slow oscillation period: directly for zeta=0,
-    through the fast-carrier envelope otherwise.  With sim_cfg=None the
-    horizon scales with the expected period of each point.  Closed runs
-    stay pure, so `search` is only used on a snapshot that is not.
+    Each sweep point evolves the closed model (`law_params`) on the space
+    `space_of(params)` (the 26-state table when space_of is None),
+    computes the discord series, and fits the slow oscillation period:
+    directly for zeta=0, through the fast-carrier envelope otherwise.
+    With sim_cfg=None the horizon scales with the expected period of each
+    point.  Closed runs stay pure, so `search` is only used on a snapshot
+    that is not.
     """
     values = sorted(float(x) for x in g_omega_values)
     if not values or min(values) <= 0 or max(values) > 1:
@@ -260,9 +292,7 @@ def period_law(g_omega_values, zeta: float, base_params: ModelParams,
     samples = []
     fits = []
     for x in values:
-        params = replace(base_params, zeta=zeta, g_bond=x * g_ref,
-                         gamma_up=0.0, gamma_down=0.0, gamma_phn=0.0,
-                         influx_up=0.0, influx_down=0.0, influx_phn=0.0)
+        params = law_params(base_params, zeta, x)
         if sim_cfg is None:
             dt = default_dt(params)
             t_end = periods_factor * 2 * np.pi / (x * g_ref)
@@ -270,8 +300,9 @@ def period_law(g_omega_values, zeta: float, base_params: ModelParams,
                             record_stride=default_record_stride(params, dt))
         else:
             sim = sim_cfg
-        traj, points = run_discord_series(params, sim, gating=gating,
-                                          search=search)
+        space = space_of(params) if space_of is not None else None
+        traj, points = run_discord_series(params, sim, space=space,
+                                          gating=gating, search=search)
         fit, _ = fit_period([p.t for p in points],
                             [p.discord for p in points], zeta, g_ref)
         if on_point is not None:

@@ -20,7 +20,7 @@ from typing import Callable
 from . import __version__
 from .analysis import OBSERVABLES, PREDICATES, default_dt, \
     default_record_stride, default_t_end, evolve_model, fit_period, \
-    observables, period_law, run_discord_series
+    law_params, observables, period_law, run_discord_series
 from .discord import DiscordPoint, SearchConfig
 from .dynamics import SimConfig, initial_state
 from .errors import ConfigError, ConfigTypeError, EmptySeeds, \
@@ -34,6 +34,11 @@ KINDS = ("evolve-closed", "evolve-open", "discord-series", "sweep-g-omega",
          "sweep-gamma", "period-law", "generate-space")
 # the kinds that evolve the standard initial state on the built space
 EVOLVING = ("evolve-closed", "evolve-open", "discord-series")
+# the kinds that evolve it once per sweep value, each on its own space
+SWEEPS = ("sweep-g-omega", "sweep-gamma", "period-law")
+# the model fields a peak sweep sets to x g_up
+_SWEPT = {"sweep-g-omega": ("g_bond",),
+          "sweep-gamma": ("gamma_up", "gamma_down", "gamma_phn")}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -335,16 +340,36 @@ def resolve_config(entries: dict, kind: str = None,
 
 def _check_seeds(config: ExperimentConfig):
     """The seed rules: seeds valid for the space mode, whose space holds
-    the standard initial state when the kind evolves it."""
+    the standard initial state wherever the kind evolves it: on the
+    config's space, or on the space of each sweep point."""
     if config.space_mode == "full":  # the full space ignores the seeds
         return
     try:
         check_seeds(config.seeds, config.space_mode)
         if config.kind in EVOLVING:
             initial_state(_build_space(config))
+        for _, point in _sweep_points(config):
+            initial_state(_build_space(point))
     except (EmptySeeds, SeedOutsideCompatTable, StateMissing) as exc:
         raise ConfigTypeError(f"TypeError: seeds with space_mode="
                               f"{config.space_mode}: {exc}") from None
+
+
+def _sweep_points(config: ExperimentConfig) -> list:
+    """(x, the config of that point) per sweep value of a sweeping kind,
+    with the model that point evolves; none for the other kinds."""
+    if config.kind not in SWEEPS:
+        return []
+    params = config.params
+    points = []
+    for x in sorted(config.sweep_values):
+        if config.kind == "period-law":
+            point = law_params(params, params.zeta, x)
+        else:
+            point = replace(params, **dict.fromkeys(
+                _SWEPT[config.kind], x * params.g_up))
+        points.append((x, replace(config, params=point)))
+    return points
 
 
 def _build_space(config: ExperimentConfig):
@@ -463,10 +488,12 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
         plot("plot_observables.py", _PLOT_SERIES, csv="observables.csv",
              columns=columns, png="observables.png")
     elif kind == "period-law":
-        result = period_law(config.sweep_values, config.params.zeta,
-                            config.params, search=config.search,
-                            gating=config.gating,
-                            periods_factor=config.periods_factor)
+        result = period_law(
+            config.sweep_values, config.params.zeta, config.params,
+            search=config.search, gating=config.gating,
+            periods_factor=config.periods_factor,
+            space_of=lambda params: _build_space(
+                replace(config, params=params)))
         rows = [[x, period, fit.rms_residual]
                 for (x, period), fit in zip(result.samples, result.fits)]
         emit("sweep.csv", lambda p: _write_csv(
@@ -479,14 +506,10 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
         plot("plot_sweep.py", _PLOT_SWEEP, csv="sweep.csv",
              xcol="g_omega_over_g", ycol="fitted_period_s",
              constant=result.constant_c, png="sweep.png")
-    elif kind in ("sweep-g-omega", "sweep-gamma"):
+    elif kind in _SWEPT:
         rows = []
-        swept = ("g_bond",) if kind == "sweep-g-omega" \
-            else ("gamma_up", "gamma_down", "gamma_phn")
-        for x in sorted(config.sweep_values):
-            params = replace(config.params, **dict.fromkeys(
-                swept, x * config.params.g_up))
-            _, points = _run_series(replace(config, params=params))
+        for x, point in _sweep_points(config):
+            _, points = _run_series(point)
             rows.append([x, max(pt.discord for pt in points)])
         xcol = "g_omega_over_g" if kind == "sweep-g-omega" else "gamma_over_g"
         emit("sweep_peak.csv", lambda p: _write_csv(

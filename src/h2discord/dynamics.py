@@ -1,11 +1,13 @@
 """Density-matrix evolution with exact propagators between records.
 
-Closed runs hop with the spectral propagator exp(-i H tau / hbar); open
-runs apply the exact Lindblad solution exp(L tau) to row-major vec(rho),
-with a sparse L and scipy's expm_multiply (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 488 (2011)): one interval-mode call covers the equal record
-intervals and a second the final short one, so dt only sets the record
-grid.
+Closed runs hop with the spectral propagator exp(-i H tau / hbar), from
+numpy's eigh alone; open runs apply the exact Lindblad solution
+exp(L tau) to row-major vec(rho), with a sparse L and scipy's
+expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)):
+one interval-mode call covers the equal record intervals and a second
+the final short one, so dt only sets the record grid.  scipy is imported
+where an open run first builds its Liouvillian, so importing the package,
+validating a config and every closed run load numpy only.
 """
 
 import math
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import NotDensityMatrix, NotHermitian, PositivityLost, \
     SpaceMismatch, StateMissing
@@ -146,6 +146,8 @@ def dissipator(rho: DensityMatrix, channels) -> np.ndarray:
 def _liouvillian(h, terms, hbar):
     """Sparse Lindblad generator on row-major vec(rho), by
     vec(A rho B) = (A kron B^T) vec(rho)."""
+    from scipy import sparse
+
     kron = sparse.kron
     eye = sparse.identity(h.shape[0], format="csr")
     gen = (-1j / hbar) * (kron(h, eye) - kron(eye, h.T))
@@ -209,6 +211,8 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
     points = _record_points(n_steps, cfg.record_stride)
     previous = 0
     if terms:
+        from scipy.sparse.linalg import expm_multiply
+
         gen = _liouvillian(_hermitian(H.mat), terms, hbar)
 
         def hop(rho, steps):

@@ -7,6 +7,7 @@ cannot share a bug with the library paths it checks.
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from h2discord.analysis import FitResult
 from h2discord.discord import TIE_TOL, _ANGLE_BOUNDS, _free_axes
 from h2discord.statespace import BasisState
 
@@ -151,3 +152,37 @@ def reference_search_minimum(rho4, search):
         if moved < search.refine_tol:
             break
     return value(free), resolve_free(free, search)
+
+
+def reference_fit_sinusoid(times, values):
+    """The previous `fit_sinusoid`: a*sin(b*t + c) + d with b from a
+    bounded `minimize_scalar` of the RMS residual within 1.5 spectral bins
+    of the peak, the linear parameters re-solved at every trial b.  Its
+    b is only good to about sqrt(machine epsilon), since the residual is
+    flat at its minimum.  The series must hold an oscillation."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+
+    def linear_fit(b):
+        design = np.column_stack([np.sin(b * times), np.cos(b * times),
+                                  np.ones_like(times)])
+        coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+        residual = values - design @ coef
+        return coef, float(np.sqrt(np.mean(residual**2)))
+
+    spectrum = np.abs(np.fft.rfft(values - values.mean()))
+    freqs = np.fft.rfftfreq(times.size, d=float(np.median(np.diff(times))))
+    b0 = 2 * np.pi * freqs[1 + int(np.argmax(spectrum[1:]))]
+    bin_width = 2 * np.pi / (times[-1] - times[0])
+    lo = max(0.25 * bin_width, b0 - 1.5 * bin_width)
+    hi = b0 + 1.5 * bin_width
+    res = minimize_scalar(lambda b: linear_fit(b)[1], bounds=(lo, hi),
+                          method="bounded",
+                          options={"xatol": 1e-9 * max(b0, bin_width)})
+    b = float(res.x)
+    (a_sin, a_cos, offset), rms = linear_fit(b)
+    return FitResult(amplitude=float(np.hypot(a_sin, a_cos)),
+                     angular_frequency=b,
+                     phase=float(np.arctan2(a_cos, a_sin)),
+                     offset=float(offset), period=2 * np.pi / b,
+                     rms_residual=rms)

@@ -1,15 +1,18 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from h2discord.analysis import envelope, fit_period, fit_sinusoid, \
     period_law, population, run_discord_series, state_population
+from h2discord.cli import _run_series, parse_config, resolve_config
 from h2discord.dynamics import DensityMatrix, SimConfig, initial_state
 from h2discord.errors import InsufficientData, NoDominantFrequency, \
     WindowTooLarge
 from h2discord.operators import ModelParams
 from h2discord.statespace import BasisState, table_space
+from oracles import reference_fit_sinusoid
 
 PARAMS = ModelParams(freq_pht_up=0, freq_pht_down=0, freq_phn=0)
 G = PARAMS.g_up
@@ -78,6 +81,82 @@ class TestFitSinusoid:
     def test_too_few_samples(self):
         with pytest.raises(InsufficientData):
             fit_sinusoid(np.arange(5.0), np.arange(5.0))
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the closed reproduction runs whose discord series the CLI fits
+FIT_CONFIGS = [f"fig{n}{c}" for n in (4, 5) for c in "abcde"]
+
+
+@pytest.fixture(scope="module")
+def discord_series():
+    """{config: (times, D, zeta, g_up, envelope window)} as the CLI fits
+    them."""
+    series = {}
+    for name in FIT_CONFIGS:
+        config = resolve_config(parse_config(
+            (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")))
+        _, points = _run_series(config)
+        times = np.array([pt.t for pt in points])
+        values = np.array([pt.discord for pt in points])
+        params = config.params
+        _, window = fit_period(times, values, params.zeta, params.g_up,
+                               config.envelope_window)
+        series[name] = (times, values, params.zeta, params.g_up, window)
+    return series
+
+
+def _noisy_sinusoid(seed):
+    """A seeded sinusoid of 1.2-12 periods and amplitude 0.05-1, random
+    phase and offset, under Gaussian noise of standard deviation
+    0.001-0.3."""
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0, 1e-5, int(rng.integers(16, 800)))
+    b = 2 * np.pi * rng.uniform(1.2, 12) / 1e-5
+    values = rng.uniform(0.05, 1) * np.sin(b * times + rng.uniform(0, 6.3)) \
+        + rng.uniform(-1, 1) + rng.uniform(0.001, 0.3) \
+        * rng.normal(size=times.size)
+    return times, values
+
+
+def _assert_matches_reference(times, values):
+    fit = fit_sinusoid(times, values)
+    ref = reference_fit_sinusoid(times, values)
+    assert fit.period == pytest.approx(ref.period, rel=1e-7, abs=0)
+    assert fit.angular_frequency == pytest.approx(ref.angular_frequency,
+                                                  rel=1e-7, abs=0)
+    assert fit.rms_residual <= ref.rms_residual * (1 + 1e-15)
+
+
+class TestVariableProjectionFit:
+    """The slope-root fit against the bounded residual search it
+    replaced, and its stability under rounding-sized changes of D."""
+
+    @pytest.mark.parametrize("name", FIT_CONFIGS)
+    def test_matches_reference_on_reproduction_series(self, discord_series,
+                                                       name):
+        times, values, _, _, window = discord_series[name]
+        if window:
+            times, values = envelope(times, values, window)
+        _assert_matches_reference(times, values)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_on_noisy_sinusoids(self, seed):
+        _assert_matches_reference(*_noisy_sinusoid(seed))
+
+    # fig4 series are fitted on the envelope, fig5 series directly; the
+    # bounded search moved fig4a's period by 2.5e-12 under such changes
+    @pytest.mark.parametrize("name", ["fig4a", "fig4d", "fig5b", "fig5e"])
+    def test_period_stable_under_last_digit_changes_of_d(self,
+                                                         discord_series,
+                                                         name):
+        times, values, zeta, g_up, window = discord_series[name]
+        period = fit_period(times, values, zeta, g_up, window)[0].period
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            nudged = values + rng.choice([-1e-15, 1e-15], size=values.size)
+            fit, _ = fit_period(times, nudged, zeta, g_up, window)
+            assert fit.period == pytest.approx(period, rel=1e-12, abs=0)
 
 
 class TestEnvelope:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from h2discord import analysis
 from h2discord.cli import KEYS as CONFIG_KEYS, KINDS, _build_space, main, \
     parse_config, resolve_config, run
 from h2discord.discord import SearchConfig
@@ -223,6 +224,24 @@ class TestRun:
         assert by_g_omega[1] == by_gamma[1]
         assert float(by_gamma[1]) == pytest.approx(0.0092896, rel=1e-4)
 
+    @pytest.mark.parametrize("mode,size", [("closure", 36),
+                                           ("table-compat", 26)])
+    def test_period_law_evolves_on_the_configured_space(
+            self, tmp_path, monkeypatch, mode, size):
+        spaces = []
+        evolve_model = analysis.evolve_model
+
+        def spy(params, sim, space=None, gating=None):
+            spaces.append((space.mode, space.size))
+            return evolve_model(params, sim, space, gating)
+
+        monkeypatch.setattr(analysis, "evolve_model", spy)
+        config = resolve(f"kind=period-law\nspace_mode={mode}\n"
+                         "sweep_values=0.1,0.2\n", out=str(tmp_path))
+        run(config)
+        assert spaces == [(mode, size)] * 2
+        assert (tmp_path / "law.csv").exists()
+
     def test_generate_space_dump(self, tmp_path):
         config = resolve("kind=generate-space\n", out=str(tmp_path / "o"))
         run(config)
@@ -391,7 +410,8 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
     @pytest.mark.parametrize("kind", ["evolve-closed", "evolve-open",
-                                      "discord-series"])
+                                      "discord-series", "sweep-g-omega",
+                                      "sweep-gamma", "period-law"])
     def test_space_without_the_initial_state_exits_as_config_error(
             self, tmp_path, capsys, command, kind):
         # the closure of the vacuum holds none of the initial components
