@@ -216,9 +216,7 @@ def evolve_model(params: ModelParams, sim: SimConfig,
         space = table_space()
     h = build_hamiltonian(params, space, gating)
     channels = build_jump_channels(params, space)
-    traj = evolve(initial_state(space), h, channels, sim, hbar=params.hbar)
-    traj.params = params
-    return traj
+    return evolve(initial_state(space), h, channels, sim, hbar=params.hbar)
 
 
 def run_discord_series(params: ModelParams, sim: SimConfig,
@@ -265,7 +263,6 @@ def law_params(base_params: ModelParams, zeta: float,
 
 
 def period_law(g_omega_values, zeta: float, base_params: ModelParams,
-               sim_cfg: Optional[SimConfig] = None,
                search: Optional[SearchConfig] = None,
                gating: Optional[GatingPolicy] = None,
                on_point: Optional[Callable] = None,
@@ -277,9 +274,9 @@ def period_law(g_omega_values, zeta: float, base_params: ModelParams,
     `space_of(params)` (the 26-state table when space_of is None),
     computes the discord series, and fits the slow oscillation period:
     directly for zeta=0, through the fast-carrier envelope otherwise.
-    With sim_cfg=None the horizon scales with the expected period of each
-    point.  Closed runs stay pure, so `search` is only used on a snapshot
-    that is not.
+    Each point runs on the default record grid of its model, with a
+    horizon of periods_factor expected periods.  Closed runs stay pure,
+    so `search` is only used on a snapshot that is not.
     """
     values = sorted(float(x) for x in g_omega_values)
     if not values or min(values) <= 0 or max(values) > 1:
@@ -293,13 +290,9 @@ def period_law(g_omega_values, zeta: float, base_params: ModelParams,
     fits = []
     for x in values:
         params = law_params(base_params, zeta, x)
-        if sim_cfg is None:
-            dt = default_dt(params)
-            t_end = periods_factor * 2 * np.pi / (x * g_ref)
-            sim = SimConfig(dt=dt, t_end=t_end,
-                            record_stride=default_record_stride(params, dt))
-        else:
-            sim = sim_cfg
+        dt = default_dt(params)
+        sim = SimConfig(dt=dt, t_end=periods_factor * 2 * np.pi / (x * g_ref),
+                        record_stride=default_record_stride(params, dt))
         space = space_of(params) if space_of is not None else None
         traj, points = run_discord_series(params, sim, space=space,
                                           gating=gating, search=search)

@@ -258,9 +258,13 @@ def _value(key: Key, entry, v: dict):
             return value
     except (ValueError, TypeError, KeyError):
         pass
-    where = f" (line {lineno})" if lineno else ""
-    raise ConfigTypeError(f"TypeError: {key.name}={raw!r}{where} is not "
-                          f"{key.type.what}")
+    raise ConfigTypeError(f"TypeError: {key.name}={raw!r}{_origin(lineno)} "
+                          f"is not {key.type.what}")
+
+
+def _origin(lineno) -> str:
+    """Where an entry came from: a config line, or --override (line 0)."""
+    return {None: "", 0: " (--override)"}.get(lineno, f" (line {lineno})")
 
 
 def _bind(cls, v: dict, **given):
@@ -277,8 +281,15 @@ def _model(v: dict) -> ModelParams:
                  freq_phn=0.0 if picture else v["omega_phn"])
 
 
-def _check(v: dict, params: ModelParams):
-    """The rules that tie keys together."""
+# keys a period-law config may not give: each point runs on the default
+# grid of its own model (analysis.period_law), and the record omits that grid
+_LAW_GRID = ("dt", "t_end", "record_stride")
+_LAW_FIXED = (*_LAW_GRID, "discord_stride", "envelope_window",
+              "renormalize_trace")
+
+
+def _check(v: dict, params: ModelParams, given):
+    """The rules that tie keys together; `given` names the keys set."""
     kind = v["kind"]
     if None in (v["dt"], v["t_end"], v["record_stride"]):
         raise ConfigTypeError(
@@ -307,6 +318,11 @@ def _check(v: dict, params: ModelParams):
         raise ConfigTypeError("TypeError: g_up=0 leaves envelope_window "
                               "without a default (one carrier period, "
                               "2 pi/g_up); give envelope_window")
+    fixed = [name for name in _LAW_FIXED if name in given]
+    if kind == "period-law" and fixed:
+        raise ConfigTypeError(f"TypeError: period-law takes no {fixed[0]}: "
+                              "each sweep point runs on the default record "
+                              "grid of its own model")
 
 
 def resolve_config(entries: dict, kind: str = None,
@@ -321,16 +337,17 @@ def resolve_config(entries: dict, kind: str = None,
             entries[name] = (value, None)
     unknown = sorted(set(entries) - {key.name for key in KEYS})
     if unknown:
-        raise UnknownKey(f"unknown key {unknown[0]!r} "
-                         f"(line {entries[unknown[0]][1]})")
+        raise UnknownKey(f"unknown key {unknown[0]!r}"
+                         f"{_origin(entries[unknown[0]][1])}")
 
     v = {}
     for key in KEYS:
         v[key.name] = _value(key, entries.get(key.name), v)
     params = _model(v)
-    _check(v, params)
+    _check(v, params, entries)
+    skipped = _LAW_GRID if v["kind"] == "period-law" else ()
     resolved = {key.name: key.type.show(v[key.name])
-                for key in KEYS if key.recorded}
+                for key in KEYS if key.recorded and key.name not in skipped}
     config = _bind(ExperimentConfig, v, params=params,
                    gating=_bind(GatingPolicy, v), sim=_bind(SimConfig, v),
                    search=_bind(SearchConfig, v), resolved=resolved)

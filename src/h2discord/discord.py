@@ -148,15 +148,6 @@ def von_neumann_entropy(rho, trace_tol: float = 1e-6,
     return _entropy_from_eigs(w)
 
 
-def mutual_information(rho_AB: DensityMatrix) -> float:
-    """S(A) + S(B) - S(AB) of the joint state."""
-    rho_a, rho_b = _marginals(_embedded(rho_AB))
-    s_a = _entropy_psd(rho_a)
-    s_b = _entropy_psd(rho_b)
-    s_ab = von_neumann_entropy(rho_AB)
-    return s_a + s_b - s_ab
-
-
 _ANGLE_BOUNDS = {"theta": (0.0, np.pi / 2), "theta_prime": (0.0, np.pi / 2),
                  "phi": (0.0, 2 * np.pi), "phi_prime": (0.0, 2 * np.pi)}
 
@@ -525,13 +516,6 @@ def is_pure(rho: DensityMatrix) -> bool:
     return 1.0 - float(np.vdot(mat, mat).real) < PURE_TOL
 
 
-def classical_correlation(rho_AB: DensityMatrix,
-                          search: Optional[SearchConfig] = None):
-    """Maximized classical correlation J and the optimizing measurement."""
-    point = discord(rho_AB, search)
-    return point.classical_corr, point.argmin_config
-
-
 @dataclass
 class DiscordPoint:
     """Entropies, correlations and the optimizing measurement at one time."""
@@ -557,14 +541,6 @@ class DiscordPoint:
                   self.classical_corr, self.discord, *angles,
                   *self.outcome_probs)
         return ",".join(repr(float(x)) for x in fields)
-
-    def as_bits(self) -> "DiscordPoint":
-        ln2 = np.log(2.0)
-        return replace(self, s_a=self.s_a / ln2, s_b=self.s_b / ln2,
-                       s_ab=self.s_ab / ln2,
-                       mutual_info=self.mutual_info / ln2,
-                       classical_corr=self.classical_corr / ln2,
-                       discord=self.discord / ln2)
 
     def check(self) -> "DiscordPoint":
         """self, or DiscordOutOfBounds when a bound of discord fails."""
@@ -593,9 +569,8 @@ def discord(rho_AB: DensityMatrix, search: Optional[SearchConfig] = None,
     (see `discord_series`); without it the search is cold.  A pure
     state has zero conditional entropy under every measurement; it
     reports the all-zero angles the search's tie-break would pick.
-    A trace off 1 by more than 1e-9, the tolerance of
-    `DensityMatrix.validate`, raises NotDensityMatrix; a record that
-    breaks a bound of `DiscordPoint.check` raises DiscordOutOfBounds.
+    A trace off 1 by more than 1e-9 raises NotDensityMatrix; a record
+    that breaks a bound of `DiscordPoint.check` raises DiscordOutOfBounds.
     """
     if search is None:
         search = SearchConfig()

@@ -12,13 +12,12 @@ validating a config and every closed run load numpy only.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import NotDensityMatrix, NotHermitian, PositivityLost, \
-    SpaceMismatch, StateMissing
-from .operators import JumpChannel, ModelParams, OperatorMatrix
+from .errors import NotHermitian, PositivityLost, SpaceMismatch, \
+    StateMissing
+from .operators import OperatorMatrix
 from .statespace import INITIAL_COMPONENTS, StateSpace
 
 
@@ -38,23 +37,6 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float((self.mat @ self.mat).trace().real)
-
-    def herm_defect(self) -> float:
-        return float(np.abs(self.mat - self.mat.conj().T).max())
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.mat)[0])
-
-    def validate(self, trace_tol: float = 1e-9, herm_tol: float = 1e-12,
-                 eig_floor: float = -1e-8):
-        if abs(self.trace() - 1.0) > trace_tol:
-            raise NotDensityMatrix(f"trace deviates by {self.trace() - 1.0:g}")
-        if self.herm_defect() > herm_tol:
-            raise NotDensityMatrix(f"hermiticity defect {self.herm_defect():g}")
-        low = self.min_eigenvalue()
-        if low < eig_floor:
-            raise NotDensityMatrix(f"negative eigenvalue {low:g}")
-        return self
 
 
 @dataclass
@@ -78,7 +60,6 @@ class Trajectory:
     times: np.ndarray
     snapshots: list
     space: StateSpace
-    params: Optional[ModelParams] = None
     # worst record: lowest eigenvalue, its time, |tr rho - 1| before
     # renorm, max |rho - rho^dagger| before symmetrisation
     min_eigenvalue: float = math.inf
@@ -129,18 +110,6 @@ def _lindblad_terms(channels):
         a = ch.op.mat
         terms.append((ch.rate, a, a.conj().T, a.conj().T @ a))
     return terms
-
-
-def dissipator(rho: DensityMatrix, channels) -> np.ndarray:
-    """Sum of the sandwich-minus-anticommutator increments, one per channel."""
-    for ch in channels:
-        if ch.op.space is not rho.space:
-            raise SpaceMismatch("channel bound to a different space")
-    out = np.zeros_like(rho.mat)
-    for rate, a, adag, adag_a in _lindblad_terms(channels):
-        out += rate * (a @ rho.mat @ adag
-                       - 0.5 * (adag_a @ rho.mat + rho.mat @ adag_a))
-    return out
 
 
 def _liouvillian(h, terms, hbar):

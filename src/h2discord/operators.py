@@ -1,4 +1,4 @@
-"""Ladder and flip operators, the system Hamiltonian and jump channels.
+"""Ladder operators, the system Hamiltonian and jump channels.
 
 All matrices are dense complex arrays bound to a StateSpace.  Every
 mode holds at most one quantum, so raising an occupied label gives the
@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ImageOutsideSpace, SpaceMismatch
+from .errors import ImageOutsideSpace
 from .statespace import JUMPS, MODE_CLOSURE, MOVES, BasisState, \
     GatingPolicy, StateSpace
 
@@ -63,25 +63,8 @@ class OperatorMatrix:
     mat: np.ndarray
     space: StateSpace
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def _check(self, other):
-        if self.space is not other.space:
-            raise SpaceMismatch("operands bound to different spaces")
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check(other)
-        return OperatorMatrix(self.mat @ other.mat, self.space)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check(other)
-        return OperatorMatrix(self.mat + other.mat, self.space)
-
 
 _MODE_FIELD = {jump.mode: jump.label for jump in JUMPS}
-_FLIP_FIELD = {"e_up": "l1", "e_down": "l2", "bond": "L", "nucleus": "k"}
 
 
 def _zeros(space):
@@ -96,35 +79,20 @@ def _target_index(space, target: BasisState, what: str):
     return j
 
 
-def _label_operator(fields: dict, noun: str, name: str, directions: tuple,
-                    direction: str, space: StateSpace) -> OperatorMatrix:
-    """Flip one label: directions[0] takes it 1 -> 0, directions[1] 0 -> 1."""
-    if name not in fields:
-        raise ValueError(f"unknown {noun} {name!r}")
-    if direction not in directions:
-        raise ValueError(f"unknown direction {direction!r}")
-    field, src = fields[name], int(direction == directions[0])
+def ladder(mode: str, direction: str, space: StateSpace) -> OperatorMatrix:
+    """Lowering/raising operator for one field mode."""
+    if mode not in _MODE_FIELD or direction not in ("lower", "raise"):
+        raise ValueError(f"unknown mode {mode!r} or direction {direction!r}")
+    field, src = _MODE_FIELD[mode], int(direction == "lower")
     op = _zeros(space)
     for i, s in enumerate(space):
         if getattr(s, field) != src:
             continue  # lowering vacuum or raising past the one-quantum cap
         j = _target_index(space, s._replace(**{field: 1 - src}),
-                          f"{direction} {name}")
+                          f"{direction} {mode}")
         if j is not None:
             op[j, i] = 1.0
     return OperatorMatrix(op, space)
-
-
-def ladder(mode: str, direction: str, space: StateSpace) -> OperatorMatrix:
-    """Lowering/raising operator for one field mode."""
-    return _label_operator(_MODE_FIELD, "mode", mode, ("lower", "raise"),
-                           direction, space)
-
-
-def flip(target: str, direction: str, space: StateSpace) -> OperatorMatrix:
-    """Two-level flip operator for an electron, bond or position label."""
-    return _label_operator(_FLIP_FIELD, "flip target", target, ("down", "up"),
-                           direction, space)
 
 
 def build_hamiltonian(params: ModelParams, space: StateSpace,
@@ -160,18 +128,6 @@ def build_hamiltonian(params: ModelParams, space: StateSpace,
     return OperatorMatrix(h, space)
 
 
-def total_excitations(space: StateSpace) -> OperatorMatrix:
-    """Diagonal count of field quanta plus electron/bond excitations.
-
-    The broken-bond flag counts as one quantum: it is the excitation
-    that converts into a phonon when the bond forms.  The closed-model
-    Hamiltonian commutes with this operator under default gating.
-    """
-    diag = np.array([s.p1 + s.p2 + s.m + s.l1 + s.l2 + s.L
-                     for s in space], dtype=complex)
-    return OperatorMatrix(np.diag(diag), space)
-
-
 @dataclass
 class JumpChannel:
     op: OperatorMatrix
@@ -193,11 +149,10 @@ def build_jump_channels(params: ModelParams, space: StateSpace):
     return channels
 
 
-def write_operator(path, op: OperatorMatrix, tol: float = 0.0):
+def write_operator(path, op: OperatorMatrix):
     """Dump nonzero entries as `row col re im` lines for diffing."""
-    lines = []
-    for (r, c), v in np.ndenumerate(op.mat):
-        if abs(v) > tol:
-            lines.append(f"{r} {c} {v.real!r} {v.imag!r}")
+    rows, cols = np.nonzero(op.mat)
+    lines = [f"{r} {c} {v.real!r} {v.imag!r}"
+             for r, c, v in zip(rows, cols, op.mat[rows, cols].tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

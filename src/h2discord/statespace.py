@@ -56,25 +56,8 @@ class BasisState(NamedTuple):
     def to_string(self) -> str:
         return "".join(str(bit) for bit in self)
 
-    def a_label(self) -> tuple:
-        return (self.p1, self.p2)
-
     def b_label(self) -> tuple:
         return (self.m, self.l1, self.l2, self.L, self.k)
-
-
-def encode(state: BasisState) -> int:
-    return BasisState(*state).encode()
-
-
-def decode(code: int) -> BasisState:
-    return BasisState.decode(code)
-
-
-def split_labels(state: BasisState) -> tuple:
-    """Split a state into its (photon-pair, matter) label tuples."""
-    state = BasisState(*state)
-    return state.a_label(), state.b_label()
 
 
 @dataclass(frozen=True)

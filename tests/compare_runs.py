@@ -3,12 +3,14 @@
     PYTHONPATH=src python tests/compare_runs.py OUT [--against REF]
 
 Each ``configs/*.cfg`` runs through ``h2discord run`` into
-``OUT/<name>``.  With ``--against``, every artifact of ``OUT/<name>`` is
-compared byte for byte with ``REF/<name>``; the ``wall_time_s`` line of
+``OUT/<name>``, in this process; the script prints each config's
+``wall_time_s`` from its ``run-metadata.txt``, and their total.  With
+``--against``, every artifact of ``OUT/<name>`` is compared byte for
+byte with ``REF/<name>``; the ``wall_time_s`` line of
 ``run-metadata.txt`` is ignored.  The script prints each artifact that
 differs or is present on one side only, and exits 1 on any difference.
-pytest does not collect it; the whole set takes about a minute and a
-half on a 2-core host.
+pytest does not collect it; the configs' ``wall_time_s`` sum to about
+20 s on a 2-core host.
 """
 
 import argparse
@@ -30,6 +32,14 @@ def _content(path: Path) -> bytes:
     return data
 
 
+def wall_time(run_dir: Path) -> float:
+    """The wall_time_s that a run recorded in its run-metadata.txt."""
+    for line in (run_dir / "run-metadata.txt").read_text().splitlines():
+        if line.startswith("wall_time_s="):
+            return float(line.split("=", 1)[1])
+    raise ValueError(f"{run_dir} records no wall_time_s")
+
+
 def differences(out: Path, ref: Path) -> list:
     """Artifact paths, relative to `out`, that differ from `ref`'s."""
     names = {p.relative_to(out) for p in out.rglob("*") if p.is_file()}
@@ -46,6 +56,7 @@ def main(argv) -> int:
     parser.add_argument("--against", type=Path, metavar="REF")
     args = parser.parse_args(argv)
     configs = sorted((ROOT / "configs").glob("*.cfg"))
+    total = 0.0
     for config in configs:
         with contextlib.redirect_stdout(io.StringIO()):
             code = h2discord(["run", str(config),
@@ -53,6 +64,10 @@ def main(argv) -> int:
         if code:
             print(f"{config.stem}: h2discord run exited {code}")
             return 1
+        seconds = wall_time(args.out / config.stem)
+        total += seconds
+        print(f"{config.stem:10s} wall_time_s={seconds:.3f}")
+    print(f"total      wall_time_s={total:.3f}")
     if args.against is None:
         return 0
     diffs = differences(args.out, args.against)

@@ -44,6 +44,29 @@ def brute_force_trace_A(rho_mat, space):
     return out
 
 
+def dissipator(rho_mat, channels):
+    """The Lindblad dissipator in its sandwich form: per channel a with
+    rate g, g (a rho a^dagger - (a^dagger a rho + rho a^dagger a) / 2)."""
+    out = np.zeros_like(rho_mat)
+    for ch in channels:
+        a = ch.op.mat
+        number = a.conj().T @ a
+        out += ch.rate * (a @ rho_mat @ a.conj().T
+                          - 0.5 * (number @ rho_mat + rho_mat @ number))
+    return out
+
+
+def total_excitations(space):
+    """Diagonal count of field quanta plus electron and bond excitations.
+
+    The broken-bond flag counts as one quantum: it is the excitation
+    that converts into a phonon when the bond forms.  The closed-model
+    Hamiltonian commutes with this operator under default gating.
+    """
+    return np.diag([float(s.p1 + s.p2 + s.m + s.l1 + s.l2 + s.L)
+                    for s in space]).astype(complex)
+
+
 def tied_pattern_projectors(theta):
     """The signed coefficient pattern of the tied-angle, zero-phase family."""
     c, s = np.cos(theta), np.sin(theta)

@@ -12,6 +12,7 @@ from h2discord.cli import KEYS as CONFIG_KEYS, KINDS, _build_space, main, \
 from h2discord.discord import SearchConfig
 from h2discord.errors import ConfigError, ConfigTypeError, MissingRequired, \
     UnknownKey
+from h2discord.operators import build_hamiltonian
 from h2discord.statespace import TABLE_STATES
 
 
@@ -125,6 +126,11 @@ class TestResolveConfig:
     def test_period_law_needs_a_reference_coupling(self, text):
         with pytest.raises(ConfigTypeError, match="g_up"):
             resolve(text, kind="period-law")
+
+    def test_period_law_records_no_record_grid(self):
+        grid = {"dt", "t_end", "record_stride"}
+        assert not grid & set(resolve("", kind="period-law").resolved)
+        assert grid <= set(resolve("", kind="discord-series").resolved)
 
     @pytest.mark.parametrize("text", ["g_up=0\nenvelope_window=3\n",
                                       "g_up=0\nzeta=0\n",
@@ -242,6 +248,37 @@ class TestRun:
         assert spaces == [(mode, size)] * 2
         assert (tmp_path / "law.csv").exists()
 
+    @pytest.mark.parametrize("zeta", ["0", "g"])
+    def test_period_law_point_is_the_discord_series_run(self, tmp_path,
+                                                        zeta):
+        # analysis.period_law picks a point's record grid, and the KEYS
+        # defaults a discord series'; both must give the same run
+        law, series = tmp_path / "law", tmp_path / "series"
+        run(resolve(f"kind=period-law\nzeta={zeta}\nsweep_values=0.2\n",
+                    out=str(law)))
+        run(resolve(f"kind=discord-series\nzeta={zeta}\ng_omega=0.2g\n",
+                    out=str(series)))
+        header, row = (law / "sweep.csv").read_text().splitlines()
+        point = dict(zip(header.split(","), row.split(",")))
+        header, row = (series / "fit.csv").read_text().splitlines()
+        fit = dict(zip(header.split(","), row.split(",")))
+        assert point["fitted_period_s"] == fit["period"]
+        assert point["rms_residual"] == fit["rms_residual"]
+
+    def test_operator_dump_holds_the_hamiltonian(self, tmp_path):
+        config = resolve("kind=evolve-closed\nt_end=1e-9\ndt=1e-10\n"
+                         "dump_operators=true\n", out=str(tmp_path))
+        run(config)
+        lines = (tmp_path / "hamiltonian.txt").read_text().splitlines()
+        h = build_hamiltonian(config.params, _build_space(config),
+                              config.gating).mat
+        dumped = np.zeros_like(h)
+        for line in lines:
+            row, col, real, imag = line.split()
+            dumped[int(row), int(col)] = complex(float(real), float(imag))
+        assert len(lines) == np.count_nonzero(h)
+        assert np.array_equal(dumped, h)
+
     def test_generate_space_dump(self, tmp_path):
         config = resolve("kind=generate-space\n", out=str(tmp_path / "o"))
         run(config)
@@ -356,6 +393,14 @@ class TestMain:
         assert main(["validate", path, "--override", "zeta=0.25g"]) == 0
         assert "zeta=2500000.0" in capsys.readouterr().out
 
+    def test_unknown_override_key_names_the_override(self, tmp_path,
+                                                     capsys):
+        path = write_config(tmp_path, "kind=evolve-closed\n")
+        assert main(["validate", path, "--override", "bogus=1"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'bogus' (--override)" in err
+        assert "line" not in err
+
     def test_dump_space(self, tmp_path, capsys):
         path = write_config(tmp_path, "kind=generate-space\n")
         assert main(["dump-space", path]) == 0
@@ -389,6 +434,18 @@ class TestMain:
                      "--override", override])
         assert code == 2
         assert override.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["dt=1e-10\n", "t_end=1e-7\n",
+                                      "record_stride=50\n",
+                                      "discord_stride=50\n",
+                                      "envelope_window=7\n",
+                                      "renormalize_trace=true\n"])
+    def test_period_law_refuses_the_keys_it_cannot_honour(self, tmp_path,
+                                                          capsys, text):
+        # every sweep point runs on the default grid of its own model
+        path = write_config(tmp_path, "kind=period-law\n" + text)
+        assert main(["validate", path]) == 2
+        assert text.split("=")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_period_law_without_g_up_exits_as_config_error(

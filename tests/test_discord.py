@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 
 import numpy as np
@@ -6,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h2discord.discord import A_LABEL_SPACE, PURE_TOL, DiscordPoint, \
-    MeasurementConfig, SearchConfig, classical_correlation, discord, \
-    is_pure, measured_conditional_entropy, mutual_information, \
-    partial_trace_A, partial_trace_B, projector_set, von_neumann_entropy
+    MeasurementConfig, SearchConfig, discord, is_pure, \
+    measured_conditional_entropy, partial_trace_A, partial_trace_B, \
+    projector_set, von_neumann_entropy
 from h2discord.dynamics import DensityMatrix, initial_state
 from h2discord.errors import AngleOutOfRange, NotDensityMatrix
 from h2discord.operators import ModelParams
@@ -129,19 +128,25 @@ def bell_state():
     return DensityMatrix(np.outer(v, v.conj()), FULL)
 
 
+def mutual_info(rho):
+    """I of discord()'s record, which no search setting changes."""
+    return discord(rho, SearchConfig(theta_points=3, refine=False)) \
+        .mutual_info
+
+
 class TestMutualInformation:
     def test_product_state(self):
         rho, _, _ = product_state()
-        assert mutual_information(rho) == pytest.approx(0.0, abs=1e-9)
+        assert mutual_info(rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_pure_state_doubles_marginal_entropy(self):
         rng = np.random.default_rng(5)
         rho = DensityMatrix(random_pure(rng, 128), FULL)
         s_a = von_neumann_entropy(partial_trace_B(rho).mat)
-        assert mutual_information(rho) == pytest.approx(2 * s_a, abs=1e-8)
+        assert mutual_info(rho) == pytest.approx(2 * s_a, abs=1e-8)
 
     def test_classical_correlated(self):
-        assert mutual_information(classical_correlated_state()) == \
+        assert mutual_info(classical_correlated_state()) == \
             pytest.approx(LN2, abs=1e-12)
 
 
@@ -248,31 +253,32 @@ class TestMeasuredConditionalEntropy:
 class TestClassicalCorrelation:
     def test_product_state(self):
         rho, _, _ = product_state()
-        j, _ = classical_correlation(rho, SearchConfig(
-            theta_points=5, phi_points=5, zero_phases=False))
+        j = discord(rho, SearchConfig(
+            theta_points=5, phi_points=5, zero_phases=False)).classical_corr
         assert abs(j) <= 1e-9
 
     def test_pure_state(self):
         rng = np.random.default_rng(8)
         rho = DensityMatrix(random_pure(rng, 128), FULL)
         s_b = von_neumann_entropy(partial_trace_A(rho).mat, trace_tol=1e-6)
-        j, _ = classical_correlation(rho, SearchConfig(
-            theta_points=3, phi_points=3, zero_phases=False))
+        j = discord(rho, SearchConfig(
+            theta_points=3, phi_points=3, zero_phases=False)).classical_corr
         assert j == pytest.approx(s_b, abs=1e-9)
 
     def test_bell_pair(self):
-        j, cfg = classical_correlation(
-            bell_state(), SearchConfig(theta_points=9, zero_phases=True))
-        assert j == pytest.approx(LN2, abs=1e-9)
+        point = discord(bell_state(),
+                        SearchConfig(theta_points=9, zero_phases=True))
+        assert point.classical_corr == pytest.approx(LN2, abs=1e-9)
 
     def test_argmin_reproduces_value(self):
         rng = np.random.default_rng(9)
         rho = DensityMatrix(random_density(rng, 26), table_space())
         search = SearchConfig(theta_points=9, zero_phases=True)
-        j, cfg = classical_correlation(rho, search)
-        value, _, _ = measured_conditional_entropy(rho, projector_set(cfg))
+        point = discord(rho, search)
+        value, _, _ = measured_conditional_entropy(
+            rho, projector_set(point.argmin_config))
         s_b = von_neumann_entropy(partial_trace_A(rho).mat)
-        assert s_b - value == pytest.approx(j, abs=1e-9)
+        assert s_b - value == pytest.approx(point.classical_corr, abs=1e-9)
 
 
 def werner_state(q=0.7):
@@ -365,12 +371,6 @@ class TestDiscord:
         assert len(row) == len(DiscordPoint.CSV_HEADER.split(","))
         assert float(row[0]) == 1.5
 
-    def test_bits_conversion(self):
-        point = discord(bell_state(), SearchConfig(theta_points=3,
-                                                   zero_phases=True))
-        bits = point.as_bits()
-        assert bits.s_a == pytest.approx(point.s_a / LN2)
-
 
 class TestFreeRotationInvariance:
     def test_discord_unchanged_by_resonant_free_terms(self):
@@ -411,7 +411,7 @@ class TestSearchBounds:
                 rng.uniform(0, np.pi / 2), rng.uniform(0, np.pi / 2)))
             value, _, _ = measured_conditional_entropy(rho, pset)
             assert value >= 0.0
-            j, _ = classical_correlation(rho, search)
+            j = discord(rho, search).classical_corr
             s_b = von_neumann_entropy(partial_trace_A(rho).mat)
             assert j <= s_b + 1e-9
             assert j >= -1e-12
@@ -463,15 +463,13 @@ class TestPureClosedForm:
             rho = DensityMatrix(random_pure(rng, space.size), space)
             assert is_pure(rho)
             point = discord(rho, search)
-            j, cfg = classical_correlation(rho, search)
             assert search_calls == []
             value, want_cfg, want_probs, _ = SEARCH_MINIMUM(
                 discord_module._embedded(rho), search)
             want_j = point.s_b - value
             assert abs(point.classical_corr - want_j) <= 1e-9
             assert abs(point.discord - (point.mutual_info - want_j)) <= 1e-9
-            assert abs(j - want_j) <= 1e-9
-            assert point.argmin_config == cfg == want_cfg
+            assert point.argmin_config == want_cfg
             assert np.array_equal(point.outcome_probs, want_probs)
             assert point.pure
             point.check()
@@ -485,8 +483,7 @@ class TestPureClosedForm:
         assert discord(below, search).pure
         assert search_calls == []
         point = discord(above, search)
-        classical_correlation(above, search)
-        assert len(search_calls) == 2
+        assert len(search_calls) == 1
         assert not point.pure
 
 

@@ -4,8 +4,7 @@ from hypothesis import given, strategies as st
 from h2discord.errors import EmptySeeds, SeedOutsideCompatTable
 from h2discord.operators import ModelParams
 from h2discord.statespace import BasisState, GatingPolicy, INITIAL_COMPONENTS, \
-    TABLE_STATES, decode, encode, full_space, generate_space, split_labels, \
-    table_space
+    TABLE_STATES, full_space, generate_space, table_space
 
 PARAMS = ModelParams()
 
@@ -24,53 +23,46 @@ def state(bits):
     return BasisState.from_string(bits)
 
 
+
 class TestEncoding:
     def test_all_zero(self):
-        assert encode(state("0000000")) == 0
+        assert state("0000000").encode() == 0
 
     def test_broken_bond_state(self):
-        assert encode(state("0000010")) == 2
+        assert state("0000010").encode() == 2
 
     def test_positional_weights(self):
-        assert encode(state("1110000")) == 112
+        assert state("1110000").encode() == 112
 
     def test_decode_inverse_examples(self):
-        assert decode(2) == state("0000010")
-        assert decode(127) == state("1111111")
+        assert BasisState.decode(2) == state("0000010")
+        assert BasisState.decode(127) == state("1111111")
 
     @given(st.integers(min_value=0, max_value=127))
     def test_roundtrip(self, code):
-        assert encode(decode(code)) == code
+        assert BasisState.decode(code).encode() == code
 
     def test_roundtrip_state_side(self):
         for code in range(128):
-            s = decode(code)
-            assert decode(encode(s)) == s
+            s = BasisState.decode(code)
+            assert BasisState.decode(s.encode()) == s
 
     def test_decode_range(self):
         with pytest.raises(ValueError):
-            decode(128)
+            BasisState.decode(128)
 
 
-class TestSplitLabels:
+class TestMatterLabels:
     def test_photon_state(self):
-        a, b = split_labels(state("0100000"))
-        assert a == (0, 1)
-        assert b == (0, 0, 0, 0, 0)
-
-    def test_all_zero(self):
-        assert split_labels(state("0000000")) == ((0, 0), (0, 0, 0, 0, 0))
+        assert state("0100000").b_label() == (0, 0, 0, 0, 0)
 
     def test_mixed_state(self):
-        a, b = split_labels(state("1010100"))
-        assert a == (1, 0)
-        assert b == (1, 0, 1, 0, 0)
+        assert state("1010100").b_label() == (1, 0, 1, 0, 0)
 
     def test_lossless(self):
         for code in range(128):
-            s = decode(code)
-            a, b = split_labels(s)
-            assert BasisState(*a, *b) == s
+            s = BasisState.decode(code)
+            assert BasisState(s.p1, s.p2, *s.b_label()) == s
 
 
 class TestFullSpace:
@@ -85,7 +77,7 @@ class TestFullSpace:
 
     def test_canonical_order(self):
         sp = full_space()
-        codes = [encode(s) for s in sp]
+        codes = [s.encode() for s in sp]
         assert codes == sorted(codes)
 
 
@@ -148,8 +140,8 @@ class TestGenerateSpace:
            st.lists(st.integers(min_value=0, max_value=127), min_size=0,
                     max_size=4))
     def test_monotone_in_seeds(self, first, extra):
-        seeds1 = [decode(c) for c in first]
-        seeds2 = seeds1 + [decode(c) for c in extra]
+        seeds1 = [BasisState.decode(c) for c in first]
+        seeds2 = seeds1 + [BasisState.decode(c) for c in extra]
         small = set(generate_space(seeds1, PARAMS, mode="closure"))
         large = set(generate_space(seeds2, PARAMS, mode="closure"))
         assert small <= large
