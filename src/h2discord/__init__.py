@@ -6,7 +6,7 @@ from .analysis import FitResult, PeriodLawResult, envelope, fit_sinusoid, \
     period_law, population, run_discord_series, state_population
 from .discord import DiscordPoint, MeasurementConfig, ProjectorSet, \
     SearchConfig, discord, discord_series, measured_conditional_entropy, \
-    partial_trace_A, partial_trace_B, projector_set, von_neumann_entropy
+    partial_trace_A, partial_trace_B, projector_set
 from .dynamics import DensityMatrix, SimConfig, Trajectory, evolve, \
     initial_state, make_propagator
 from .operators import JumpChannel, ModelParams, OperatorMatrix, \

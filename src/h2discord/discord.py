@@ -111,15 +111,12 @@ def _marginals(rho4: np.ndarray):
     return np.einsum("abcb->ac", rho4), np.einsum("abad->bd", rho4)
 
 
-def _entropy_from_eigs(w: np.ndarray) -> float:
+def _entropy_psd(mat: np.ndarray) -> float:
+    w = np.linalg.eigvalsh(mat)
     w = w[w > EPS_EIGENVALUE]
     if w.size == 0:
         return 0.0
     return max(0.0, float(-(w * np.log(w)).sum()))
-
-
-def _entropy_psd(mat: np.ndarray) -> float:
-    return _entropy_from_eigs(np.linalg.eigvalsh(mat))
 
 
 def partial_trace_B(rho: DensityMatrix) -> DensityMatrix:
@@ -131,21 +128,6 @@ def partial_trace_A(rho: DensityMatrix) -> DensityMatrix:
     """Trace out the photon pair; indexed by the B-labels present."""
     return DensityMatrix(_marginals(_embedded(rho))[1],
                          _b_label_space(rho.space))
-
-
-def von_neumann_entropy(rho, trace_tol: float = 1e-6,
-                        eig_floor: float = -1e-6) -> float:
-    """Entropy -tr(rho ln rho) in nats; clamped at zero from below."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.conj().T).max() > 1e-9 * scale:
-        raise NotDensityMatrix("matrix is not Hermitian")
-    w = np.linalg.eigvalsh(mat)
-    if abs(w.sum() - 1.0) > trace_tol:
-        raise NotDensityMatrix(f"trace deviates by {w.sum() - 1.0:g}")
-    if w[0] < eig_floor:
-        raise NotDensityMatrix(f"negative eigenvalue {w[0]:g}")
-    return _entropy_from_eigs(w)
 
 
 _ANGLE_BOUNDS = {"theta": (0.0, np.pi / 2), "theta_prime": (0.0, np.pi / 2),

@@ -1,13 +1,12 @@
 """Density-matrix evolution with exact propagators between records.
 
 Closed runs hop with the spectral propagator exp(-i H tau / hbar), from
-numpy's eigh alone; open runs apply the exact Lindblad solution
-exp(L tau) to row-major vec(rho), with a sparse L and scipy's
+numpy's eigh; open runs apply the Lindblad solution exp(L tau) to rho
+as a matrix by a truncated Taylor series, the algorithm of
 expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)):
-one interval-mode call covers the equal record intervals and a second
-the final short one, so dt only sets the record grid.  scipy is imported
-where an open run first builds its Liouvillian, so importing the package,
-validating a config and every closed run load numpy only.
+a hop takes ceil(||L||_1 tau / TAYLOR_THETA) substeps, and each substep
+adds terms until two in a row fall below 2^-53 of the sum.  dt only
+sets the record grid.  Both kinds of run need numpy alone.
 """
 
 import math
@@ -19,6 +18,11 @@ from .errors import NotHermitian, PositivityLost, SpaceMismatch, \
     StateMissing
 from .operators import OperatorMatrix
 from .statespace import INITIAL_COMPONENTS, StateSpace
+
+# largest ||L||_1 tau of one Taylor substep of an open-run hop
+TAYLOR_THETA = 4.0
+# a substep's series stops by then at the latest; 4^56 / 56! < 1e-40
+_MAX_TERMS = 55
 
 
 @dataclass
@@ -104,26 +108,66 @@ def make_propagator(H: OperatorMatrix, dt: float,
     return OperatorMatrix(u, H.space)
 
 
-def _lindblad_terms(channels):
-    terms = []
+def _lindblad_propagator(h, channels, hbar):
+    """(rho, tau) -> exp(L tau) rho for the Lindblad generator
+    L(T) = K T + (K T)^dagger + sum_c rate_c a_c T a_c^dagger, with
+    K = -i H / hbar - sum_c rate_c a_c^dagger a_c / 2, by the truncated
+    Taylor series of expm_multiply (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011)) applied to rho as a matrix.
+
+    L maps Hermitian matrices to Hermitian ones, so one matmul gives
+    both K T and T K^dagger, and every term is exactly Hermitian.  Each
+    a_c is a 0/1 partial permutation, so the jump sum is one gather of
+    the entries of T and one bincount over complex entries read as float
+    pairs (real part at 2k, imaginary part at 2k + 1).
+    """
+    dim = h.shape[0]
+    k = (-1j / hbar) * h
+    src, dst, rates = [], [], []
     for ch in channels:
         a = ch.op.mat
-        terms.append((ch.rate, a, a.conj().T, a.conj().T @ a))
-    return terms
+        rows, cols = np.nonzero(a)
+        if len(set(rows)) < len(rows) or len(set(cols)) < len(cols) \
+                or np.any(a[rows, cols] != 1):
+            raise ValueError(f"{ch.mode_label} jump operator is not a 0/1 "
+                             "partial permutation")
+        k[cols, cols] -= 0.5 * ch.rate
+        # (a T a^dagger)[r, r'] = T[c, c'] for entries a[r, c], a[r', c']
+        src.append((cols[:, None] * dim + cols).ravel())
+        dst.append((rows[:, None] * dim + rows).ravel())
+        rates.append(np.full(len(rows) ** 2, ch.rate))
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    src = np.stack([2 * src, 2 * src + 1], axis=1).ravel()
+    dst = np.stack([2 * dst, 2 * dst + 1], axis=1).ravel()
+    rates = np.repeat(np.concatenate(rates), 2)
+    # ||L||_1 on vec(rho) <= 2 ||K||_1 + sum_c rate_c ||a_c||_1^2, and
+    # ||a_c||_1 = 1
+    norm = 2 * float(np.abs(k).sum(axis=0).max()) \
+        + sum(ch.rate for ch in channels)
 
+    def generator(term):
+        kt = k @ term
+        jumps = np.bincount(dst, rates * term.reshape(-1).view(float)[src],
+                            minlength=2 * dim * dim)
+        return kt + kt.conj().T + jumps.view(complex).reshape(dim, dim)
 
-def _liouvillian(h, terms, hbar):
-    """Sparse Lindblad generator on row-major vec(rho), by
-    vec(A rho B) = (A kron B^T) vec(rho)."""
-    from scipy import sparse
+    def propagate(rho, tau):
+        # the Hermitian part of rho is what record() keeps of the image of
+        # rho, since L commutes with the adjoint
+        out = 0.5 * (rho + rho.conj().T)
+        substeps = max(1, math.ceil(norm * tau / TAYLOR_THETA))
+        for _ in range(substeps):
+            term, previous = out, float(np.abs(out).max())
+            for j in range(1, _MAX_TERMS + 1):
+                term = generator(term) * (tau / (substeps * j))
+                size = float(np.abs(term).max())
+                out += term
+                if previous + size <= 2.0 ** -53 * np.abs(out).max():
+                    break
+                previous = size
+        return out
 
-    kron = sparse.kron
-    eye = sparse.identity(h.shape[0], format="csr")
-    gen = (-1j / hbar) * (kron(h, eye) - kron(eye, h.T))
-    for rate, a, adag, adag_a in terms:
-        gen = gen + rate * (kron(a, adag.T) - 0.5 * kron(adag_a, eye)
-                            - 0.5 * kron(eye, adag_a.T))
-    return gen.tocsr()
+    return propagate
 
 
 def _record_points(n_steps, stride):
@@ -139,9 +183,7 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
     """Propagate rho0 and record every record_stride steps plus the endpoint.
 
     Each record interval is one exact hop: a cached spectral propagator
-    for closed runs; for open runs, one interval-mode expm_multiply of
-    the Liouvillian over the equal intervals and one more for a final
-    short interval.
+    for closed runs, the Taylor series of exp(L tau) for open runs.
     Each record is symmetrised, optionally renormalised and checked for
     positivity; the trajectory keeps the worst margins.
     """
@@ -151,9 +193,7 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
         if ch.op.space is not rho0.space:
             raise SpaceMismatch("channel bound to a different space")
 
-    terms = _lindblad_terms(channels)
     n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
-    dim = rho0.space.size
 
     rho = rho0.mat.astype(complex).copy()
     times = [0.0]
@@ -177,30 +217,11 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
         snapshots.append(rho.copy())
         return rho
 
-    points = _record_points(n_steps, cfg.record_stride)
-    previous = 0
-    if terms:
-        from scipy.sparse.linalg import expm_multiply
-
-        gen = _liouvillian(_hermitian(H.mat), terms, hbar)
+    if channels:
+        propagate = _lindblad_propagator(_hermitian(H.mat), channels, hbar)
 
         def hop(rho, steps):
-            vec = expm_multiply(gen * (steps * cfg.dt), rho.reshape(-1))
-            return vec.reshape(dim, dim)
-
-        # the equal hops in one interval-mode call, exp(k L tau) rho0 for
-        # k = 0..equal; renormalising each record by its own trace equals
-        # renormalising hop by hop, since the evolution is linear
-        stride = cfg.record_stride
-        equal = n_steps // stride
-        if equal:
-            vecs = expm_multiply(gen * (stride * cfg.dt), rho.reshape(-1),
-                                 start=0, stop=equal, num=equal + 1,
-                                 endpoint=True)
-            for k in range(1, equal + 1):
-                rho = record(k * stride, vecs[k].reshape(dim, dim))
-            previous = equal * stride
-            points = points[equal:]
+            return propagate(rho, steps * cfg.dt)
     else:
         unitaries = {}
 
@@ -211,7 +232,8 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
             u = unitaries[steps]
             return u @ rho @ u.conj().T
 
-    for step in points:
+    previous = 0
+    for step in _record_points(n_steps, cfg.record_stride):
         rho = record(step, hop(rho, step - previous))
         previous = step
     return Trajectory(np.array(times), snapshots, rho0.space,

@@ -1,13 +1,16 @@
 """Run every reproduction config and compare the artifacts with a reference.
 
-    PYTHONPATH=src python tests/compare_runs.py OUT [--against REF]
+    PYTHONPATH=src python tests/compare_runs.py OUT [--against REF [--atol X]]
 
 Each ``configs/*.cfg`` runs through ``h2discord run`` into
 ``OUT/<name>``, in this process; the script prints each config's
 ``wall_time_s`` from its ``run-metadata.txt``, and their total.  With
 ``--against``, every artifact of ``OUT/<name>`` is compared byte for
 byte with ``REF/<name>``; the ``wall_time_s`` line of
-``run-metadata.txt`` is ignored.  The script prints each artifact that
+``run-metadata.txt`` is ignored.  With ``--atol X`` as well, a CSV
+matches when its shape and non-numeric cells are equal and every
+numeric cell is within X, and the script prints the largest |delta| of
+each CSV that is not byte-identical.  It prints each artifact that
 differs or is present on one side only, and exits 1 on any difference.
 pytest does not collect it; the configs' ``wall_time_s`` sum to about
 20 s on a 2-core host.
@@ -16,6 +19,7 @@ pytest does not collect it; the configs' ``wall_time_s`` sum to about
 import argparse
 import contextlib
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -40,20 +44,56 @@ def wall_time(run_dir: Path) -> float:
     raise ValueError(f"{run_dir} records no wall_time_s")
 
 
-def differences(out: Path, ref: Path) -> list:
-    """Artifact paths, relative to `out`, that differ from `ref`'s."""
+def csv_deviation(a: bytes, b: bytes) -> float:
+    """Largest |delta| over the numeric cells of two CSVs; inf when their
+    shapes or their other cells differ."""
+    rows_a = [line.split(",") for line in a.decode().splitlines()]
+    rows_b = [line.split(",") for line in b.decode().splitlines()]
+    if [len(row) for row in rows_a] != [len(row) for row in rows_b]:
+        return math.inf
+    worst = 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        for x, y in zip(row_a, row_b):
+            if x == y:
+                continue
+            try:
+                delta = abs(float(x) - float(y))
+            except ValueError:
+                return math.inf
+            if math.isnan(delta):
+                return math.inf
+            worst = max(worst, delta)
+    return worst
+
+
+def differences(out: Path, ref: Path, atol=None) -> tuple:
+    """Artifact paths, relative to `out`, that differ from `ref`'s, and
+    with `atol` the largest |delta| of each CSV that is not byte for byte
+    equal, by path."""
     names = {p.relative_to(out) for p in out.rglob("*") if p.is_file()}
     names |= {p.relative_to(ref) for p in ref.rglob("*") if p.is_file()}
-    return sorted(
-        str(name) for name in names
-        if not ((out / name).is_file() and (ref / name).is_file())
-        or _content(out / name) != _content(ref / name))
+    diffs, deviations = [], {}
+    for name in sorted(names):
+        if not ((out / name).is_file() and (ref / name).is_file()):
+            diffs.append(str(name))
+            continue
+        ours, theirs = _content(out / name), _content(ref / name)
+        if ours == theirs:
+            continue
+        if atol is not None and name.suffix == ".csv":
+            deviations[str(name)] = csv_deviation(ours, theirs)
+            if deviations[str(name)] <= atol:
+                continue
+        diffs.append(str(name))
+    return diffs, deviations
 
 
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path)
     parser.add_argument("--against", type=Path, metavar="REF")
+    parser.add_argument("--atol", type=float, metavar="X",
+                        help="compare CSV numbers within X")
     args = parser.parse_args(argv)
     configs = sorted((ROOT / "configs").glob("*.cfg"))
     total = 0.0
@@ -70,7 +110,9 @@ def main(argv) -> int:
     print(f"total      wall_time_s={total:.3f}")
     if args.against is None:
         return 0
-    diffs = differences(args.out, args.against)
+    diffs, deviations = differences(args.out, args.against, args.atol)
+    for name, delta in deviations.items():
+        print(f"max|delta| {delta:.2e}: {name}")
     for name in diffs:
         print(f"differs: {name}")
     print(f"{len(diffs)} differing artifacts over {len(configs)} configs")

@@ -5,10 +5,14 @@ cannot share a bug with the library paths it checks.
 """
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import minimize_scalar
 
 from h2discord.analysis import FitResult
-from h2discord.discord import TIE_TOL, _ANGLE_BOUNDS, _free_axes
+from h2discord.discord import EPS_EIGENVALUE, TIE_TOL, _ANGLE_BOUNDS, \
+    _free_axes
+from h2discord.dynamics import DensityMatrix
+from h2discord.errors import NotDensityMatrix
 from h2discord.statespace import BasisState
 
 
@@ -54,6 +58,36 @@ def dissipator(rho_mat, channels):
         out += ch.rate * (a @ rho_mat @ a.conj().T
                           - 0.5 * (number @ rho_mat + rho_mat @ number))
     return out
+
+
+def liouvillian(h, channels, hbar=1.0):
+    """Sparse Lindblad generator on row-major vec(rho), by
+    vec(A rho B) = (A kron B^T) vec(rho)."""
+    kron = sparse.kron
+    eye = sparse.identity(h.shape[0], format="csr")
+    gen = (-1j / hbar) * (kron(h, eye) - kron(eye, h.T))
+    for ch in channels:
+        a = ch.op.mat
+        number = a.conj().T @ a
+        gen = gen + ch.rate * (kron(a, a.conj()) - 0.5 * kron(number, eye)
+                               - 0.5 * kron(eye, number.T))
+    return gen.tocsr()
+
+
+def von_neumann_entropy(rho, trace_tol=1e-6, eig_floor=-1e-6):
+    """Entropy -tr(rho ln rho) in nats of a checked density matrix;
+    clamped at zero from below."""
+    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    scale = max(1.0, float(np.abs(mat).max()))
+    if np.abs(mat - mat.conj().T).max() > 1e-9 * scale:
+        raise NotDensityMatrix("matrix is not Hermitian")
+    w = np.linalg.eigvalsh(mat)
+    if abs(w.sum() - 1.0) > trace_tol:
+        raise NotDensityMatrix(f"trace deviates by {w.sum() - 1.0:g}")
+    if w[0] < eig_floor:
+        raise NotDensityMatrix(f"negative eigenvalue {w[0]:g}")
+    w = w[w > EPS_EIGENVALUE]
+    return max(0.0, float(-(w * np.log(w)).sum()))
 
 
 def total_excitations(space):

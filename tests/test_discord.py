@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from h2discord.discord import A_LABEL_SPACE, PURE_TOL, DiscordPoint, \
     MeasurementConfig, SearchConfig, discord, is_pure, \
     measured_conditional_entropy, partial_trace_A, partial_trace_B, \
-    projector_set, von_neumann_entropy
+    projector_set
 from h2discord.dynamics import DensityMatrix, initial_state
 from h2discord.errors import AngleOutOfRange, NotDensityMatrix
 from h2discord.operators import ModelParams
@@ -16,7 +16,8 @@ from h2discord.statespace import INITIAL_COMPONENTS, BasisState, \
 
 from oracles import brute_force_trace_A, brute_force_trace_B, \
     full_grid_minimum, random_density, random_pure, \
-    reference_conditional_entropies, reference_search_minimum, resolve_free
+    reference_conditional_entropies, reference_search_minimum, \
+    resolve_free, von_neumann_entropy
 
 FULL = full_space()
 LN2 = np.log(2.0)

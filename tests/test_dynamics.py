@@ -5,16 +5,16 @@ import pytest
 import scipy.linalg
 from scipy.sparse.linalg import expm_multiply
 
-from h2discord.dynamics import DensityMatrix, SimConfig, _lindblad_terms, \
-    _liouvillian, _record_points, evolve, initial_state, make_propagator
+from h2discord.dynamics import TAYLOR_THETA, DensityMatrix, SimConfig, \
+    _record_points, evolve, initial_state, make_propagator
 from h2discord.errors import NotHermitian, PositivityLost, SpaceMismatch, \
     StateMissing
 from h2discord.discord import partial_trace_B
-from h2discord.operators import ModelParams, OperatorMatrix, \
+from h2discord.operators import JumpChannel, ModelParams, OperatorMatrix, \
     build_hamiltonian, build_jump_channels
 from h2discord.statespace import BasisState, generate_space, table_space
 
-from oracles import dissipator
+from oracles import dissipator, liouvillian, random_density
 
 PARAMS = ModelParams()
 G = PARAMS.g_up
@@ -270,14 +270,7 @@ class TestExactPropagator:
         h = build_hamiltonian(params, sp)
         channels = build_jump_channels(params, sp)
         n = sp.size
-        eye = np.eye(n)
-        gen = -1j * (np.kron(h.mat, eye) - np.kron(eye, h.mat.T))
-        for ch in channels:
-            a = ch.op.mat
-            number = a.conj().T @ a
-            gen += ch.rate * (np.kron(a, a.conj())
-                              - 0.5 * np.kron(number, eye)
-                              - 0.5 * np.kron(eye, number.T))
+        gen = liouvillian(h.mat, channels).toarray()
         # the dense generator is the Lindblad equation on row-major vec
         rng = np.random.default_rng(5)
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -299,8 +292,8 @@ class TestExactPropagator:
 
     @pytest.mark.parametrize("renormalize", [False, True])
     def test_interval_call_matches_hop_per_record(self, renormalize):
-        # 650 steps at stride 100: six equal intervals, then a short one;
-        # a trace of 1.1 gives the renormalisation something to remove
+        # 650 steps at stride 100: six equal hops, then a short one; a
+        # trace of 1.1 gives the renormalisation something to remove
         sp = table_space()
         params = open_params(0.5 * G, G)
         h = build_hamiltonian(params, sp)
@@ -309,7 +302,7 @@ class TestExactPropagator:
         cfg = SimConfig(dt=1e-10, t_end=6.5e-8, record_stride=100,
                         renormalize_trace=renormalize)
         traj = evolve(rho0, h, channels, cfg)
-        gen = _liouvillian(h.mat, _lindblad_terms(channels), 1.0)
+        gen = liouvillian(h.mat, channels)
         rho, previous = rho0.mat, 0
         assert len(traj) == 8
         for step, snap in zip(_record_points(650, 100), traj.snapshots[1:]):
@@ -320,6 +313,59 @@ class TestExactPropagator:
                 rho = rho / rho.trace().real
             previous = step
             assert np.abs(snap - rho).max() <= 1e-12
+
+    def test_substeps_match_dense_expm(self):
+        # free frequencies of 10g (no interaction picture) make
+        # ||L||_1 tau far above TAYLOR_THETA, so every hop takes substeps;
+        # a random state has coherences between every pair of excitation
+        # numbers, which those frequencies rotate fastest
+        sp = table_space()
+        params = dataclasses.replace(PARAMS, gamma_up=0.5 * G, gamma_down=G,
+                                     gamma_phn=0.3 * G, influx_up=0.2 * G,
+                                     influx_phn=0.1 * G)
+        assert params.freq_pht_up == params.freq_phn == 10 * G
+        h = build_hamiltonian(params, sp)
+        channels = build_jump_channels(params, sp)
+        gen = liouvillian(h.mat, channels).toarray()
+        tau = 4e-7
+        assert np.abs(gen).sum(axis=0).max() * tau > 25 * TAYLOR_THETA
+        hop = scipy.linalg.expm(gen * tau)
+        rho0 = DensityMatrix(random_density(np.random.default_rng(7),
+                                            sp.size), sp)
+        traj = evolve(rho0, h, channels,
+                      SimConfig(dt=1e-10, t_end=1.2e-6, record_stride=4000))
+        vec = rho0.mat.reshape(-1)
+        assert len(traj) == 4
+        for snap in traj.snapshots[1:]:
+            vec = hop @ vec
+            assert np.abs(snap - vec.reshape(sp.size, sp.size)).max() \
+                <= 1e-12
+
+    def test_vacuum_without_influx_stays_fixed(self):
+        # the vacuum has nothing to lose and no coherent move, so L leaves
+        # it alone
+        sp = table_space()
+        params = dataclasses.replace(PARAMS, gamma_up=G, gamma_down=G,
+                                     gamma_phn=G)
+        vacuum = np.eye(sp.size)[sp.index_of(BasisState.from_string(
+            "0000000"))]
+        rho0 = DensityMatrix.from_pure(vacuum, sp)
+        traj = evolve(rho0, build_hamiltonian(params, sp),
+                      build_jump_channels(params, sp),
+                      SimConfig(dt=1e-10, t_end=1e-6, record_stride=1000))
+        for snap in traj.snapshots:
+            assert np.abs(snap - rho0.mat).max() <= 1e-15
+
+    def test_rejects_jumps_that_are_not_partial_permutations(self):
+        space, params = damped_mode_space()
+        h = build_hamiltonian(params, space)
+        (channel,) = build_jump_channels(params, space)
+        doubled = JumpChannel(OperatorMatrix(2 * channel.op.mat, space),
+                              channel.rate, channel.kind, channel.mode_label)
+        excited = space.index_of(BasisState.from_string("1000000"))
+        rho0 = DensityMatrix.from_pure(np.eye(2)[excited], space)
+        with pytest.raises(ValueError, match="partial permutation"):
+            evolve(rho0, h, [doubled], SimConfig(dt=1e-10, t_end=1e-9))
 
     def test_trajectory_keeps_guard_margins(self):
         sp = table_space()
@@ -333,8 +379,9 @@ class TestExactPropagator:
         assert traj.min_eigenvalue_t == traj.times[1 + int(np.argmin(lows))]
         assert traj.max_trace_drift == max(drifts)
         assert -1e-12 <= traj.min_eigenvalue and traj.max_trace_drift < 1e-12
-        # the margin before symmetrisation; the records are symmetrised
-        assert 0 <= traj.max_hermiticity_error < 1e-12
+        # the margin before symmetrisation: every Taylor term of an open
+        # hop is exactly Hermitian; the records are symmetrised
+        assert traj.max_hermiticity_error == 0.0
         assert all(np.array_equal(snap, snap.conj().T)
                    for snap in traj.snapshots[1:])
 
