@@ -2,10 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .analysis import FitResult, PeriodLawResult, envelope, fit_sinusoid, \
-    period_law, population, run_discord_series, state_population
-from .discord import DiscordPoint, MeasurementConfig, ProjectorSet, \
-    SearchConfig, discord, discord_series, measured_conditional_entropy, \
+from .analysis import FitResult, envelope, fit_law, fit_sinusoid, \
+    population, run_discord_series, state_population
+from .discord import DiscordPoint, MeasurementConfig, SearchConfig, \
+    discord, discord_series, measured_conditional_entropy, \
     partial_trace_A, partial_trace_B, projector_set
 from .dynamics import DensityMatrix, SimConfig, Trajectory, evolve, \
     initial_state, make_propagator

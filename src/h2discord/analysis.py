@@ -1,9 +1,9 @@
 """Observables, the standard run and its default record grid, sinusoid and
-period fits, and the period-versus-coupling law."""
+period fits, and the fit of the period-versus-coupling law."""
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -244,70 +244,11 @@ def run_discord_series(params: ModelParams, sim: SimConfig,
     return traj, points
 
 
-@dataclass
-class PeriodLawResult:
-    samples: list           # (g_omega / g, fitted period) pairs
-    constant_c: float       # seconds, in the model T = c / (g_omega / g)
-    fit_residual: float
-    fits: list
-    used_envelope: bool
-
-
-def law_params(base_params: ModelParams, zeta: float,
-               x: float) -> ModelParams:
-    """The closed model of one period-law point: g_omega = x g_up, the
-    given zeta, every loss and influx rate zero."""
-    return replace(base_params, zeta=zeta, g_bond=x * base_params.g_up,
-                   gamma_up=0.0, gamma_down=0.0, gamma_phn=0.0,
-                   influx_up=0.0, influx_down=0.0, influx_phn=0.0)
-
-
-def period_law(g_omega_values, zeta: float, base_params: ModelParams,
-               search: Optional[SearchConfig] = None,
-               gating: Optional[GatingPolicy] = None,
-               on_point: Optional[Callable] = None,
-               periods_factor: float = 1.45,
-               space_of: Optional[Callable] = None) -> PeriodLawResult:
-    """Fit T = c / (g_omega / g) over a closed-system coupling sweep.
-
-    Each sweep point evolves the closed model (`law_params`) on the space
-    `space_of(params)` (the 26-state table when space_of is None),
-    computes the discord series, and fits the slow oscillation period:
-    directly for zeta=0, through the fast-carrier envelope otherwise.
-    Each point runs on the default record grid of its model, with a
-    horizon of periods_factor expected periods.  Closed runs stay pure,
-    so `search` is only used on a snapshot that is not.
-    """
-    values = sorted(float(x) for x in g_omega_values)
-    if not values or min(values) <= 0 or max(values) > 1:
-        raise ValueError("coupling values must lie in (0, 1] in units of g")
-    g_ref = base_params.g_up
-    if g_ref <= 0:
-        raise ValueError("period_law measures g_omega in units of g_up, "
-                         "which must be positive")
-
-    samples = []
-    fits = []
-    for x in values:
-        params = law_params(base_params, zeta, x)
-        dt = default_dt(params)
-        sim = SimConfig(dt=dt, t_end=periods_factor * 2 * np.pi / (x * g_ref),
-                        record_stride=default_record_stride(params, dt))
-        space = space_of(params) if space_of is not None else None
-        traj, points = run_discord_series(params, sim, space=space,
-                                          gating=gating, search=search)
-        fit, _ = fit_period([p.t for p in points],
-                            [p.discord for p in points], zeta, g_ref)
-        if on_point is not None:
-            on_point(x=x, params=params, trajectory=traj, points=points,
-                     fit=fit)
-        samples.append((x, fit.period))
-        fits.append(fit)
-
+def fit_law(samples) -> tuple:
+    """Least-squares c of T = c / x over (x, period) samples, with the
+    RMS residual of the periods; x is g_omega in units of g_up."""
     xs = np.array([x for x, _ in samples])
     periods = np.array([p for _, p in samples])
     constant = float((periods / xs).sum() / (1.0 / xs**2).sum())
     residual = float(np.sqrt(np.mean((periods - constant / xs) ** 2)))
-    return PeriodLawResult(samples=samples, constant_c=constant,
-                           fit_residual=residual, fits=fits,
-                           used_envelope=zeta > 0)
+    return constant, residual

@@ -19,8 +19,8 @@ from typing import Callable
 
 from . import __version__
 from .analysis import OBSERVABLES, PREDICATES, default_dt, \
-    default_record_stride, default_t_end, evolve_model, fit_period, \
-    law_params, observables, period_law, run_discord_series
+    default_record_stride, default_t_end, evolve_model, fit_law, \
+    fit_period, observables, run_discord_series
 from .discord import DiscordPoint, SearchConfig
 from .dynamics import SimConfig, initial_state
 from .errors import ConfigError, ConfigTypeError, EmptySeeds, \
@@ -36,9 +36,19 @@ KINDS = ("evolve-closed", "evolve-open", "discord-series", "sweep-g-omega",
 EVOLVING = ("evolve-closed", "evolve-open", "discord-series")
 # the kinds that evolve it once per sweep value, each on its own space
 SWEEPS = ("sweep-g-omega", "sweep-gamma", "period-law")
-# the model fields a peak sweep sets to x g_up
+# the model fields a sweep sets to x g_up
 _SWEPT = {"sweep-g-omega": ("g_bond",),
-          "sweep-gamma": ("gamma_up", "gamma_down", "gamma_phn")}
+          "sweep-gamma": ("gamma_up", "gamma_down", "gamma_phn"),
+          "period-law": ("g_bond",)}
+# the rates a period-law point zeroes: the law is fitted on closed runs
+_RATES = ("gamma_up", "gamma_down", "gamma_phn", "influx_up", "influx_down",
+          "influx_phn")
+# per sweep kind: the CSV of one row per point, and its header
+_SWEEP_CSV = {
+    "sweep-g-omega": ("sweep_peak.csv", "g_omega_over_g,peak_discord"),
+    "sweep-gamma": ("sweep_peak.csv", "gamma_over_g,peak_discord"),
+    "period-law": ("sweep.csv",
+                   "g_omega_over_g,fitted_period_s,rms_residual")}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -282,7 +292,7 @@ def _model(v: dict) -> ModelParams:
 
 
 # keys a period-law config may not give: each point runs on the default
-# grid of its own model (analysis.period_law), and the record omits that grid
+# grid of its own model (_sweep_points), and the record omits that grid
 _LAW_GRID = ("dt", "t_end", "record_stride")
 _LAW_FIXED = (*_LAW_GRID, "discord_stride", "envelope_window",
               "renormalize_trace")
@@ -373,19 +383,29 @@ def _check_seeds(config: ExperimentConfig):
 
 
 def _sweep_points(config: ExperimentConfig) -> list:
-    """(x, the config of that point) per sweep value of a sweeping kind,
-    with the model that point evolves; none for the other kinds."""
+    """(x, the config of that point) per sweep value of a sweeping kind;
+    none for the other kinds.
+
+    A point sets the kind's _SWEPT fields to x g_up.  A period-law point
+    also zeroes every loss and influx rate, and runs on the default
+    record grid of its own model over periods_factor expected periods,
+    2 pi/(x g_up) each.
+    """
     if config.kind not in SWEEPS:
         return []
-    params = config.params
+    g_ref = config.params.g_up
     points = []
     for x in sorted(config.sweep_values):
+        params = replace(config.params, **dict.fromkeys(
+            _SWEPT[config.kind], x * g_ref))
+        sim = config.sim
         if config.kind == "period-law":
-            point = law_params(params, params.zeta, x)
-        else:
-            point = replace(params, **dict.fromkeys(
-                _SWEPT[config.kind], x * params.g_up))
-        points.append((x, replace(config, params=point)))
+            params = replace(params, **dict.fromkeys(_RATES, 0.0))
+            dt = default_dt(params)
+            t_end = config.periods_factor * 2 * math.pi / (x * g_ref)
+            sim = replace(sim, dt=dt, t_end=t_end,
+                          record_stride=default_record_stride(params, dt))
+        points.append((x, replace(config, params=params, sim=sim)))
     return points
 
 
@@ -459,7 +479,7 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
     """Execute the experiment and write its artifacts; returns the paths."""
     out = Path(out_dir or config.out)
     out.mkdir(parents=True, exist_ok=True)
-    started = time.time()
+    started = time.perf_counter()
     written = []
     notes = {}
 
@@ -504,40 +524,35 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
                    if kind != "discord-series" or name.startswith("photons")]
         plot("plot_observables.py", _PLOT_SERIES, csv="observables.csv",
              columns=columns, png="observables.png")
-    elif kind == "period-law":
-        result = period_law(
-            config.sweep_values, config.params.zeta, config.params,
-            search=config.search, gating=config.gating,
-            periods_factor=config.periods_factor,
-            space_of=lambda params: _build_space(
-                replace(config, params=params)))
-        rows = [[x, period, fit.rms_residual]
-                for (x, period), fit in zip(result.samples, result.fits)]
-        emit("sweep.csv", lambda p: _write_csv(
-            p, "g_omega_over_g,fitted_period_s,rms_residual", rows))
-        emit("law.csv", lambda p: _write_csv(
-            p, "c_seconds,residual",
-            [[result.constant_c, result.fit_residual]]))
-        notes["fit_on_envelope"] = result.used_envelope
-        notes["constant_c"] = result.constant_c
-        plot("plot_sweep.py", _PLOT_SWEEP, csv="sweep.csv",
-             xcol="g_omega_over_g", ycol="fitted_period_s",
-             constant=result.constant_c, png="sweep.png")
-    elif kind in _SWEPT:
+    elif kind in SWEEPS:
+        law = kind == "period-law"
         rows = []
         for x, point in _sweep_points(config):
             _, points = _run_series(point)
-            rows.append([x, max(pt.discord for pt in points)])
-        xcol = "g_omega_over_g" if kind == "sweep-g-omega" else "gamma_over_g"
-        emit("sweep_peak.csv", lambda p: _write_csv(
-            p, f"{xcol},peak_discord", rows))
-        plot("plot_sweep.py", _PLOT_SWEEP, csv="sweep_peak.csv", xcol=xcol,
-             ycol="peak_discord", constant=None, png="sweep_peak.png")
+            if law:
+                fit, _ = fit_period([pt.t for pt in points],
+                                    [pt.discord for pt in points],
+                                    point.params.zeta, point.params.g_up)
+                rows.append([x, fit.period, fit.rms_residual])
+            else:
+                rows.append([x, max(pt.discord for pt in points)])
+        name, header = _SWEEP_CSV[kind]
+        emit(name, lambda p: _write_csv(p, header, rows))
+        constant = None
+        if law:
+            constant, residual = fit_law([row[:2] for row in rows])
+            emit("law.csv", lambda p: _write_csv(
+                p, "c_seconds,residual", [[constant, residual]]))
+            notes.update(fit_on_envelope=config.params.zeta > 0,
+                         constant_c=constant)
+        xcol, ycol = header.split(",")[:2]
+        plot("plot_sweep.py", _PLOT_SWEEP, csv=name, xcol=xcol, ycol=ycol,
+             constant=constant, png=name.replace(".csv", ".png"))
 
     meta = dict(config.resolved)
     meta.update(notes)
     meta["version"] = __version__
-    meta["wall_time_s"] = round(time.time() - started, 3)
+    meta["wall_time_s"] = round(time.perf_counter() - started, 3)
     emit("run-metadata.txt", lambda p: _write_lines(
         p, [f"{key}={meta[key]}" for key in sorted(meta)]))
     return written

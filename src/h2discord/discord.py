@@ -174,11 +174,6 @@ class MeasurementConfig:
                         self)
 
 
-@dataclass
-class ProjectorSet:
-    projectors: list
-
-
 def _basis_vectors(theta, theta_p, phi, phi_p) -> np.ndarray:
     """The four two-qubit outcome vectors, in the order 00', 10', 01',
     11', along the second-to-last axis; the angles are scalars or
@@ -217,18 +212,18 @@ def _blocks(rows: np.ndarray, ac_bd: np.ndarray) -> np.ndarray:
     return (rows @ ac_bd.reshape(16, -1)).reshape(-1, *ac_bd.shape[1:])
 
 
-def projector_set(config: MeasurementConfig) -> ProjectorSet:
-    """Four rank-1 projectors from the product single-qubit bases."""
+def projector_set(config: MeasurementConfig) -> tuple:
+    """The four rank-1 projectors of the product single-qubit bases, in
+    the outcome order 00', 10', 01', 11'."""
     angles = config.resolved()
     for (name, (lo, hi)), value in zip(_ANGLE_BOUNDS.items(), angles):
         if not lo - 1e-12 <= value <= hi + 1e-12:
             raise AngleOutOfRange(f"{name}={value:g} outside "
                                   f"[{lo:g}, {hi:g}]")
-    return ProjectorSet([np.outer(u, u.conj())
-                         for u in _basis_vectors(*angles)])
+    return tuple(np.outer(u, u.conj()) for u in _basis_vectors(*angles))
 
 
-def measured_conditional_entropy(rho_AB: DensityMatrix, pset: ProjectorSet):
+def measured_conditional_entropy(rho_AB: DensityMatrix, projectors: tuple):
     """Average post-measurement entropy of B.
 
     Returns (value, outcome probabilities, post-measurement B states);
@@ -237,7 +232,7 @@ def measured_conditional_entropy(rho_AB: DensityMatrix, pset: ProjectorSet):
     """
     if isinstance(rho_AB.space, LabelSpace):
         raise SpaceMismatch("need a joint state over a StateSpace")
-    rows = np.array([proj.T.ravel() for proj in pset.projectors])
+    rows = np.array([proj.T.ravel() for proj in projectors])
     b_space = _b_label_space(rho_AB.space)
     value = 0.0
     probs = []

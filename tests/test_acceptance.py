@@ -7,12 +7,15 @@ produced without re-running anything.
 
 import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from h2discord.analysis import period_law, run_discord_series, \
+from h2discord.analysis import fit_law, fit_period, run_discord_series, \
     state_population
+from h2discord.cli import _run_series, _sweep_points, parse_config, \
+    resolve_config
 from h2discord.discord import MeasurementConfig, SearchConfig, _embedded, \
     discord, projector_set
 from h2discord.dynamics import DensityMatrix, SimConfig, evolve, \
@@ -26,8 +29,8 @@ from oracles import brute_force_trace_A, brute_force_trace_B, \
     random_density, random_pure, reference_search_minimum, \
     tied_pattern_projectors
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 G = 1.0e7
-SWEEP_XS = (0.01, 0.02, 0.05, 0.1, 0.2)
 BASE = ModelParams(freq_pht_up=0.0, freq_pht_down=0.0, freq_phn=0.0,
                    g_up=G, g_down=G, g_bond=0.5 * G, zeta=G)
 OPEN = dataclasses.replace(BASE, gamma_up=G, gamma_down=G, gamma_phn=G)
@@ -104,28 +107,37 @@ def logs():
     return {"closed": RunLog(), "open": RunLog()}
 
 
-def _collector(log):
-    def collect(x, params, trajectory, points, fit):
-        h = build_hamiltonian(params, trajectory.space)
-        log.add_run(trajectory, h.mat)
+def period_law_constant(name, log):
+    """c of the period law of configs/<name>.cfg and the seconds taken.
+
+    Each sweep point runs as `h2discord run` runs it, and its snapshots
+    and discord records go to `log`.
+    """
+    started = time.time()
+    config = resolve_config(parse_config(
+        (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")))
+    samples = []
+    for x, point in _sweep_points(config):
+        traj, points = _run_series(point)
+        h = build_hamiltonian(point.params, traj.space, point.gating)
+        log.add_run(traj, h.mat)
         log.add_points(points)
-    return collect
+        fit, _ = fit_period([p.t for p in points],
+                            [p.discord for p in points], point.params.zeta,
+                            point.params.g_up)
+        samples.append((x, fit.period))
+    constant, _ = fit_law(samples)
+    return constant, time.time() - started
 
 
 @pytest.fixture(scope="module")
 def law_tunneling(logs):
-    started = time.time()
-    result = period_law(SWEEP_XS, zeta=G, base_params=BASE,
-                        on_point=_collector(logs["closed"]))
-    return result, time.time() - started
+    return period_law_constant("fig8a", logs["closed"])
 
 
 @pytest.fixture(scope="module")
 def law_no_tunneling(logs):
-    started = time.time()
-    result = period_law(SWEEP_XS, zeta=0.0, base_params=BASE,
-                        on_point=_collector(logs["closed"]))
-    return result, time.time() - started
+    return period_law_constant("fig8b", logs["closed"])
 
 
 @pytest.fixture(scope="module")
@@ -176,11 +188,10 @@ class TestCriterion1:
 
 class TestCriterion2:
     def test_period_law_with_tunneling(self, law_tunneling):
-        result, elapsed = law_tunneling
-        rel = abs(result.constant_c - EXPECTED_C_TUNNELING) \
-            / EXPECTED_C_TUNNELING
+        constant, elapsed = law_tunneling
+        rel = abs(constant - EXPECTED_C_TUNNELING) / EXPECTED_C_TUNNELING
         ok = rel <= 0.15 and elapsed < 1800
-        report(2, ok, f"c = {result.constant_c:.4g} s vs "
+        report(2, ok, f"c = {constant:.4g} s vs "
                       f"{EXPECTED_C_TUNNELING:.4g} s ({100 * rel:.2f}% off), "
                       f"{elapsed:.0f} s runtime")
         assert rel <= 0.15
@@ -192,11 +203,11 @@ class TestCriterion3:
                                           law_no_tunneling):
         with_t, _ = law_tunneling
         without_t, elapsed = law_no_tunneling
-        rel = abs(without_t.constant_c - EXPECTED_C_NO_TUNNELING) \
+        rel = abs(without_t - EXPECTED_C_NO_TUNNELING) \
             / EXPECTED_C_NO_TUNNELING
-        ordered = without_t.constant_c < with_t.constant_c
+        ordered = without_t < with_t
         ok = rel <= 0.15 and ordered and elapsed < 1800
-        report(3, ok, f"c = {without_t.constant_c:.4g} s vs "
+        report(3, ok, f"c = {without_t:.4g} s vs "
                       f"{EXPECTED_C_NO_TUNNELING:.4g} s ({100 * rel:.2f}% "
                       f"off), c(zeta=0) < c(zeta=g): {ordered}")
         assert rel <= 0.15
@@ -426,15 +437,15 @@ class TestCriterion8:
             phi, phi_p = rng.uniform(0, 2 * np.pi, size=2)
             pset = projector_set(MeasurementConfig(theta, theta_p,
                                                    phi, phi_p))
-            total = sum(pset.projectors)
+            total = sum(pset)
             worst = max(worst, np.abs(total - eye).max())
-            for k, pk in enumerate(pset.projectors):
+            for k, pk in enumerate(pset):
                 worst = max(worst, np.abs(pk - pk.conj().T).max())
                 worst = max(worst, np.abs(pk @ pk - pk).max())
                 worst = max(worst,
                             np.abs(np.linalg.eigvalsh(pk)
                                    - [0, 0, 0, 1]).max())
-                for j, pj in enumerate(pset.projectors):
+                for j, pj in enumerate(pset):
                     if j != k:
                         worst = max(worst, np.abs(pk @ pj).max())
         ok = worst <= 1e-12
@@ -447,8 +458,7 @@ class TestCriterion8:
         worst = 0.0
         for theta in rng.uniform(0, np.pi / 2, size=200):
             pset = projector_set(MeasurementConfig(theta, theta))
-            for got, want in zip(pset.projectors,
-                                 tied_pattern_projectors(theta)):
+            for got, want in zip(pset, tied_pattern_projectors(theta)):
                 worst = max(worst, np.abs(got - want).max())
         ok = worst <= 1e-15
         report(8, ok, f"tied-angle coefficient pattern: max dev {worst:.2e}")

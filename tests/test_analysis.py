@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from h2discord.analysis import envelope, fit_period, fit_sinusoid, \
-    period_law, population, run_discord_series, state_population
-from h2discord.cli import _run_series, parse_config, resolve_config
+    population, run_discord_series, state_population
+from h2discord.cli import _run_series, parse_config, resolve_config, run
 from h2discord.dynamics import DensityMatrix, SimConfig, initial_state
-from h2discord.errors import InsufficientData, NoDominantFrequency, \
-    WindowTooLarge
+from h2discord.errors import ConfigTypeError, InsufficientData, \
+    NoDominantFrequency, WindowTooLarge
 from h2discord.operators import ModelParams
 from h2discord.statespace import BasisState, table_space
 from oracles import reference_fit_sinusoid
@@ -227,32 +227,40 @@ class TestRunDiscordSeries:
 
 
 class TestPeriodLaw:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            period_law([0.0, 0.1], zeta=G, base_params=PARAMS)
-        with pytest.raises(ValueError):
-            period_law([2.0], zeta=G, base_params=PARAMS)
+    @staticmethod
+    def law(out: Path, text: str):
+        """(period of the one sweep point, run-metadata) of a period-law
+        run of the config text."""
+        run(resolve_config(parse_config("kind=period-law\n" + text),
+                           out=str(out)))
+        header, row = (out / "sweep.csv").read_text().splitlines()
+        point = dict(zip(header.split(","), row.split(",")))
+        meta = dict(line.split("=", 1) for line in
+                    (out / "run-metadata.txt").read_text().splitlines())
+        return float(point["fitted_period_s"]), meta
 
-    def test_rejects_zero_reference_coupling(self):
-        with pytest.raises(ValueError, match="g_up"):
-            period_law([0.1], zeta=G,
-                       base_params=dataclasses.replace(PARAMS, g_up=0.0))
+    def test_rejects_bad_values(self, tmp_path):
+        for values in ("0,0.1", "2"):
+            with pytest.raises(ConfigTypeError, match="sweep_values"):
+                self.law(tmp_path, f"sweep_values={values}\n")
+        assert not (tmp_path / "sweep.csv").exists()
 
-    def test_scale_invariance(self):
-        result = period_law([0.1], zeta=G, base_params=PARAMS)
-        doubled_params = dataclasses.replace(
-            PARAMS, g_up=2 * G, g_down=2 * G)
-        doubled = period_law([0.1], zeta=2 * G, base_params=doubled_params)
-        ratio = doubled.samples[0][1] / result.samples[0][1]
-        assert ratio == pytest.approx(0.5, rel=1e-2)
-        assert result.used_envelope
+    def test_rejects_zero_reference_coupling(self, tmp_path):
+        with pytest.raises(ConfigTypeError, match="g_up"):
+            self.law(tmp_path, "sweep_values=0.1\ng_up=0\n")
+        assert not (tmp_path / "sweep.csv").exists()
 
-    def test_forces_closed_system(self):
-        damped = dataclasses.replace(PARAMS, gamma_up=G, gamma_down=G,
-                                     gamma_phn=G)
-        result = period_law([0.2], zeta=0.0, base_params=damped)
+    def test_scale_invariance(self, tmp_path):
+        period, meta = self.law(tmp_path / "g", "sweep_values=0.1\n")
+        doubled, _ = self.law(tmp_path / "2g", "sweep_values=0.1\ng=2e7\n")
+        assert doubled / period == pytest.approx(0.5, rel=1e-2)
+        assert meta["fit_on_envelope"] == "True"
+
+    def test_forces_closed_system(self, tmp_path):
+        period, meta = self.law(tmp_path, "sweep_values=0.2\nzeta=0\n"
+                                          "gamma=g\n")
         # with the rates active the discord would decay instead of
         # oscillating; recovering the closed-run period shows the sweep
         # zeroed them
-        assert result.samples[0][1] == pytest.approx(4.44e-7 / 0.2, rel=0.1)
-        assert not result.used_envelope
+        assert period == pytest.approx(4.44e-7 / 0.2, rel=0.1)
+        assert meta["fit_on_envelope"] == "False"

@@ -251,8 +251,8 @@ class TestRun:
     @pytest.mark.parametrize("zeta", ["0", "g"])
     def test_period_law_point_is_the_discord_series_run(self, tmp_path,
                                                         zeta):
-        # analysis.period_law picks a point's record grid, and the KEYS
-        # defaults a discord series'; both must give the same run
+        # cli._sweep_points picks a period-law point's record grid, and
+        # the KEYS defaults a discord series'; both must give the same run
         law, series = tmp_path / "law", tmp_path / "series"
         run(resolve(f"kind=period-law\nzeta={zeta}\nsweep_values=0.2\n",
                     out=str(law)))

@@ -157,27 +157,26 @@ class TestProjectors:
         for k, pos in enumerate((0, 2, 1, 3)):
             expected = np.zeros((4, 4))
             expected[pos, pos] = 1.0
-            assert np.allclose(pset.projectors[k], expected, atol=1e-15)
+            assert np.allclose(pset[k], expected, atol=1e-15)
 
     def test_diagonal_basis_uniform_projector(self):
         pset = projector_set(MeasurementConfig(theta=np.pi / 4,
                                                theta_prime=np.pi / 4))
-        assert np.allclose(pset.projectors[0], np.full((4, 4), 0.25),
-                           atol=1e-15)
+        assert np.allclose(pset[0], np.full((4, 4), 0.25), atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0, np.pi / 2), st.floats(0, np.pi / 2),
            st.floats(0, 2 * np.pi), st.floats(0, 2 * np.pi))
     def test_projector_algebra(self, theta, theta_p, phi, phi_p):
         pset = projector_set(MeasurementConfig(theta, theta_p, phi, phi_p))
-        total = sum(pset.projectors)
+        total = sum(pset)
         assert np.abs(total - np.eye(4)).max() <= 1e-12
-        for k, pk in enumerate(pset.projectors):
+        for k, pk in enumerate(pset):
             assert np.abs(pk - pk.conj().T).max() <= 1e-12
             assert np.abs(pk @ pk - pk).max() <= 1e-12
             evals = np.linalg.eigvalsh(pk)
             assert np.abs(evals - [0, 0, 0, 1]).max() <= 1e-12
-            for j, pj in enumerate(pset.projectors):
+            for j, pj in enumerate(pset):
                 if j != k:
                     assert np.abs(pk @ pj).max() <= 1e-12
 
@@ -188,8 +187,7 @@ class TestProjectors:
         rng = np.random.default_rng(13)
         for theta in rng.uniform(0, np.pi / 2, size=5):
             pset = projector_set(MeasurementConfig(theta, theta))
-            for got, want in zip(pset.projectors,
-                                 tied_pattern_projectors(theta)):
+            for got, want in zip(pset, tied_pattern_projectors(theta)):
                 assert np.abs(got - want).max() <= 1e-15
 
     def test_angle_out_of_range(self):
