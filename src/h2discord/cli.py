@@ -13,7 +13,7 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -36,13 +36,10 @@ KINDS = ("evolve-closed", "evolve-open", "discord-series", "sweep-g-omega",
 EVOLVING = ("evolve-closed", "evolve-open", "discord-series")
 # the kinds that evolve it once per sweep value, each on its own space
 SWEEPS = ("sweep-g-omega", "sweep-gamma", "period-law")
-# the model fields a sweep sets to x g_up
-_SWEPT = {"sweep-g-omega": ("g_bond",),
+# the keys a sweep sets to x g_up
+_SWEPT = {"sweep-g-omega": ("g_omega",),
           "sweep-gamma": ("gamma_up", "gamma_down", "gamma_phn"),
-          "period-law": ("g_bond",)}
-# the rates a period-law point zeroes: the law is fitted on closed runs
-_RATES = ("gamma_up", "gamma_down", "gamma_phn", "influx_up", "influx_down",
-          "influx_phn")
+          "period-law": ("g_omega",)}
 # per sweep kind: the CSV of one row per point, and its header
 _SWEEP_CSV = {
     "sweep-g-omega": ("sweep_peak.csv", "g_omega_over_g,peak_discord"),
@@ -296,6 +293,10 @@ def _model(v: dict) -> ModelParams:
 _LAW_GRID = ("dt", "t_end", "record_stride")
 _LAW_FIXED = (*_LAW_GRID, "discord_stride", "envelope_window",
               "renormalize_trace")
+# the record also omits the rates, so that every point runs closed: the
+# law is fitted on closed runs
+_LAW_UNRECORDED = (*_LAW_GRID, "gamma_up", "gamma_down", "gamma_phn",
+                   "influx_up", "influx_down", "influx_phn")
 
 
 def _check(v: dict, params: ModelParams, given):
@@ -320,9 +321,9 @@ def _check(v: dict, params: ModelParams, given):
     if window % 2 == 0 and window:
         raise ConfigTypeError("TypeError: envelope_window must be odd "
                               "(0 picks it from the carrier period)")
-    if params.g_up == 0 and kind == "period-law":
-        raise ConfigTypeError("TypeError: period-law needs a positive g_up; "
-                              "it sweeps g_omega in units of g_up")
+    if params.g_up == 0 and kind in SWEEPS:
+        raise ConfigTypeError(f"TypeError: {kind} needs a positive g_up; "
+                              "sweep_values are in units of g_up")
     if params.g_up == 0 and kind == "discord-series" and params.zeta > 0 \
             and _closed(params) and not window:
         raise ConfigTypeError("TypeError: g_up=0 leaves envelope_window "
@@ -355,58 +356,49 @@ def resolve_config(entries: dict, kind: str = None,
         v[key.name] = _value(key, entries.get(key.name), v)
     params = _model(v)
     _check(v, params, entries)
-    skipped = _LAW_GRID if v["kind"] == "period-law" else ()
+    skipped = _LAW_UNRECORDED if v["kind"] == "period-law" else ()
     resolved = {key.name: key.type.show(v[key.name])
                 for key in KEYS if key.recorded and key.name not in skipped}
     config = _bind(ExperimentConfig, v, params=params,
                    gating=_bind(GatingPolicy, v), sim=_bind(SimConfig, v),
                    search=_bind(SearchConfig, v), resolved=resolved)
     _check_seeds(config)
+    _sweep_points(config)  # resolving a point checks it as a discord series
     return config
 
 
 def _check_seeds(config: ExperimentConfig):
     """The seed rules: seeds valid for the space mode, whose space holds
-    the standard initial state wherever the kind evolves it: on the
-    config's space, or on the space of each sweep point."""
+    the standard initial state wherever the kind evolves it."""
     if config.space_mode == "full":  # the full space ignores the seeds
         return
     try:
         check_seeds(config.seeds, config.space_mode)
         if config.kind in EVOLVING:
             initial_state(_build_space(config))
-        for _, point in _sweep_points(config):
-            initial_state(_build_space(point))
     except (EmptySeeds, SeedOutsideCompatTable, StateMissing) as exc:
         raise ConfigTypeError(f"TypeError: seeds with space_mode="
                               f"{config.space_mode}: {exc}") from None
 
 
 def _sweep_points(config: ExperimentConfig) -> list:
-    """(x, the config of that point) per sweep value of a sweeping kind;
-    none for the other kinds.
+    """(x, the discord-series config of that point) per sweep value of a
+    sweeping kind; none for the other kinds.
 
-    A point sets the kind's _SWEPT fields to x g_up.  A period-law point
-    also zeroes every loss and influx rate, and runs on the default
-    record grid of its own model over periods_factor expected periods,
-    2 pi/(x g_up) each.
+    A point resolves the sweep's recorded keys, without sweep_values,
+    with the kind's _SWEPT keys set to x g_up.  A period-law record
+    leaves out the record grid and the rates, so its points are closed
+    runs on the default grid of their own model.
     """
     if config.kind not in SWEEPS:
         return []
-    g_ref = config.params.g_up
-    points = []
-    for x in sorted(config.sweep_values):
-        params = replace(config.params, **dict.fromkeys(
-            _SWEPT[config.kind], x * g_ref))
-        sim = config.sim
-        if config.kind == "period-law":
-            params = replace(params, **dict.fromkeys(_RATES, 0.0))
-            dt = default_dt(params)
-            t_end = config.periods_factor * 2 * math.pi / (x * g_ref)
-            sim = replace(sim, dt=dt, t_end=t_end,
-                          record_stride=default_record_stride(params, dt))
-        points.append((x, replace(config, params=params, sim=sim)))
-    return points
+    entries = {name: (str(value), None)
+               for name, value in config.resolved.items()
+               if name != "sweep_values"}
+    return [(x, resolve_config({**entries, **dict.fromkeys(
+                _SWEPT[config.kind], (repr(x * config.params.g_up), None))},
+                kind="discord-series"))
+            for x in sorted(config.sweep_values)]
 
 
 def _build_space(config: ExperimentConfig):
@@ -477,11 +469,17 @@ fig.savefig({png!r}, dpi=150)
 
 def run(config: ExperimentConfig, out_dir=None) -> list:
     """Execute the experiment and write its artifacts; returns the paths."""
-    out = Path(out_dir or config.out)
+    return _run(config, Path(out_dir or config.out))[0]
+
+
+def _run(config: ExperimentConfig, out: Path) -> tuple:
+    """run() into `out`: (the paths written, and for a discord series its
+    records and what `_discord_artifacts` returns)."""
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     written = []
     notes = {}
+    points, fit = None, None
 
     def emit(name, writer):
         path = out / name
@@ -516,7 +514,7 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
         if config.dump_rho:
             emit("rho.csv", lambda p: _write_csv(p, *_rho_rows(traj)))
         if kind == "discord-series":
-            _discord_artifacts(config, points, notes, emit)
+            fit = _discord_artifacts(config, points, notes, emit)
             plot("plot_discord.py", _PLOT_SERIES, csv="discord.csv",
                  columns=["D", "I", "J"], png="discord.png")
         # a discord series plots only the photon populations
@@ -526,17 +524,16 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
              columns=columns, png="observables.png")
     elif kind in SWEEPS:
         law = kind == "period-law"
+        name, header = _SWEEP_CSV[kind]
+        xcol, ycol = header.split(",")[:2]
         rows = []
         for x, point in _sweep_points(config):
-            _, points = _run_series(point)
-            if law:
-                fit, _ = fit_period([pt.t for pt in points],
-                                    [pt.discord for pt in points],
-                                    point.params.zeta, point.params.g_up)
-                rows.append([x, fit.period, fit.rms_residual])
-            else:
-                rows.append([x, max(pt.discord for pt in points)])
-        name, header = _SWEEP_CSV[kind]
+            paths, records, point_fit = _run(point, out / f"{xcol}={x!r}")
+            written += paths
+            if law and isinstance(point_fit, SimulationError):
+                raise point_fit
+            rows.append([x, point_fit.period, point_fit.rms_residual] if law
+                        else [x, max(pt.discord for pt in records)])
         emit(name, lambda p: _write_csv(p, header, rows))
         constant = None
         if law:
@@ -545,7 +542,6 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
                 p, "c_seconds,residual", [[constant, residual]]))
             notes.update(fit_on_envelope=config.params.zeta > 0,
                          constant_c=constant)
-        xcol, ycol = header.split(",")[:2]
         plot("plot_sweep.py", _PLOT_SWEEP, csv=name, xcol=xcol, ycol=ycol,
              constant=constant, png=name.replace(".csv", ".png"))
 
@@ -555,11 +551,13 @@ def run(config: ExperimentConfig, out_dir=None) -> list:
     meta["wall_time_s"] = round(time.perf_counter() - started, 3)
     emit("run-metadata.txt", lambda p: _write_lines(
         p, [f"{key}={meta[key]}" for key in sorted(meta)]))
-    return written
+    return written, points, fit
 
 
 def _discord_artifacts(config, points, notes, emit):
-    """discord.csv, and for a closed run the fit of its slow period."""
+    """discord.csv, and for a closed run fit.csv, the fit of its slow
+    period; returns that fit, None for an open run, or the
+    SimulationError that stopped the fit."""
     notes["discord_pure_snapshots"] = \
         f"{sum(pt.pure for pt in points)}/{len(points)}"
     mixed = [pt for pt in points if not pt.pure]
@@ -571,7 +569,7 @@ def _discord_artifacts(config, points, notes, emit):
     if not _closed(params):
         # the decaying open-system discord has no sensible sinusoid fit
         notes["fit_skipped"] = "open-system run"
-        return
+        return None
     notes["fit_on_envelope"] = params.zeta > 0
     try:
         fit, window = fit_period([pt.t for pt in points],
@@ -579,11 +577,12 @@ def _discord_artifacts(config, points, notes, emit):
                                  params.g_up, config.envelope_window)
     except SimulationError as exc:
         notes["fit_error"] = f"{type(exc).__name__}: {exc}"
-        return
+        return exc
     if window:
         notes["envelope_window"] = window
     emit("fit.csv", lambda path: _write_csv(
         path, ",".join(f.name for f in fields(fit)), [astuple(fit)]))
+    return fit
 
 
 def _run_series(config: ExperimentConfig):

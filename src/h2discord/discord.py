@@ -55,15 +55,15 @@ PRL 88, 017901 (2001); Henderson & Vedral, J. Phys. A 34, 6899
 (2001)).  A state counts as pure when 1 - tr(rho^2) < PURE_TOL
 (`is_pure`).  For such a state the reported measurement is the one
 the search's tie-break picks on a flat landscape: all four angles
-zero, with the search's tie/zero flags, and the outcome probabilities
-of that measurement, the diagonal of rho_A in outcome order.  Closed
-(unitary) runs stay pure, so all their snapshots take this path.
+zero, and the outcome probabilities of that measurement, the diagonal
+of rho_A in outcome order.  Closed (unitary) runs stay pure, so all
+their snapshots take this path.
 Every record `discord()` returns has passed `DiscordPoint.check`.
 """
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -134,12 +134,12 @@ _ANGLE_BOUNDS = {"theta": (0.0, np.pi / 2), "theta_prime": (0.0, np.pi / 2),
                  "phi": (0.0, 2 * np.pi), "phi_prime": (0.0, 2 * np.pi)}
 
 
-def _free_names(flags) -> list:
-    """The free angles under the tie/zero flags of `flags` (a SearchConfig
-    or a MeasurementConfig), in the order of a point's row."""
-    names = ["theta"] + ([] if flags.tie_thetas else ["theta_prime"])
-    if not flags.zero_phases:
-        names += ["phi"] + ([] if flags.tie_phis else ["phi_prime"])
+def _free_names(search) -> list:
+    """The free angles under the tie/zero flags of a SearchConfig, in the
+    order of a point's row."""
+    names = ["theta"] + ([] if search.tie_thetas else ["theta_prime"])
+    if not search.zero_phases:
+        names += ["phi"] + ([] if search.tie_phis else ["phi_prime"])
     return names
 
 
@@ -157,21 +157,13 @@ def _resolve(free, flags):
     return theta, theta_p, phi, phi_p
 
 
-@dataclass(frozen=True)
-class MeasurementConfig:
-    """Angles of one product measurement; tie flags override fields."""
+class MeasurementConfig(NamedTuple):
+    """Angles of one product measurement."""
 
     theta: float
     theta_prime: float
     phi: float = 0.0
     phi_prime: float = 0.0
-    tie_thetas: bool = False
-    tie_phis: bool = False
-    zero_phases: bool = False
-
-    def resolved(self) -> tuple:
-        return _resolve([getattr(self, name) for name in _free_names(self)],
-                        self)
 
 
 def _basis_vectors(theta, theta_p, phi, phi_p) -> np.ndarray:
@@ -215,12 +207,11 @@ def _blocks(rows: np.ndarray, ac_bd: np.ndarray) -> np.ndarray:
 def projector_set(config: MeasurementConfig) -> tuple:
     """The four rank-1 projectors of the product single-qubit bases, in
     the outcome order 00', 10', 01', 11'."""
-    angles = config.resolved()
-    for (name, (lo, hi)), value in zip(_ANGLE_BOUNDS.items(), angles):
+    for (name, (lo, hi)), value in zip(_ANGLE_BOUNDS.items(), config):
         if not lo - 1e-12 <= value <= hi + 1e-12:
             raise AngleOutOfRange(f"{name}={value:g} outside "
                                   f"[{lo:g}, {hi:g}]")
-    return tuple(np.outer(u, u.conj()) for u in _basis_vectors(*angles))
+    return tuple(np.outer(u, u.conj()) for u in _basis_vectors(*config))
 
 
 def measured_conditional_entropy(rho_AB: DensityMatrix, projectors: tuple):
@@ -460,11 +451,8 @@ def _refine(ev: _Evaluator, search: SearchConfig, point: np.ndarray,
 
 def _measurement(ev: _Evaluator, search: SearchConfig, point):
     """The argmin record: measurement config and outcome probabilities."""
-    angles = [float(x) for x in _resolve(point, search)]
-    config = MeasurementConfig(*angles, tie_thetas=search.tie_thetas,
-                               tie_phis=search.tie_phis,
-                               zero_phases=search.zero_phases)
-    return config, ev.probabilities(angles)
+    config = MeasurementConfig(*(float(x) for x in _resolve(point, search)))
+    return config, ev.probabilities(config)
 
 
 def _search_minimum(rho4: np.ndarray, search: SearchConfig,
@@ -513,9 +501,8 @@ class DiscordPoint:
                   "theta,theta_prime,phi,phi_prime,p0,p1,p2,p3")
 
     def csv_row(self) -> str:
-        angles = self.argmin_config.resolved()
         fields = (self.t, self.s_a, self.s_b, self.s_ab, self.mutual_info,
-                  self.classical_corr, self.discord, *angles,
+                  self.classical_corr, self.discord, *self.argmin_config,
                   *self.outcome_probs)
         return ",".join(repr(float(x)) for x in fields)
 

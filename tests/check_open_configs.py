@@ -37,8 +37,7 @@ def check(path: Path) -> tuple:
     for pt in mixed:
         cold = discord(traj.density(index[pt.t]), config.search, pt.t)
         worst = max(worst, abs(pt.classical_corr - cold.classical_corr))
-        mismatches += (pt.argmin_config.resolved()
-                       != cold.argmin_config.resolved())
+        mismatches += pt.argmin_config != cold.argmin_config
     fallbacks = sum(pt.full_grid for pt in points)
     return len(mixed), fallbacks, worst, mismatches, elapsed
 

@@ -7,15 +7,12 @@ produced without re-running anything.
 
 import dataclasses
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from h2discord.analysis import fit_law, fit_period, run_discord_series, \
     state_population
-from h2discord.cli import _run_series, _sweep_points, parse_config, \
-    resolve_config
 from h2discord.discord import MeasurementConfig, SearchConfig, _embedded, \
     discord, projector_set
 from h2discord.dynamics import DensityMatrix, SimConfig, evolve, \
@@ -29,7 +26,6 @@ from oracles import brute_force_trace_A, brute_force_trace_B, \
     random_density, random_pure, reference_search_minimum, \
     tied_pattern_projectors
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 G = 1.0e7
 BASE = ModelParams(freq_pht_up=0.0, freq_pht_down=0.0, freq_phn=0.0,
                    g_up=G, g_down=G, g_bond=0.5 * G, zeta=G)
@@ -107,18 +103,12 @@ def logs():
     return {"closed": RunLog(), "open": RunLog()}
 
 
-def period_law_constant(name, log):
-    """c of the period law of configs/<name>.cfg and the seconds taken.
-
-    Each sweep point runs as `h2discord run` runs it, and its snapshots
-    and discord records go to `log`.
-    """
-    started = time.time()
-    config = resolve_config(parse_config(
-        (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")))
+def period_law_constant(law_run, log):
+    """c of a period law of the `law_runs` fixture, and the seconds its
+    runs took; their snapshots and discord records go to `log`."""
+    runs, seconds = law_run
     samples = []
-    for x, point in _sweep_points(config):
-        traj, points = _run_series(point)
+    for x, point, traj, points in runs:
         h = build_hamiltonian(point.params, traj.space, point.gating)
         log.add_run(traj, h.mat)
         log.add_points(points)
@@ -127,17 +117,17 @@ def period_law_constant(name, log):
                             point.params.g_up)
         samples.append((x, fit.period))
     constant, _ = fit_law(samples)
-    return constant, time.time() - started
+    return constant, seconds
 
 
 @pytest.fixture(scope="module")
-def law_tunneling(logs):
-    return period_law_constant("fig8a", logs["closed"])
+def law_tunneling(logs, law_runs):
+    return period_law_constant(law_runs["fig8a"], logs["closed"])
 
 
 @pytest.fixture(scope="module")
-def law_no_tunneling(logs):
-    return period_law_constant("fig8b", logs["closed"])
+def law_no_tunneling(logs, law_runs):
+    return period_law_constant(law_runs["fig8b"], logs["closed"])
 
 
 @pytest.fixture(scope="module")

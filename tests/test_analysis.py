@@ -6,7 +6,7 @@ import pytest
 
 from h2discord.analysis import envelope, fit_period, fit_sinusoid, \
     population, run_discord_series, state_population
-from h2discord.cli import _run_series, parse_config, resolve_config, run
+from h2discord.cli import parse_config, resolve_config, run
 from h2discord.dynamics import DensityMatrix, SimConfig, initial_state
 from h2discord.errors import ConfigTypeError, InsufficientData, \
     NoDominantFrequency, WindowTooLarge
@@ -83,26 +83,26 @@ class TestFitSinusoid:
             fit_sinusoid(np.arange(5.0), np.arange(5.0))
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-# the closed reproduction runs whose discord series the CLI fits
-FIT_CONFIGS = [f"fig{n}{c}" for n in (4, 5) for c in "abcde"]
+# the closed reproduction runs whose discord series the CLI fits: the
+# sweep points of the period laws, as (law config, g_omega/g_up)
+FIT_POINTS = [(law, x) for law in ("fig8a", "fig8b")
+              for x in (0.01, 0.02, 0.05, 0.1, 0.2)]
 
 
 @pytest.fixture(scope="module")
-def discord_series():
-    """{config: (times, D, zeta, g_up, envelope window)} as the CLI fits
-    them."""
+def discord_series(law_runs):
+    """{(law, x): (times, D, zeta, g_up, envelope window)} as the CLI
+    fits them."""
     series = {}
-    for name in FIT_CONFIGS:
-        config = resolve_config(parse_config(
-            (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")))
-        _, points = _run_series(config)
-        times = np.array([pt.t for pt in points])
-        values = np.array([pt.discord for pt in points])
-        params = config.params
-        _, window = fit_period(times, values, params.zeta, params.g_up,
-                               config.envelope_window)
-        series[name] = (times, values, params.zeta, params.g_up, window)
+    for law, (runs, _) in law_runs.items():
+        for x, config, _, points in runs:
+            times = np.array([pt.t for pt in points])
+            values = np.array([pt.discord for pt in points])
+            params = config.params
+            _, window = fit_period(times, values, params.zeta, params.g_up,
+                                   config.envelope_window)
+            series[law, x] = (times, values, params.zeta, params.g_up,
+                              window)
     return series
 
 
@@ -132,10 +132,10 @@ class TestVariableProjectionFit:
     """The slope-root fit against the bounded residual search it
     replaced, and its stability under rounding-sized changes of D."""
 
-    @pytest.mark.parametrize("name", FIT_CONFIGS)
+    @pytest.mark.parametrize("law,x", FIT_POINTS)
     def test_matches_reference_on_reproduction_series(self, discord_series,
-                                                       name):
-        times, values, _, _, window = discord_series[name]
+                                                       law, x):
+        times, values, _, _, window = discord_series[law, x]
         if window:
             times, values = envelope(times, values, window)
         _assert_matches_reference(times, values)
@@ -144,13 +144,15 @@ class TestVariableProjectionFit:
     def test_matches_reference_on_noisy_sinusoids(self, seed):
         _assert_matches_reference(*_noisy_sinusoid(seed))
 
-    # fig4 series are fitted on the envelope, fig5 series directly; the
-    # bounded search moved fig4a's period by 2.5e-12 under such changes
-    @pytest.mark.parametrize("name", ["fig4a", "fig4d", "fig5b", "fig5e"])
+    # fig8a points are fitted on the envelope, fig8b points directly; the
+    # bounded search moved the fig8a x = 0.2 period by 2.5e-12 under such
+    # changes
+    @pytest.mark.parametrize("law,x", [("fig8a", 0.2), ("fig8a", 0.02),
+                                       ("fig8b", 0.1), ("fig8b", 0.01)])
     def test_period_stable_under_last_digit_changes_of_d(self,
                                                          discord_series,
-                                                         name):
-        times, values, zeta, g_up, window = discord_series[name]
+                                                         law, x):
+        times, values, zeta, g_up, window = discord_series[law, x]
         period = fit_period(times, values, zeta, g_up, window)[0].period
         rng = np.random.default_rng(0)
         for _ in range(3):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from h2discord import analysis
-from h2discord.cli import KEYS as CONFIG_KEYS, KINDS, _build_space, main, \
-    parse_config, resolve_config, run
+from h2discord.cli import KEYS as CONFIG_KEYS, KINDS, SWEEPS, \
+    _build_space, _sweep_points, main, parse_config, resolve_config, run
 from h2discord.discord import SearchConfig
 from h2discord.errors import ConfigError, ConfigTypeError, MissingRequired, \
     UnknownKey
@@ -121,16 +121,24 @@ class TestResolveConfig:
             resolve(f"sweep_values={values}\n", kind=kind)
         assert "sweep_values" in str(err.value)
 
+    # sweep values are in units of g_up
+    @pytest.mark.parametrize("kind", SWEEPS)
     @pytest.mark.parametrize("text", ["g_up=0\n", "g_up=0\nzeta=0\n",
                                       "g_up=0\nenvelope_window=3\n"])
-    def test_period_law_needs_a_reference_coupling(self, text):
+    def test_sweeps_need_a_reference_coupling(self, text, kind):
         with pytest.raises(ConfigTypeError, match="g_up"):
-            resolve(text, kind="period-law")
+            resolve(text, kind=kind)
 
-    def test_period_law_records_no_record_grid(self):
-        grid = {"dt", "t_end", "record_stride"}
-        assert not grid & set(resolve("", kind="period-law").resolved)
-        assert grid <= set(resolve("", kind="discord-series").resolved)
+    def test_period_law_records_no_record_grid_or_rates(self):
+        # every point runs closed, on the default grid of its own model
+        unused = {"dt", "t_end", "record_stride", "gamma_up", "gamma_down",
+                  "gamma_phn", "influx_up", "influx_down", "influx_phn"}
+        law = resolve("gamma=g\ninflux_up=g\n", kind="period-law")
+        assert not unused & set(law.resolved)
+        assert unused <= set(resolve("", kind="discord-series").resolved)
+        for _, point in _sweep_points(law):
+            assert all(point.resolved[name] == 0.0 for name in unused
+                       if name.startswith(("gamma", "influx")))
 
     @pytest.mark.parametrize("text", ["g_up=0\nenvelope_window=3\n",
                                       "g_up=0\nzeta=0\n",
@@ -251,19 +259,29 @@ class TestRun:
     @pytest.mark.parametrize("zeta", ["0", "g"])
     def test_period_law_point_is_the_discord_series_run(self, tmp_path,
                                                         zeta):
-        # cli._sweep_points picks a period-law point's record grid, and
-        # the KEYS defaults a discord series'; both must give the same run
+        # a point writes the run of a discord-series config at its g_omega
         law, series = tmp_path / "law", tmp_path / "series"
         run(resolve(f"kind=period-law\nzeta={zeta}\nsweep_values=0.2\n",
                     out=str(law)))
         run(resolve(f"kind=discord-series\nzeta={zeta}\ng_omega=0.2g\n",
                     out=str(series)))
+        point = law / "g_omega_over_g=0.2"
+
+        def content(path):
+            return [line for line in path.read_text().splitlines()
+                    if not line.startswith("wall_time_s=")]
+
+        names = sorted(path.name for path in series.iterdir())
+        assert sorted(path.name for path in point.iterdir()) == names
+        assert "fit.csv" in names
+        for name in names:
+            assert content(point / name) == content(series / name), name
         header, row = (law / "sweep.csv").read_text().splitlines()
-        point = dict(zip(header.split(","), row.split(",")))
+        swept = dict(zip(header.split(","), row.split(",")))
         header, row = (series / "fit.csv").read_text().splitlines()
         fit = dict(zip(header.split(","), row.split(",")))
-        assert point["fitted_period_s"] == fit["period"]
-        assert point["rms_residual"] == fit["rms_residual"]
+        assert swept["fitted_period_s"] == fit["period"]
+        assert swept["rms_residual"] == fit["rms_residual"]
 
     def test_operator_dump_holds_the_hamiltonian(self, tmp_path):
         config = resolve("kind=evolve-closed\nt_end=1e-9\ndt=1e-10\n"
@@ -447,10 +465,11 @@ class TestMain:
         assert main(["validate", path]) == 2
         assert text.split("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", SWEEPS)
     @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_period_law_without_g_up_exits_as_config_error(
-            self, tmp_path, capsys, command):
-        path = write_config(tmp_path, "kind=period-law\ng_up=0\n")
+    def test_sweep_without_g_up_exits_as_config_error(
+            self, tmp_path, capsys, command, kind):
+        path = write_config(tmp_path, f"kind={kind}\ng_up=0\n")
         assert main([command, path, "--out", str(tmp_path / "o")]) == 2
         assert "g_up" in capsys.readouterr().err
 

@@ -196,13 +196,6 @@ class TestProjectors:
         with pytest.raises(AngleOutOfRange):
             projector_set(MeasurementConfig(0.1, 0.1, phi=-1.0))
 
-    def test_tie_flags_override(self):
-        cfg = MeasurementConfig(0.3, 0.9, 1.0, 2.0, tie_thetas=True,
-                                tie_phis=True)
-        assert cfg.resolved() == (0.3, 0.3, 1.0, 1.0)
-        zero = MeasurementConfig(0.3, 0.9, 1.0, 2.0, zero_phases=True)
-        assert zero.resolved() == (0.3, 0.9, 0.0, 0.0)
-
 
 class TestMeasuredConditionalEntropy:
     def test_product_state_is_undisturbed(self):
@@ -349,7 +342,7 @@ class TestDiscord:
         rho = DensityMatrix(np.eye(4, dtype=complex) / 4, TINY)
         point = discord(rho, SearchConfig(theta_points=5, phi_points=5,
                                           zero_phases=False, refine=False))
-        assert point.argmin_config.resolved() == (0.0, 0.0, 0.0, 0.0)
+        assert point.argmin_config == (0.0, 0.0, 0.0, 0.0)
 
     def test_unnormalised_state_fails_on_its_trace(self):
         # sum p = tr rho, so an off trace must be named as such, not as a
@@ -526,7 +519,7 @@ class TestGridDeduplication:
                                               search)
             value, config, _, _ = SEARCH_MINIMUM(rho4, search)
             assert abs(value - want) <= 1e-15
-            assert config.resolved() == resolve_free(free, search)
+            assert config == resolve_free(free, search)
 
 
 def coupling_groups_state(rng):
@@ -605,7 +598,7 @@ class TestDiscordSeries:
             cold = discord(rho, search)
             assert not pt.pure and cold.full_grid
             assert abs(pt.classical_corr - cold.classical_corr) <= 1e-12
-            got = pt.argmin_config.resolved()
+            got = pt.argmin_config
             assert np.abs(np.subtract(got[:2], (theta, theta_p))).max() \
                 <= 1e-3
 
