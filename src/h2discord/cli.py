@@ -209,8 +209,6 @@ KEYS = (
     Key("renormalize_trace", BOOL, "false"),
     _search_key("theta_points", _int_at_least(1)),
     _search_key("phi_points", _int_at_least(1)),
-    _search_key("tie_thetas", BOOL),
-    _search_key("tie_phis", BOOL),
     _search_key("zero_phases", BOOL),
     _search_key("refine", BOOL),
     _search_key("refine_tol", POSITIVE),
@@ -317,6 +315,8 @@ def _check(v: dict, params: ModelParams, given):
     if kind == "period-law" and not (sweep and all(0 < x <= 1 for x in sweep)):
         raise ConfigTypeError("TypeError: period-law sweep_values must lie "
                               "in (0, 1]")
+    if kind in SWEEPS and len(set(sweep)) < len(sweep):
+        raise ConfigTypeError("TypeError: sweep_values repeats a value")
     window = v["envelope_window"]
     if window % 2 == 0 and window:
         raise ConfigTypeError("TypeError: envelope_window must be odd "

@@ -14,8 +14,9 @@ The measurement family is the product of two single-qubit bases
 (and the primed pair for the second qubit), which is orthonormal for
 every angle choice and reduces to the real-valued family at phi = 0.
 One builder makes the outcome vectors u of a batch of angle tuples,
-and one matmul kernel the B blocks <u|rho|u>.  A search point is a row
-of its free angles, in `_free_axes` order.
+and one matmul kernel the B blocks <u|rho|u>.  A search point is the
+row (theta, theta', phi, phi') of a `MeasurementConfig`; the family
+only decides which columns the grid and the refinement vary (`_free`).
 
 Classical correlation maximizes over a deterministic grid of the free
 angles, evaluated once per distinct measurement, followed by a batched
@@ -76,7 +77,7 @@ EPS_OUTCOME = 1e-12     # outcomes rarer than this contribute nothing
 TIE_TOL = 1e-9
 PURE_TOL = 1e-10        # 1 - tr(rho^2) below this takes the closed form
 GUARD_POINTS = 5        # guard grid points per free angle of a warm start
-_CHUNK = 8192
+_CHUNK = 256            # outcome vectors per batch (bounds its B blocks)
 
 A_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -130,31 +131,9 @@ def partial_trace_A(rho: DensityMatrix) -> DensityMatrix:
                          _b_label_space(rho.space))
 
 
-_ANGLE_BOUNDS = {"theta": (0.0, np.pi / 2), "theta_prime": (0.0, np.pi / 2),
-                 "phi": (0.0, 2 * np.pi), "phi_prime": (0.0, 2 * np.pi)}
-
-
-def _free_names(search) -> list:
-    """The free angles under the tie/zero flags of a SearchConfig, in the
-    order of a point's row."""
-    names = ["theta"] + ([] if search.tie_thetas else ["theta_prime"])
-    if not search.zero_phases:
-        names += ["phi"] + ([] if search.tie_phis else ["phi_prime"])
-    return names
-
-
-def _resolve(free, flags):
-    """(theta, theta', phi, phi') from `free`, a point's row or one array
-    per free angle, under the flags of `flags`; zeroed phases come back
-    as scalar 0.0, which the batched evaluator broadcasts."""
-    free = iter(free)
-    theta = next(free)
-    theta_p = theta if flags.tie_thetas else next(free)
-    if flags.zero_phases:
-        return theta, theta_p, 0.0, 0.0
-    phi = next(free)
-    phi_p = phi if flags.tie_phis else next(free)
-    return theta, theta_p, phi, phi_p
+# (lo, hi) of theta, theta', phi and phi', the columns of a point's row
+_ANGLE_BOUNDS = np.array([[0.0, np.pi / 2], [0.0, np.pi / 2],
+                          [0.0, 2 * np.pi], [0.0, 2 * np.pi]])
 
 
 class MeasurementConfig(NamedTuple):
@@ -207,7 +186,8 @@ def _blocks(rows: np.ndarray, ac_bd: np.ndarray) -> np.ndarray:
 def projector_set(config: MeasurementConfig) -> tuple:
     """The four rank-1 projectors of the product single-qubit bases, in
     the outcome order 00', 10', 01', 11'."""
-    for (name, (lo, hi)), value in zip(_ANGLE_BOUNDS.items(), config):
+    for name, (lo, hi), value in zip(MeasurementConfig._fields,
+                                     _ANGLE_BOUNDS, config):
         if not lo - 1e-12 <= value <= hi + 1e-12:
             raise AngleOutOfRange(f"{name}={value:g} outside "
                                   f"[{lo:g}, {hi:g}]")
@@ -246,29 +226,37 @@ class SearchConfig:
 
     theta_points: int = 17
     phi_points: int = 17
-    tie_thetas: bool = False
-    tie_phis: bool = False
     zero_phases: bool = True
     refine: bool = True
     refine_tol: float = 1e-4
 
     def __post_init__(self):
+        for name in ("theta_points", "phi_points"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not 0 < self.refine_tol < np.inf:
             raise ValueError("refine_tol must be positive and finite")
 
 
-def _free_axes(search: SearchConfig) -> list:
-    """(name, grid over its range) per free angle, in row order."""
-    return [(name, np.linspace(*_ANGLE_BOUNDS[name], search.theta_points
-                               if name.startswith("theta")
-                               else search.phi_points))
-            for name in _free_names(search)]
+def _free(search: SearchConfig) -> np.ndarray:
+    """Which columns of a point's row the search varies."""
+    return np.array([True, True, not search.zero_phases,
+                     not search.zero_phases])
+
+
+def _axes(search: SearchConfig) -> list:
+    """The grid of each column of a point's row; [0.0] for a fixed one."""
+    counts = (search.theta_points, search.theta_points, search.phi_points,
+              search.phi_points)
+    return [np.linspace(lo, hi, n) if free else np.zeros(1)
+            for (lo, hi), n, free in zip(_ANGLE_BOUNDS, counts,
+                                         _free(search))]
 
 
 def _spacing(search: SearchConfig) -> np.ndarray:
-    """The grid spacing per free angle; 0.1 on a one-point axis."""
+    """The grid spacing per column; 0.1 on a one-point axis."""
     return np.array([grid[1] - grid[0] if len(grid) > 1 else 0.1
-                     for _, grid in _free_axes(search)])
+                     for grid in _axes(search)])
 
 
 class _Evaluator:
@@ -304,13 +292,10 @@ class _Evaluator:
         return np.concatenate([np.linalg.eigvalsh(_blocks(rows, group))
                                for group in self.groups], axis=-1)
 
-    def conditional_entropies(self, theta, theta_p, phi, phi_p) -> np.ndarray:
-        """Sum_k p_k S(rho_k) for a batch of angle tuples."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        theta_p = np.broadcast_to(theta_p, theta.shape)
-        phi = np.broadcast_to(phi, theta.shape)
-        phi_p = np.broadcast_to(phi_p, theta.shape)
-        flat = _basis_vectors(theta, theta_p, phi, phi_p).reshape(-1, 4)
+    def conditional_entropies(self, points: np.ndarray) -> np.ndarray:
+        """Sum_k p_k S(rho_k) at each row of angles of `points`."""
+        points = np.asarray(points, dtype=float)
+        flat = _basis_vectors(*points.T).reshape(-1, 4)
         contrib = np.empty(flat.shape[0])
         for start in range(0, flat.shape[0], _CHUNK):
             w = self._spectra(flat[start:start + _CHUNK])
@@ -321,11 +306,7 @@ class _Evaluator:
             ent = -(r * np.log(r)).sum(axis=-1)
             contrib[start:start + _CHUNK] = np.where(p > EPS_OUTCOME,
                                                      p * ent, 0.0)
-        return contrib.reshape(len(theta), 4).sum(axis=-1)
-
-    def values(self, points: np.ndarray, search: SearchConfig) -> np.ndarray:
-        """Conditional entropies at the rows of `points`."""
-        return self.conditional_entropies(*_resolve(points.T, search))
+        return contrib.reshape(len(points), 4).sum(axis=-1)
 
     def probabilities(self, angles) -> np.ndarray:
         vectors = _basis_vectors(*np.array(angles)[:, None])[0]
@@ -354,18 +335,16 @@ def _grid(search: SearchConfig):
     """(kept, points): the indices into the ij-ordered grid of the points
     whose measurement no earlier point makes, ascending, and those
     points, one row each."""
-    axes = _free_axes(search)
-    index = np.indices([len(grid) for _, grid in axes]).reshape(len(axes), -1)
-    i, i_p, j, j_p = _resolve(index, search)
-    n_phi = search.phi_points
-    if search.zero_phases:
-        n_phi, j, j_p = 1, 0, 0
+    axes = _axes(search)
+    index = np.indices([len(grid) for grid in axes]).reshape(4, -1)
+    i, i_p, j, j_p = index
+    n_phi = len(axes[2])
     ids = np.stack([_measurement_ids(i, j, search.theta_points, n_phi),
                     _measurement_ids(i_p, j_p, search.theta_points, n_phi)],
                    axis=1)
     kept = np.sort(np.unique(ids, axis=0, return_index=True)[1])
     points = np.column_stack([grid[axis[kept]]
-                              for (_, grid), axis in zip(axes, index)])
+                              for grid, axis in zip(axes, index)])
     for array in (kept, points):
         array.setflags(write=False)
     return kept, points
@@ -373,7 +352,7 @@ def _grid(search: SearchConfig):
 
 def _grid_minimum(ev: _Evaluator, search: SearchConfig):
     points = _grid(search)[1]
-    values = ev.values(points, search)
+    values = ev.conditional_entropies(points)
     # lexicographic tie-break: the kept points are in ij order, which
     # enumerates angle tuples in ascending order, and a dropped point only
     # repeats an earlier one, so the first near-minimal index wins
@@ -393,9 +372,8 @@ def _warm_start(ev: _Evaluator, search: SearchConfig,
     """
     guard = replace(search, theta_points=GUARD_POINTS,
                     phi_points=GUARD_POINTS)
-    points = np.vstack([[getattr(warm, name) for name in _free_names(search)],
-                        _grid(guard)[1]])
-    values = ev.values(points, search)
+    points = np.vstack([warm, _grid(guard)[1]])
+    values = ev.conditional_entropies(points)
     best = int(np.argmin(values))
     if (np.abs(points[best] - points[0]) > _spacing(guard)).any():
         return None
@@ -406,11 +384,12 @@ def _refine(ev: _Evaluator, search: SearchConfig, point: np.ndarray,
             f_best: float):
     """Pattern search from a grid or warm-start minimum.
 
-    The rule: at each step h, from the largest grid spacing down to
-    refine_tol / 4 by halving, evaluate +-h on every free axis, clipped
-    to the angle bounds, and move to the best trial (the first, on a
-    tie) while it gains more than 1e-12; float-noise gains are ignored,
-    so flat landscapes keep the grid tie-break angles.  Where h would
+    The rule: at each step h, from the largest grid spacing of a free
+    column down to refine_tol / 4 by halving, evaluate +-h on every
+    free column of the row, clipped to the angle bounds, and move to
+    the best trial (the first, on a tie) while it gains more than
+    1e-12; float-noise gains are ignored, so flat landscapes keep the
+    grid tie-break angles.  Where h would
     halve, one batch evaluates the trials of every smaller h as well,
     and the largest h with a gain takes its best trial: the smaller
     steps it skips gain nothing at this point, so the moves are those
@@ -418,23 +397,23 @@ def _refine(ev: _Evaluator, search: SearchConfig, point: np.ndarray,
     move only the same h is tried again, as a descent usually gains
     there once more.
     """
-    names = _free_names(search)
-    lo, hi = np.array([_ANGLE_BOUNDS[name] for name in names]).T
-    # rows -e_0, +e_0, -e_1, +e_1, ...
-    moves = np.kron(np.eye(len(names)), [[-1.0], [1.0]])
-    steps = [_spacing(search).max()]
+    free = _free(search)
+    lo, hi = _ANGLE_BOUNDS.T
+    # rows -e_k, +e_k for each free column k
+    moves = np.kron(np.eye(4)[free], [[-1.0], [1.0]])
+    steps = [_spacing(search)[free].max()]
     while steps[-1] > search.refine_tol / 4:
         steps.append(steps[-1] / 2)
     level, smaller = 0, True  # try steps[level], and all smaller ones?
     while level < len(steps):
         tried = np.array(steps[level:] if smaller else steps[level:level + 1])
         trials = np.clip(point + tried[:, None, None] * moves,
-                         lo, hi).reshape(-1, len(names))
+                         lo, hi).reshape(-1, 4)
         levels = level + np.repeat(np.arange(len(tried)), len(moves))
         # a trial clipped back onto the point repeats it
         keep = (trials != point).any(axis=1)
         trials, levels = trials[keep], levels[keep]
-        values = ev.values(trials, search)
+        values = ev.conditional_entropies(trials)
         gains = values < f_best - 1e-12
         if gains.any():
             level = levels[np.argmax(gains)]
@@ -447,12 +426,6 @@ def _refine(ev: _Evaluator, search: SearchConfig, point: np.ndarray,
         else:
             level, smaller = level + 1, True
     return point, f_best
-
-
-def _measurement(ev: _Evaluator, search: SearchConfig, point):
-    """The argmin record: measurement config and outcome probabilities."""
-    config = MeasurementConfig(*(float(x) for x in _resolve(point, search)))
-    return config, ev.probabilities(config)
 
 
 def _search_minimum(rho4: np.ndarray, search: SearchConfig,
@@ -472,7 +445,8 @@ def _search_minimum(rho4: np.ndarray, search: SearchConfig,
     point, f_best = _grid_minimum(ev, search) if full_grid else start
     if search.refine:
         point, f_best = _refine(ev, search, point, f_best)
-    return (f_best, *_measurement(ev, search, point), full_grid)
+    config = MeasurementConfig(*point.tolist())
+    return f_best, config, ev.probabilities(config), full_grid
 
 
 def is_pure(rho: DensityMatrix) -> bool:
@@ -548,10 +522,11 @@ def discord(rho_AB: DensityMatrix, search: Optional[SearchConfig] = None,
     s_ab = _entropy_psd(rho_AB.mat)
     info = s_a + s_b - s_ab
     pure = is_pure(rho_AB)
-    if pure:  # the all-zero angles
+    if pure:  # all angles zero: the outcomes are rho_A's diagonal
         value = 0.0
         full_grid = False
-        config, probs = _measurement(_Evaluator(rho4), search, (0.0,) * 4)
+        config = MeasurementConfig(0.0, 0.0)
+        probs = rho_a.diagonal().real[[0, 2, 1, 3]]
     else:
         value, config, probs, full_grid = _search_minimum(rho4, search, warm)
     j = s_b - value

@@ -9,8 +9,7 @@ from scipy import sparse
 from scipy.optimize import minimize_scalar
 
 from h2discord.analysis import FitResult
-from h2discord.discord import EPS_EIGENVALUE, TIE_TOL, _ANGLE_BOUNDS, \
-    _free_axes
+from h2discord.discord import EPS_EIGENVALUE, TIE_TOL
 from h2discord.dynamics import DensityMatrix
 from h2discord.errors import NotDensityMatrix
 from h2discord.statespace import BasisState
@@ -154,29 +153,47 @@ def reference_conditional_entropies(rho4, theta, theta_p, phi, phi_p):
     return total.reshape(-1, 4).sum(axis=-1)
 
 
+ANGLE_BOUNDS = {"theta": (0.0, np.pi / 2), "theta_prime": (0.0, np.pi / 2),
+                "phi": (0.0, 2 * np.pi), "phi_prime": (0.0, 2 * np.pi)}
+
+
+def free_axes(search):
+    """{name: grid over its range} of the angles the search varies: both
+    thetas, and both phis unless the search zeroes the phases."""
+    axes = {"theta": np.linspace(*ANGLE_BOUNDS["theta"],
+                                 search.theta_points),
+            "theta_prime": np.linspace(*ANGLE_BOUNDS["theta_prime"],
+                                       search.theta_points)}
+    if not search.zero_phases:
+        axes["phi"] = np.linspace(*ANGLE_BOUNDS["phi"], search.phi_points)
+        axes["phi_prime"] = np.linspace(*ANGLE_BOUNDS["phi_prime"],
+                                        search.phi_points)
+    return axes
+
+
 def resolve_free(free, search):
-    """(theta, theta', phi, phi') from a {name: angle} dict of the free
-    angles under the search's tie/zero flags."""
-    theta = free["theta"]
-    theta_p = theta if search.tie_thetas else free["theta_prime"]
+    """(theta, theta', phi, phi') from a {name: angle} dict of the angles
+    the search varies; zeroed phases are 0.0."""
     if search.zero_phases:
-        return theta, theta_p, 0.0, 0.0
-    phi = free["phi"]
-    return theta, theta_p, phi, phi if search.tie_phis else free["phi_prime"]
+        return free["theta"], free["theta_prime"], 0.0, 0.0
+    return free["theta"], free["theta_prime"], free["phi"], free["phi_prime"]
 
 
 def full_grid_minimum(evaluate, search):
     """The first near-minimal point of the whole ij-ordered grid, no
     point dropped: (free angles, grid spacing per axis, value).
-    `evaluate(theta, theta', phi, phi')` takes arrays of angles."""
-    axes = _free_axes(search)
-    grids = np.meshgrid(*[values for _, values in axes], indexing="ij")
-    flat = {name: grid.ravel() for (name, _), grid in zip(axes, grids)}
-    values = evaluate(*resolve_free(flat, search))
+    `evaluate(points)` takes one row (theta, theta', phi, phi') per
+    point."""
+    axes = free_axes(search)
+    grids = np.meshgrid(*axes.values(), indexing="ij")
+    flat = {name: grid.ravel() for name, grid in zip(axes, grids)}
+    points = np.column_stack(np.broadcast_arrays(*resolve_free(flat,
+                                                               search)))
+    values = evaluate(points)
     best = int(np.nonzero(values <= values.min() + TIE_TOL)[0][0])
-    free = {name: float(flat[name][best]) for name, _ in axes}
+    free = {name: float(flat[name][best]) for name in axes}
     spacing = {name: float(vals[1] - vals[0]) if len(vals) > 1 else 0.1
-               for name, vals in axes}
+               for name, vals in axes.items()}
     return free, spacing, float(values[best])
 
 
@@ -189,13 +206,13 @@ def reference_search_minimum(rho4, search):
         return float(reference_conditional_entropies(rho4, *angles)[0])
 
     free, spacing, f_best = full_grid_minimum(
-        lambda *angles: reference_conditional_entropies(rho4, *angles),
+        lambda points: reference_conditional_entropies(rho4, *points.T),
         search)
     for _ in range(12 if search.refine else 0):
         moved = 0.0
         for name in list(free):
-            lo = max(_ANGLE_BOUNDS[name][0], free[name] - spacing[name])
-            hi = min(_ANGLE_BOUNDS[name][1], free[name] + spacing[name])
+            lo = max(ANGLE_BOUNDS[name][0], free[name] - spacing[name])
+            hi = min(ANGLE_BOUNDS[name][1], free[name] + spacing[name])
             if hi - lo <= search.refine_tol * 1e-3:
                 continue
             res = minimize_scalar(

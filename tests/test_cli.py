@@ -79,10 +79,12 @@ class TestResolveConfig:
             resolve("g_omega=banana\n", kind="evolve-closed")
         assert "g_omega" in str(err.value)
 
-    def test_unknown_key_named_with_line(self):
+    # the search has no tied-angle families
+    @pytest.mark.parametrize("key", ["banana", "tie_thetas", "tie_phis"])
+    def test_unknown_key_named_with_line(self, key):
         with pytest.raises(UnknownKey) as err:
-            resolve("g=1e7\nbanana=1\n", kind="evolve-closed")
-        assert "banana" in str(err.value)
+            resolve(f"g=1e7\n{key}=1\n", kind="evolve-closed")
+        assert key in str(err.value)
         assert "line 2" in str(err.value)
 
     def test_missing_kind(self):
@@ -115,7 +117,10 @@ class TestResolveConfig:
     @pytest.mark.parametrize("kind,values", [("period-law", "2"),
                                              ("period-law", "0,0.1"),
                                              ("period-law", ""),
-                                             ("sweep-gamma", "-1")])
+                                             ("sweep-gamma", "-1"),
+                                             ("period-law", "0.1,0.2,0.1"),
+                                             ("sweep-gamma", "0.5,0.5"),
+                                             ("sweep-g-omega", "0.5,0.5")])
     def test_rejects_sweep_values_the_sweep_cannot_run(self, kind, values):
         with pytest.raises(ConfigTypeError) as err:
             resolve(f"sweep_values={values}\n", kind=kind)

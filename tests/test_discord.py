@@ -236,7 +236,7 @@ class TestMeasuredConditionalEntropy:
         angles = (0.4, 1.1, 2.2, 5.0)
         value, _, _ = measured_conditional_entropy(
             rho, projector_set(MeasurementConfig(*angles)))
-        fast = _Evaluator(_embedded(rho)).conditional_entropies(*angles)[0]
+        fast = _Evaluator(_embedded(rho)).conditional_entropies([angles])[0]
         oracle = reference_conditional_entropies(_embedded(rho), *angles)[0]
         assert value == pytest.approx(fast, abs=1e-11)
         assert value == pytest.approx(oracle, abs=1e-11)
@@ -332,10 +332,10 @@ class TestDiscord:
 
     def test_grid_refinement_consistency(self):
         rho = werner_state(0.55)
-        coarse = discord(rho, SearchConfig(theta_points=17, phi_points=17,
-                                           tie_phis=True, zero_phases=False))
-        fine = discord(rho, SearchConfig(theta_points=33, phi_points=33,
-                                         tie_phis=True, zero_phases=False))
+        coarse = discord(rho, SearchConfig(theta_points=17, phi_points=9,
+                                           zero_phases=False))
+        fine = discord(rho, SearchConfig(theta_points=33, phi_points=17,
+                                         zero_phases=False))
         assert abs(coarse.classical_corr - fine.classical_corr) <= 1e-4
 
     def test_lexicographic_tie_break(self):
@@ -388,10 +388,13 @@ class TestFreeRotationInvariance:
 
 
 class TestSearchBounds:
-    @pytest.mark.parametrize("tol", [0.0, -1e-4, np.inf, np.nan])
-    def test_search_config_rejects_refine_tol(self, tol):
-        with pytest.raises(ValueError):
-            SearchConfig(refine_tol=tol)
+    @pytest.mark.parametrize("field,value", [
+        ("refine_tol", 0.0), ("refine_tol", -1e-4), ("refine_tol", np.inf),
+        ("refine_tol", np.nan), ("theta_points", 0), ("theta_points", -2),
+        ("phi_points", 0)])
+    def test_search_config_rejects_out_of_range_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
 
     def test_conditional_entropy_nonnegative_and_j_capped(self):
         rng = np.random.default_rng(55)
@@ -484,10 +487,6 @@ GRID_PRESETS = {
     "zero-phase": SearchConfig(zero_phases=True, refine=False),
     "four-angle": SearchConfig(theta_points=5, phi_points=5,
                                zero_phases=False, refine=False),
-    "tie-thetas": SearchConfig(theta_points=9, phi_points=9, tie_thetas=True,
-                               zero_phases=False, refine=False),
-    "tie-phis": SearchConfig(theta_points=9, phi_points=9, tie_phis=True,
-                             zero_phases=False, refine=False),
 }
 
 
@@ -498,7 +497,7 @@ class TestGridDeduplication:
         ids=["zero-phase", "four-angle"])
     def test_kept_point_counts(self, search, kept, total):
         indices, points = discord_module._grid(search)
-        sizes = [len(v) for _, v in discord_module._free_axes(search)]
+        sizes = [len(v) for v in discord_module._axes(search)]
         assert (len(indices), int(np.prod(sizes))) == (kept, total)
         assert points.shape == (kept, len(sizes))
 
@@ -540,7 +539,7 @@ class TestAgainstReferenceSearch:
         assert sorted(group.shape[1] for group in ev.groups) == [4, 12]
         angles = rng.uniform(0, np.pi / 2, size=(4, 20))
         angles[2:] *= 4
-        assert np.abs(ev.conditional_entropies(*angles)
+        assert np.abs(ev.conditional_entropies(angles.T)
                       - reference_conditional_entropies(rho4, *angles)
                       ).max() <= 1e-13
 
