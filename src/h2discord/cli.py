@@ -19,8 +19,8 @@ from typing import Callable
 
 from . import __version__
 from .analysis import OBSERVABLES, PREDICATES, default_dt, \
-    default_record_stride, default_t_end, evolve_model, fit_law, \
-    fit_period, observables, run_discord_series
+    default_record_stride, default_t_end, fit_law, fit_period, \
+    observables, run_discord_series
 from .discord import DiscordPoint, SearchConfig
 from .dynamics import SimConfig, initial_state
 from .errors import ConfigError, ConfigTypeError, EmptySeeds, \
@@ -30,11 +30,10 @@ from .operators import ModelParams, build_hamiltonian, write_operator
 from .statespace import INITIAL_COMPONENTS, BasisState, GatingPolicy, \
     check_seeds, full_space, generate_space, table_space
 
-KINDS = ("evolve-closed", "evolve-open", "discord-series", "sweep-g-omega",
-         "sweep-gamma", "period-law", "generate-space")
-# the kinds that evolve the standard initial state on the built space
-EVOLVING = ("evolve-closed", "evolve-open", "discord-series")
-# the kinds that evolve it once per sweep value, each on its own space
+KINDS = ("discord-series", "sweep-g-omega", "sweep-gamma", "period-law",
+         "generate-space")
+# the kinds that run a discord series once per sweep value, each on its
+# own space
 SWEEPS = ("sweep-g-omega", "sweep-gamma", "period-law")
 # the keys a sweep sets to x g_up
 _SWEPT = {"sweep-g-omega": ("g_omega",),
@@ -286,15 +285,16 @@ def _model(v: dict) -> ModelParams:
                  freq_phn=0.0 if picture else v["omega_phn"])
 
 
-# keys a period-law config may not give: each point runs on the default
-# grid of its own model (_sweep_points), and the record omits that grid
-_LAW_GRID = ("dt", "t_end", "record_stride")
-_LAW_FIXED = (*_LAW_GRID, "discord_stride", "envelope_window",
+# the record grid keys; a sweep's record leaves out those its config
+# does not give, so that each point runs on its own model's default grid
+_GRID = ("dt", "t_end", "record_stride")
+# keys a period-law config may not give
+_LAW_FIXED = (*_GRID, "discord_stride", "envelope_window",
               "renormalize_trace")
-# the record also omits the rates, so that every point runs closed: the
-# law is fitted on closed runs
-_LAW_UNRECORDED = (*_LAW_GRID, "gamma_up", "gamma_down", "gamma_phn",
-                   "influx_up", "influx_down", "influx_phn")
+# a period-law record also omits the rates, so that every point runs
+# closed: the law is fitted on closed runs
+_LAW_RATES = ("gamma_up", "gamma_down", "gamma_phn", "influx_up",
+              "influx_down", "influx_phn")
 
 
 def _check(v: dict, params: ModelParams, given):
@@ -308,9 +308,6 @@ def _check(v: dict, params: ModelParams, given):
     if not v["dt"] <= v["t_end"] < math.inf:
         raise ConfigTypeError("TypeError: t_end must be finite and at least "
                               "one step")
-    if kind == "evolve-open" and _closed(params):
-        raise MissingRequired("evolve-open needs a positive gamma "
-                              "(missing required key 'gamma')")
     sweep = v["sweep_values"]
     if kind == "period-law" and not (sweep and all(0 < x <= 1 for x in sweep)):
         raise ConfigTypeError("TypeError: period-law sweep_values must lie "
@@ -356,7 +353,11 @@ def resolve_config(entries: dict, kind: str = None,
         v[key.name] = _value(key, entries.get(key.name), v)
     params = _model(v)
     _check(v, params, entries)
-    skipped = _LAW_UNRECORDED if v["kind"] == "period-law" else ()
+    kind = v["kind"]
+    skipped = [name for name in _GRID
+               if kind in SWEEPS and name not in entries]
+    if kind == "period-law":
+        skipped += _LAW_RATES
     resolved = {key.name: key.type.show(v[key.name])
                 for key in KEYS if key.recorded and key.name not in skipped}
     config = _bind(ExperimentConfig, v, params=params,
@@ -374,7 +375,7 @@ def _check_seeds(config: ExperimentConfig):
         return
     try:
         check_seeds(config.seeds, config.space_mode)
-        if config.kind in EVOLVING:
+        if config.kind == "discord-series":
             initial_state(_build_space(config))
     except (EmptySeeds, SeedOutsideCompatTable, StateMissing) as exc:
         raise ConfigTypeError(f"TypeError: seeds with space_mode="
@@ -386,9 +387,10 @@ def _sweep_points(config: ExperimentConfig) -> list:
     sweeping kind; none for the other kinds.
 
     A point resolves the sweep's recorded keys, without sweep_values,
-    with the kind's _SWEPT keys set to x g_up.  A period-law record
-    leaves out the record grid and the rates, so its points are closed
-    runs on the default grid of their own model.
+    with the kind's _SWEPT keys set to x g_up.  A sweep's record leaves
+    out the record grid keys its config does not give, so its points run
+    on the default grid of their own model; a period-law record leaves
+    out the rates too, so its points are closed runs.
     """
     if config.kind not in SWEEPS:
         return []
@@ -490,8 +492,7 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
         emit(name, lambda p: _write_lines(p, [template.format(**fields)]))
 
     kind = config.kind
-    evolving = kind in EVOLVING
-    if config.dump_operators and evolving:
+    if config.dump_operators and kind == "discord-series":
         h = build_hamiltonian(config.params, _build_space(config),
                               config.gating)
         emit("hamiltonian.txt", lambda p: write_operator(p, h))
@@ -499,12 +500,8 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
         space = _build_space(config)
         emit("space.txt", space.dump)
         notes["space_size"] = space.size
-    elif evolving:
-        if kind == "discord-series":
-            traj, points = _run_series(config)
-        else:
-            traj = evolve_model(config.params, config.sim,
-                                _build_space(config), config.gating)
+    elif kind == "discord-series":
+        traj, points = _run_series(config)
         notes.update(min_eigenvalue=traj.min_eigenvalue,
                      min_eigenvalue_t=traj.min_eigenvalue_t,
                      max_trace_drift=traj.max_trace_drift,
@@ -513,15 +510,12 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
             p, ",".join(OBSERVABLES), observables(traj)))
         if config.dump_rho:
             emit("rho.csv", lambda p: _write_csv(p, *_rho_rows(traj)))
-        if kind == "discord-series":
-            fit = _discord_artifacts(config, points, notes, emit)
-            plot("plot_discord.py", _PLOT_SERIES, csv="discord.csv",
-                 columns=["D", "I", "J"], png="discord.png")
-        # a discord series plots only the photon populations
-        columns = [f"pop_{name}" for name in PREDICATES
-                   if kind != "discord-series" or name.startswith("photons")]
+        fit = _discord_artifacts(config, points, notes, emit)
+        plot("plot_discord.py", _PLOT_SERIES, csv="discord.csv",
+             columns=["D", "I", "J"], png="discord.png")
         plot("plot_observables.py", _PLOT_SERIES, csv="observables.csv",
-             columns=columns, png="observables.png")
+             columns=[f"pop_{name}" for name in PREDICATES
+                      if name.startswith("photons")], png="observables.png")
     elif kind in SWEEPS:
         law = kind == "period-law"
         name, header = _SWEEP_CSV[kind]

@@ -281,7 +281,9 @@ class _Evaluator:
             linked = (linked.astype(int) @ linked) > 0
         first = linked.argmax(axis=0)  # each label's lowest group member
         groups = []
-        for label in np.unique(first):
+        # the labels that lead a group, ascending (np.unique would import
+        # numpy.ma)
+        for label in np.flatnonzero(first == np.arange(nb)):
             idx = np.flatnonzero(first == label)
             groups.append(_ac_bd(self.rho4[:, idx][:, :, :, idx]))
         return groups

@@ -2,32 +2,41 @@
 
     PYTHONPATH=src python tests/check_open_configs.py [CONFIG ...]
 
-For every open config given (default: each file in configs/ with a
-positive loss rate), the script computes the run's discord series as
-``h2discord run`` does, then recomputes each mixed snapshot with the
+For every open run of the configs given (default: each file in
+configs/), that is each sweep point or each config that is not a sweep,
+with a positive loss rate, the script computes the run's discord series
+as ``h2discord run`` does, then recomputes each mixed snapshot with the
 cold search, ``discord()`` without a warm point.  It prints one line per
-config: mixed snapshots, full-grid fallbacks, the largest |J_series -
-J_cold| and the number of snapshots whose argmin angles differ.  It
-exits 1 when some |J_series - J_cold| exceeds 1e-12 or an angle
-differs.  pytest does not collect it; the whole set takes about half
-a minute on a 2-core host.
+run (``fig9/0.1`` is the ``g_omega_over_g=0.1/`` point of ``fig9``):
+mixed snapshots, full-grid fallbacks, the largest |J_series - J_cold|
+and the number of snapshots whose argmin angles differ.  It exits 1
+when some |J_series - J_cold| exceeds 1e-12 or an angle differs.
+pytest does not collect it; the whole set takes about half a minute on
+a 2-core host.
 """
 
 import sys
 import time
 from pathlib import Path
 
-from h2discord.cli import _closed, _run_series, parse_config, \
-    resolve_config
+from h2discord.cli import _closed, _run_series, _sweep_points, \
+    parse_config, resolve_config
 from h2discord.discord import discord
 
 ROOT = Path(__file__).resolve().parent.parent
 TOL = 1e-12
 
 
-def check(path: Path) -> tuple:
-    """(mixed snapshots, fallbacks, max |dJ|, angle mismatches, seconds)."""
+def runs(path: Path) -> list:
+    """(name, config) of each run a config makes: its sweep points, or
+    the config itself."""
     config = resolve_config(parse_config(path.read_text(encoding="utf-8")))
+    return [(f"{path.stem}/{x!r}", point)
+            for x, point in _sweep_points(config)] or [(path.stem, config)]
+
+
+def check(config) -> tuple:
+    """(mixed snapshots, fallbacks, max |dJ|, angle mismatches, seconds)."""
     started = time.perf_counter()
     traj, points = _run_series(config)
     elapsed = time.perf_counter() - started
@@ -43,19 +52,15 @@ def check(path: Path) -> tuple:
 
 
 def main(argv) -> int:
-    if argv:
-        paths = [Path(arg) for arg in argv]
-    else:
-        paths = []
-        for path in sorted((ROOT / "configs").glob("*.cfg")):
-            config = resolve_config(parse_config(path.read_text("utf-8")))
-            if not _closed(config.params):
-                paths.append(path)
-    print("config     mixed  fallbacks  max|dJ|    angle_diffs  series_s")
+    paths = [Path(arg) for arg in argv] \
+        or sorted((ROOT / "configs").glob("*.cfg"))
+    print("run        mixed  fallbacks  max|dJ|    angle_diffs  series_s")
     total_mixed, total_worst, total_diffs = 0, 0.0, 0
-    for path in paths:
-        mixed, fallbacks, worst, diffs, seconds = check(path)
-        print(f"{path.stem:10s} {mixed:5d}  {fallbacks:9d}  {worst:9.2e}  "
+    for name, config in (each for path in paths for each in runs(path)):
+        if _closed(config.params):
+            continue
+        mixed, fallbacks, worst, diffs, seconds = check(config)
+        print(f"{name:10s} {mixed:5d}  {fallbacks:9d}  {worst:9.2e}  "
               f"{diffs:11d}  {seconds:8.2f}")
         total_mixed += mixed
         total_worst = max(total_worst, worst)

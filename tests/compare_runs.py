@@ -13,7 +13,7 @@ numeric cell is within X, and the script prints the largest |delta| of
 each CSV that is not byte-identical.  It prints each artifact that
 differs or is present on one side only, and exits 1 on any difference.
 pytest does not collect it; the configs' ``wall_time_s`` sum to about
-13 s on a 2-core host.
+9.5 s on a 2-core host, a third of it the closed fig8a and fig8b.
 """
 
 import argparse

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The heavyweight sweeps are module-scoped fixtures so the invariant
-checks can inspect every snapshot and discord record those runs
-produced without re-running anything.
+The heavyweight runs are fixtures, the reproduction's sweep configs
+among them (`sweep_runs` in conftest.py), so the invariant checks can
+inspect every snapshot and discord record those runs produced without
+re-running anything.
 """
 
 import dataclasses
@@ -104,8 +105,8 @@ def logs():
 
 
 def period_law_constant(law_run, log):
-    """c of a period law of the `law_runs` fixture, and the seconds its
-    runs took; their snapshots and discord records go to `log`."""
+    """c of a period law run by the `sweep_runs` fixture, and the seconds
+    its runs took; their snapshots and discord records go to `log`."""
     runs, seconds = law_run
     samples = []
     for x, point, traj, points in runs:
@@ -121,13 +122,13 @@ def period_law_constant(law_run, log):
 
 
 @pytest.fixture(scope="module")
-def law_tunneling(logs, law_runs):
-    return period_law_constant(law_runs["fig8a"], logs["closed"])
+def law_tunneling(logs, sweep_runs):
+    return period_law_constant(sweep_runs("fig8a"), logs["closed"])
 
 
 @pytest.fixture(scope="module")
-def law_no_tunneling(logs, law_runs):
-    return period_law_constant(law_runs["fig8b"], logs["closed"])
+def law_no_tunneling(logs, sweep_runs):
+    return period_law_constant(sweep_runs("fig8b"), logs["closed"])
 
 
 @pytest.fixture(scope="module")
@@ -140,22 +141,36 @@ def open_endpoint(logs):
     return traj, points, time.time() - started
 
 
-@pytest.fixture(scope="module")
-def monotonic_peaks(logs):
-    def peak(params):
-        traj, points = run_discord_series(params, open_sim(params),
-                                          search=OPEN_SEARCH)
-        logs["open"].add_run(traj)
-        logs["open"].add_points(points)
-        return max(p.discord for p in points)
+# per tunneling setting, the sweeps of peak discord: over g_omega at
+# gamma = g, and over gamma at g_omega = 0.5g
+OPEN_SWEEPS = {"zeta=g": ("fig9", "fig11"), "zeta=0": ("fig10", "fig12")}
 
-    by_coupling = [(x, peak(dataclasses.replace(OPEN, g_bond=x * G)))
-                   for x in (0.1, 0.2, 0.5, 1.0)]
-    by_rate = [(y, peak(dataclasses.replace(OPEN, gamma_up=y * G,
-                                            gamma_down=y * G,
-                                            gamma_phn=y * G)))
-               for y in (0.2, 0.5, 1.0, 2.0)]
-    return by_coupling, by_rate
+
+@pytest.fixture(scope="module")
+def open_peaks(logs, sweep_runs):
+    """{setting: (peaks by g_omega, peaks by gamma)}, each a sorted list
+    of (x, the peak D of that sweep point); every snapshot and discord
+    record goes to the open log."""
+    def peaks(name):
+        runs, _ = sweep_runs(name)
+        for _, _, traj, points in runs:
+            logs["open"].add_run(traj)
+            logs["open"].add_points(points)
+        return {x: (point, max(p.discord for p in points))
+                for x, point, _, points in runs}
+
+    result = {}
+    for setting, (coupling_sweep, rate_sweep) in OPEN_SWEEPS.items():
+        by_coupling, by_rate = peaks(coupling_sweep), peaks(rate_sweep)
+        # gamma = g is the g_omega = 0.5g point of the coupling sweep
+        by_rate[1.0] = by_coupling[0.5]
+        shared = by_rate[1.0][0].params
+        assert all(shared == dataclasses.replace(
+            point.params, gamma_up=G, gamma_down=G, gamma_phn=G)
+            for point, _ in by_rate.values())
+        result[setting] = [sorted((x, peak) for x, (_, peak) in sweep.items())
+                           for sweep in (by_coupling, by_rate)]
+    return result
 
 
 class TestCriterion1:
@@ -224,13 +239,14 @@ class TestCriterion4:
 
 
 class TestCriterion5:
-    def test_peak_discord_monotonicity(self, monotonic_peaks):
-        by_coupling, by_rate = monotonic_peaks
+    @pytest.mark.parametrize("setting", OPEN_SWEEPS)
+    def test_peak_discord_monotonicity(self, open_peaks, setting):
+        by_coupling, by_rate = open_peaks[setting]
         coupling_ok = all(a[1] <= b[1] for a, b in
                           zip(by_coupling, by_coupling[1:]))
         rate_ok = all(a[1] >= b[1] for a, b in zip(by_rate, by_rate[1:]))
         ok = coupling_ok and rate_ok
-        report(5, ok, "peak D vs g_omega "
+        report(5, ok, f"{setting}: peak D vs g_omega "
                       f"{[round(v, 4) for _, v in by_coupling]} nondecreasing:"
                       f" {coupling_ok}; vs gamma "
                       f"{[round(v, 4) for _, v in by_rate]} nonincreasing: "
@@ -241,7 +257,7 @@ class TestCriterion5:
 
 class TestCriterion6:
     def test_invariant_suite(self, logs, law_tunneling, law_no_tunneling,
-                             open_endpoint, monotonic_peaks):
+                             open_endpoint, open_peaks):
         closed, open_log = logs["closed"], logs["open"]
         checks = {
             "closed trace": closed.max_trace_dev <= 1e-9,

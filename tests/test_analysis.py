@@ -85,17 +85,18 @@ class TestFitSinusoid:
 
 # the closed reproduction runs whose discord series the CLI fits: the
 # sweep points of the period laws, as (law config, g_omega/g_up)
-FIT_POINTS = [(law, x) for law in ("fig8a", "fig8b")
+LAWS = ("fig8a", "fig8b")
+FIT_POINTS = [(law, x) for law in LAWS
               for x in (0.01, 0.02, 0.05, 0.1, 0.2)]
 
 
 @pytest.fixture(scope="module")
-def discord_series(law_runs):
+def discord_series(sweep_runs):
     """{(law, x): (times, D, zeta, g_up, envelope window)} as the CLI
     fits them."""
     series = {}
-    for law, (runs, _) in law_runs.items():
-        for x, config, _, points in runs:
+    for law in LAWS:
+        for x, config, _, points in sweep_runs(law)[0]:
             times = np.array([pt.t for pt in points])
             values = np.array([pt.discord for pt in points])
             params = config.params

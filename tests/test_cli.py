@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -54,7 +55,7 @@ class TestParseConfig:
 
 class TestResolveConfig:
     def test_empty_file_defaults(self):
-        config = resolve("", kind="evolve-closed")
+        config = resolve("", kind="discord-series")
         p = config.params
         assert p.zeta == 1e7
         assert p.g_up == p.g_down == 1e7
@@ -65,36 +66,31 @@ class TestResolveConfig:
         assert config.t_end > 0 and config.dt > 0
 
     def test_zeta_zero_disables_tunneling(self):
-        config = resolve("zeta=0\n", kind="evolve-closed")
+        config = resolve("zeta=0\n", kind="discord-series")
         assert config.params.zeta == 0.0
 
     def test_relative_values(self):
         config = resolve("g=2e7\ng_omega=0.25g\ngamma=g\n",
-                         kind="evolve-open")
+                         kind="discord-series")
         assert config.params.g_bond == 0.5e7
         assert config.params.gamma_phn == 2e7
 
     def test_type_error_names_key(self):
         with pytest.raises(ConfigTypeError) as err:
-            resolve("g_omega=banana\n", kind="evolve-closed")
+            resolve("g_omega=banana\n", kind="discord-series")
         assert "g_omega" in str(err.value)
 
     # the search has no tied-angle families
     @pytest.mark.parametrize("key", ["banana", "tie_thetas", "tie_phis"])
     def test_unknown_key_named_with_line(self, key):
         with pytest.raises(UnknownKey) as err:
-            resolve(f"g=1e7\n{key}=1\n", kind="evolve-closed")
+            resolve(f"g=1e7\n{key}=1\n", kind="discord-series")
         assert key in str(err.value)
         assert "line 2" in str(err.value)
 
     def test_missing_kind(self):
         with pytest.raises(MissingRequired):
             resolve("g=1e7\n")
-
-    def test_evolve_open_needs_gamma(self):
-        with pytest.raises(MissingRequired) as err:
-            resolve("", kind="evolve-open")
-        assert "gamma" in str(err.value)
 
     @pytest.mark.parametrize("text", ["g_omega=nang\n", "gamma=inf\n",
                                       "g_up=1e308g\n", "t_end=inf\n",
@@ -151,14 +147,33 @@ class TestResolveConfig:
     def test_zero_g_up_resolves_where_nothing_divides_by_it(self, text):
         assert resolve(text, kind="discord-series").params.g_up == 0
 
+    @pytest.mark.parametrize("kind", SWEEPS)
+    def test_sweep_records_no_grid_it_does_not_give(self, kind):
+        # so each point runs on the default grid of its own model
+        assert not {"dt", "t_end", "record_stride"} \
+            & set(resolve("", kind=kind).resolved)
+
+    @pytest.mark.parametrize("kind", ["sweep-g-omega", "sweep-gamma"])
+    def test_grid_a_sweep_gives_applies_to_every_point(self, kind):
+        sweep = resolve("dt=1e-10\nrecord_stride=100\n", kind=kind)
+        assert "t_end" not in sweep.resolved
+        own = _sweep_points(resolve("", kind=kind))
+        for (x, point), (_, alone) in zip(_sweep_points(sweep), own):
+            assert point.sim == dataclasses.replace(
+                alone.sim, dt=1e-10, record_stride=100), x
+
     def test_reproduction_configs_are_distinct_runs(self):
-        # out is not part of `resolved`, so equal dicts mean equal runs
+        # out is not part of `resolved`, so equal dicts mean equal runs;
+        # each sweep point is a run of its own
         seen = {}
         for path in CONFIGS:
-            resolved = resolve(path.read_text(encoding="utf-8")).resolved
-            key = tuple(sorted(resolved.items()))
-            assert key not in seen, f"{path.name} repeats {seen.get(key)}"
-            seen[key] = path.name
+            config = resolve(path.read_text(encoding="utf-8"))
+            for name, each in [(path.stem, config)] + [
+                    (f"{path.stem}/{x!r}", point)
+                    for x, point in _sweep_points(config)]:
+                key = tuple(sorted(each.resolved.items()))
+                assert key not in seen, f"{name} repeats {seen.get(key)}"
+                seen[key] = name
         assert seen
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -190,7 +205,7 @@ class TestResolveConfig:
 
     def test_frequencies_kept_outside_interaction_picture(self):
         config = resolve("interaction_picture=false\nomega_up=12g\n",
-                         kind="evolve-closed")
+                         kind="discord-series")
         assert config.params.freq_pht_up == 12e7
         assert config.params.freq_phn == 10e7
 
@@ -261,35 +276,51 @@ class TestRun:
         assert spaces == [(mode, size)] * 2
         assert (tmp_path / "law.csv").exists()
 
-    @pytest.mark.parametrize("zeta", ["0", "g"])
-    def test_period_law_point_is_the_discord_series_run(self, tmp_path,
-                                                        zeta):
-        # a point writes the run of a discord-series config at its g_omega
-        law, series = tmp_path / "law", tmp_path / "series"
-        run(resolve(f"kind=period-law\nzeta={zeta}\nsweep_values=0.2\n",
-                    out=str(law)))
-        run(resolve(f"kind=discord-series\nzeta={zeta}\ng_omega=0.2g\n",
-                    out=str(series)))
-        point = law / "g_omega_over_g=0.2"
+    @pytest.mark.parametrize("sweep,series,point", [
+        ("kind=period-law\nzeta=0\nsweep_values=0.2\n",
+         "zeta=0\ng_omega=0.2g\n", "g_omega_over_g=0.2"),
+        ("kind=period-law\nzeta=g\nsweep_values=0.2\n",
+         "zeta=g\ng_omega=0.2g\n", "g_omega_over_g=0.2"),
+        ("kind=sweep-g-omega\ngamma=g\nsweep_values=1\n",
+         "gamma=g\ng_omega=g\n", "g_omega_over_g=1.0"),
+        ("kind=sweep-gamma\nsweep_values=0.5\n", "gamma=0.5g\n",
+         "gamma_over_g=0.5")],
+        ids=["period-law-zeta=0", "period-law-zeta=g", "sweep-g-omega",
+             "sweep-gamma"])
+    def test_sweep_point_is_the_discord_series_run(self, tmp_path, sweep,
+                                                   series, point):
+        # a point writes the run of a discord-series config at its x, on
+        # that config's own record grid
+        swept, alone = tmp_path / "sweep", tmp_path / "series"
+        run(resolve(sweep, out=str(swept)))
+        run(resolve("kind=discord-series\n" + series, out=str(alone)))
 
         def content(path):
             return [line for line in path.read_text().splitlines()
                     if not line.startswith("wall_time_s=")]
 
-        names = sorted(path.name for path in series.iterdir())
-        assert sorted(path.name for path in point.iterdir()) == names
-        assert "fit.csv" in names
+        def row(path):
+            header, values = path.read_text().splitlines()
+            return dict(zip(header.split(","), values.split(",")))
+
+        names = sorted(path.name for path in alone.iterdir())
+        assert sorted(path.name for path in (swept / point).iterdir()) \
+            == names
         for name in names:
-            assert content(point / name) == content(series / name), name
-        header, row = (law / "sweep.csv").read_text().splitlines()
-        swept = dict(zip(header.split(","), row.split(",")))
-        header, row = (series / "fit.csv").read_text().splitlines()
-        fit = dict(zip(header.split(","), row.split(",")))
-        assert swept["fitted_period_s"] == fit["period"]
-        assert swept["rms_residual"] == fit["rms_residual"]
+            assert content(swept / point / name) == content(alone / name), \
+                name
+        if "period-law" in sweep:
+            swept_row, fit = row(swept / "sweep.csv"), row(alone / "fit.csv")
+            assert swept_row["fitted_period_s"] == fit["period"]
+            assert swept_row["rms_residual"] == fit["rms_residual"]
+        else:
+            data = np.genfromtxt(alone / "discord.csv", delimiter=",",
+                                 names=True)
+            peak = float(row(swept / "sweep_peak.csv")["peak_discord"])
+            assert peak == data["D"].max()
 
     def test_operator_dump_holds_the_hamiltonian(self, tmp_path):
-        config = resolve("kind=evolve-closed\nt_end=1e-9\ndt=1e-10\n"
+        config = resolve("kind=discord-series\nt_end=1e-9\ndt=1e-10\n"
                          "dump_operators=true\n", out=str(tmp_path))
         run(config)
         lines = (tmp_path / "hamiltonian.txt").read_text().splitlines()
@@ -348,12 +379,12 @@ class TestRun:
         assert f"discord_pure_snapshots={pure}" in meta
         assert f"discord_grid_fallbacks={fallbacks}" in meta
 
-    @pytest.mark.parametrize("kind,extra", [
-        ("evolve-closed", ""), ("evolve-open", "gamma=g\n"),
-        ("discord-series", "gamma=g\ntheta_points=5\nrefine=false\n")])
-    def test_guard_margins_in_metadata(self, tmp_path, kind, extra):
-        text = (f"kind={kind}\nt_end=4e-8\ndt=1e-10\nrecord_stride=100\n"
-                + extra)
+    @pytest.mark.parametrize("extra", [
+        "", "gamma=g\ntheta_points=5\nrefine=false\n"],
+        ids=["closed", "open"])
+    def test_guard_margins_in_metadata(self, tmp_path, extra):
+        text = ("kind=discord-series\nt_end=4e-8\ndt=1e-10\n"
+                "record_stride=100\n" + extra)
         run(resolve(text, out=str(tmp_path / "o")))
         meta = dict(line.split("=", 1) for line in
                     (tmp_path / "o" / "run-metadata.txt").read_text()
@@ -365,9 +396,9 @@ class TestRun:
         assert float(meta["min_eigenvalue_t"]) in \
             {step * 1e-10 for step in (100, 200, 300, 400)}
 
-    def test_evolve_open_observables(self, tmp_path):
-        text = ("kind=evolve-open\ngamma=g\nt_end=2e-7\ndt=1e-12\n"
-                "record_stride=20000\n")
+    def test_open_observables(self, tmp_path):
+        text = ("kind=discord-series\ngamma=g\nt_end=2e-7\ndt=1e-12\n"
+                "record_stride=20000\ntheta_points=5\nrefine=false\n")
         config = resolve(text, out=str(tmp_path / "o"))
         run(config)
         data = np.genfromtxt(tmp_path / "o" / "observables.csv",
@@ -386,14 +417,14 @@ class TestRun:
 
 class TestMain:
     def test_validate_prints_resolved(self, tmp_path, capsys):
-        path = write_config(tmp_path, "kind=evolve-closed\nzeta=0\n")
+        path = write_config(tmp_path, "kind=discord-series\nzeta=0\n")
         assert main(["validate", path]) == 0
         out = capsys.readouterr().out
         assert "zeta=0.0" in out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, "banana=1\n")
-        assert main(["validate", path, "--kind", "evolve-closed"]) == 2
+        assert main(["validate", path, "--kind", "discord-series"]) == 2
         assert "banana" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
@@ -412,13 +443,13 @@ class TestMain:
         assert code == 4
 
     def test_override(self, tmp_path, capsys):
-        path = write_config(tmp_path, "kind=evolve-closed\n")
+        path = write_config(tmp_path, "kind=discord-series\n")
         assert main(["validate", path, "--override", "zeta=0.25g"]) == 0
         assert "zeta=2500000.0" in capsys.readouterr().out
 
     def test_unknown_override_key_names_the_override(self, tmp_path,
                                                      capsys):
-        path = write_config(tmp_path, "kind=evolve-closed\n")
+        path = write_config(tmp_path, "kind=discord-series\n")
         assert main(["validate", path, "--override", "bogus=1"]) == 2
         err = capsys.readouterr().err
         assert "unknown key 'bogus' (--override)" in err
@@ -490,8 +521,7 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
-    @pytest.mark.parametrize("kind", ["evolve-closed", "evolve-open",
-                                      "discord-series", "sweep-g-omega",
+    @pytest.mark.parametrize("kind", ["discord-series", "sweep-g-omega",
                                       "sweep-gamma", "period-law"])
     def test_space_without_the_initial_state_exits_as_config_error(
             self, tmp_path, capsys, command, kind):
