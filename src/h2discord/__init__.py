@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 from .analysis import FitResult, envelope, fit_law, fit_sinusoid, \
     population, run_discord_series, state_population
 from .discord import DiscordPoint, MeasurementConfig, SearchConfig, \
-    discord, discord_series, measured_conditional_entropy, \
-    partial_trace_A, partial_trace_B, projector_set
+    discord, discord_series, partial_trace_A, partial_trace_B, \
+    projector_set
 from .dynamics import DensityMatrix, SimConfig, Trajectory, evolve, \
     initial_state, make_propagator
 from .operators import JumpChannel, ModelParams, OperatorMatrix, \

@@ -80,6 +80,16 @@ def _projection(times, values, b):
     return coef, float(np.sqrt(np.mean(residual**2))), slope
 
 
+def _median_spacing(times) -> float:
+    """np.median(np.diff(times)), bit for bit, without the numpy.ma
+    import that np.median makes."""
+    gaps = np.sort(np.diff(times))
+    mid = gaps.size // 2
+    if gaps.size % 2:
+        return float(gaps[mid])
+    return float((gaps[mid - 1] + gaps[mid]) / 2)
+
+
 # coarse samples of the residual across the bracket; the residual's
 # features are about one spectral bin wide, the samples 3/32 bin apart
 _BASIN_SAMPLES = 33
@@ -104,7 +114,7 @@ def fit_sinusoid(times, values) -> FitResult:
     if np.abs(centered).max() <= 1e-15 * max(1.0, np.abs(values).max()):
         raise NoDominantFrequency("series is constant")
     spectrum = np.abs(np.fft.rfft(centered))
-    dt = float(np.median(np.diff(times)))
+    dt = _median_spacing(times)
     freqs = np.fft.rfftfreq(times.size, d=dt)
     peak = 1 + int(np.argmax(spectrum[1:]))
     if spectrum[peak] <= 1e-12 * times.size:
@@ -163,7 +173,7 @@ def fit_period(times, series, zeta: float, g_ref: float, window: int = 0):
     if zeta <= 0:
         return fit_sinusoid(times, series), 0
     if not window:
-        spacing = float(np.median(np.diff(times)))
+        spacing = _median_spacing(times)
         window = max(1, int(round((2 * np.pi / g_ref) / spacing)))
         if window % 2 == 0:
             window += 1
@@ -216,7 +226,7 @@ def evolve_model(params: ModelParams, sim: SimConfig,
         space = table_space()
     h = build_hamiltonian(params, space, gating)
     channels = build_jump_channels(params, space)
-    return evolve(initial_state(space), h, channels, sim, hbar=params.hbar)
+    return evolve(initial_state(space), h, channels, sim)
 
 
 def run_discord_series(params: ModelParams, sim: SimConfig,

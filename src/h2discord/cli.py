@@ -26,12 +26,11 @@ from .dynamics import SimConfig, initial_state
 from .errors import ConfigError, ConfigTypeError, EmptySeeds, \
     MissingRequired, SeedOutsideCompatTable, SimulationError, StateMissing, \
     UnknownKey
-from .operators import ModelParams, build_hamiltonian, write_operator
+from .operators import ModelParams
 from .statespace import INITIAL_COMPONENTS, BasisState, GatingPolicy, \
     check_seeds, full_space, generate_space, table_space
 
-KINDS = ("discord-series", "sweep-g-omega", "sweep-gamma", "period-law",
-         "generate-space")
+KINDS = ("discord-series", "sweep-g-omega", "sweep-gamma", "period-law")
 # the kinds that run a discord series once per sweep value, each on its
 # own space
 SWEEPS = ("sweep-g-omega", "sweep-gamma", "period-law")
@@ -156,9 +155,15 @@ _SWEEP_DEFAULTS = {"period-law": (0.01, 0.02, 0.05, 0.1, 0.2),
                    "sweep-gamma": (0.2, 0.5, 1.0, 2.0)}
 
 
+# the loss and influx rates, keys and ModelParams fields alike
+_RATES = ("gamma_up", "gamma_down", "gamma_phn", "influx_up", "influx_down",
+          "influx_phn")
+
+
 def _closed(params: ModelParams) -> bool:
-    """No loss channel: the fit and the auto envelope window apply."""
-    return params.gamma_up == params.gamma_down == params.gamma_phn == 0.0
+    """No loss or influx channel: the fit and the auto envelope window
+    apply."""
+    return not any(getattr(params, name) for name in _RATES)
 
 
 def _from_scale(rule):
@@ -175,7 +180,6 @@ KEYS = (
     Key("kind", _choice(*KINDS), None),
     Key("out", TEXT, lambda v: f"{v['kind']}-out", recorded=False),
     Key("g", POSITIVE, "1e7"),
-    Key("hbar", POSITIVE, "1"),
     Key("interaction_picture", BOOL, "true"),
     Key("omega_up", G_MULTIPLE, "10g"),
     Key("omega_down", G_MULTIPLE, "10g"),
@@ -205,7 +209,6 @@ KEYS = (
         lambda params, v: default_t_end(params, v["periods_factor"]))),
     Key("record_stride", _int_at_least(1), _from_scale(
         lambda params, v: default_record_stride(params, v["dt"]))),
-    Key("renormalize_trace", BOOL, "false"),
     _search_key("theta_points", _int_at_least(1)),
     _search_key("phi_points", _int_at_least(1)),
     _search_key("zero_phases", BOOL),
@@ -216,7 +219,6 @@ KEYS = (
         lambda v: _SWEEP_DEFAULTS.get(v["kind"], ())),
     Key("envelope_window", _int_at_least(0), "0"),
     Key("dump_rho", BOOL, "false"),
-    Key("dump_operators", BOOL, "false"),
 )
 
 
@@ -236,7 +238,6 @@ class ExperimentConfig:
     envelope_window: int
     periods_factor: float
     dump_rho: bool
-    dump_operators: bool
     resolved: dict = field(default_factory=dict)
 
     # the record grid, as perfbench's workload checks read it
@@ -289,12 +290,7 @@ def _model(v: dict) -> ModelParams:
 # does not give, so that each point runs on its own model's default grid
 _GRID = ("dt", "t_end", "record_stride")
 # keys a period-law config may not give
-_LAW_FIXED = (*_GRID, "discord_stride", "envelope_window",
-              "renormalize_trace")
-# a period-law record also omits the rates, so that every point runs
-# closed: the law is fitted on closed runs
-_LAW_RATES = ("gamma_up", "gamma_down", "gamma_phn", "influx_up",
-              "influx_down", "influx_phn")
+_LAW_FIXED = (*_GRID, "discord_stride", "envelope_window")
 
 
 def _check(v: dict, params: ModelParams, given):
@@ -331,6 +327,11 @@ def _check(v: dict, params: ModelParams, given):
         raise ConfigTypeError(f"TypeError: period-law takes no {fixed[0]}: "
                               "each sweep point runs on the default record "
                               "grid of its own model")
+    if kind == "period-law" and not _closed(params):
+        rates = ", ".join(name for name in _RATES if v[name])
+        raise ConfigTypeError(f"TypeError: period-law takes no loss or "
+                              f"influx rate, got {rates}: the law is fitted "
+                              "on closed runs")
 
 
 def resolve_config(entries: dict, kind: str = None,
@@ -353,11 +354,8 @@ def resolve_config(entries: dict, kind: str = None,
         v[key.name] = _value(key, entries.get(key.name), v)
     params = _model(v)
     _check(v, params, entries)
-    kind = v["kind"]
     skipped = [name for name in _GRID
-               if kind in SWEEPS and name not in entries]
-    if kind == "period-law":
-        skipped += _LAW_RATES
+               if v["kind"] in SWEEPS and name not in entries]
     resolved = {key.name: key.type.show(v[key.name])
                 for key in KEYS if key.recorded and key.name not in skipped}
     config = _bind(ExperimentConfig, v, params=params,
@@ -389,8 +387,7 @@ def _sweep_points(config: ExperimentConfig) -> list:
     A point resolves the sweep's recorded keys, without sweep_values,
     with the kind's _SWEPT keys set to x g_up.  A sweep's record leaves
     out the record grid keys its config does not give, so its points run
-    on the default grid of their own model; a period-law record leaves
-    out the rates too, so its points are closed runs.
+    on the default grid of their own model.
     """
     if config.kind not in SWEEPS:
         return []
@@ -492,15 +489,7 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
         emit(name, lambda p: _write_lines(p, [template.format(**fields)]))
 
     kind = config.kind
-    if config.dump_operators and kind == "discord-series":
-        h = build_hamiltonian(config.params, _build_space(config),
-                              config.gating)
-        emit("hamiltonian.txt", lambda p: write_operator(p, h))
-    if kind == "generate-space":
-        space = _build_space(config)
-        emit("space.txt", space.dump)
-        notes["space_size"] = space.size
-    elif kind == "discord-series":
+    if kind == "discord-series":
         traj, points = _run_series(config)
         notes.update(min_eigenvalue=traj.min_eigenvalue,
                      min_eigenvalue_t=traj.min_eigenvalue_t,
@@ -516,7 +505,7 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
         plot("plot_observables.py", _PLOT_SERIES, csv="observables.csv",
              columns=[f"pop_{name}" for name in PREDICATES
                       if name.startswith("photons")], png="observables.png")
-    elif kind in SWEEPS:
+    else:
         law = kind == "period-law"
         name, header = _SWEEP_CSV[kind]
         xcol, ycol = header.split(",")[:2]
@@ -594,7 +583,6 @@ def main(argv=None) -> int:
     for name in ("run", "validate", "dump-space"):
         p = sub.add_parser(name)
         p.add_argument("config")
-        p.add_argument("--kind", choices=KINDS)
         p.add_argument("--out")
         p.add_argument("--override", action="append", default=[],
                        metavar="key=value")
@@ -608,7 +596,7 @@ def main(argv=None) -> int:
                 raise ConfigTypeError(f"override {item!r} is not key=value")
             key, value = item.split("=", 1)
             entries[key.strip()] = (value.strip(), 0)
-        config = resolve_config(entries, kind=args.kind, out=args.out)
+        config = resolve_config(entries, out=args.out)
         if args.command == "validate":
             for key in sorted(config.resolved):
                 print(f"{key}={config.resolved[key]}")

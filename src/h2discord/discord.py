@@ -69,8 +69,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dynamics import DensityMatrix
-from .errors import AngleOutOfRange, DiscordOutOfBounds, NotDensityMatrix, \
-    SpaceMismatch
+from .errors import AngleOutOfRange, DiscordOutOfBounds, NotDensityMatrix
 
 EPS_EIGENVALUE = 1e-12  # floor below which spectrum weight is treated as 0
 EPS_OUTCOME = 1e-12     # outcomes rarer than this contribute nothing
@@ -192,31 +191,6 @@ def projector_set(config: MeasurementConfig) -> tuple:
             raise AngleOutOfRange(f"{name}={value:g} outside "
                                   f"[{lo:g}, {hi:g}]")
     return tuple(np.outer(u, u.conj()) for u in _basis_vectors(*config))
-
-
-def measured_conditional_entropy(rho_AB: DensityMatrix, projectors: tuple):
-    """Average post-measurement entropy of B.
-
-    Returns (value, outcome probabilities, post-measurement B states);
-    outcomes below the probability floor contribute nothing and their
-    post state is None.
-    """
-    if isinstance(rho_AB.space, LabelSpace):
-        raise SpaceMismatch("need a joint state over a StateSpace")
-    rows = np.array([proj.T.ravel() for proj in projectors])
-    b_space = _b_label_space(rho_AB.space)
-    value = 0.0
-    probs = []
-    posts = []
-    for block in _blocks(rows, _ac_bd(_embedded(rho_AB))):
-        p = float(np.trace(block).real)
-        probs.append(p)
-        if p > EPS_OUTCOME:
-            posts.append(DensityMatrix(block / p, b_space))
-            value += p * _entropy_psd(posts[-1].mat)
-        else:
-            posts.append(None)
-    return value, tuple(probs), posts
 
 
 @dataclass(frozen=True)

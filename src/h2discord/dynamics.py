@@ -1,7 +1,7 @@
 """Density-matrix evolution with exact propagators between records.
 
-Closed runs hop with the spectral propagator exp(-i H tau / hbar), from
-numpy's eigh; open runs apply the Lindblad solution exp(L tau) to rho
+Closed runs hop with the spectral propagator exp(-i H tau), from numpy's
+eigh; open runs apply the Lindblad solution exp(L tau) to rho
 as a matrix by a truncated Taylor series, the algorithm of
 expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)):
 a hop takes ceil(||L||_1 tau / TAYLOR_THETA) substeps, and each substep
@@ -48,7 +48,6 @@ class SimConfig:
     dt: float
     t_end: float
     record_stride: int = 1
-    renormalize_trace: bool = False
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -64,8 +63,8 @@ class Trajectory:
     times: np.ndarray
     snapshots: list
     space: StateSpace
-    # worst record: lowest eigenvalue, its time, |tr rho - 1| before
-    # renorm, max |rho - rho^dagger| before symmetrisation
+    # worst record: lowest eigenvalue, its time, |tr rho - 1|, max
+    # |rho - rho^dagger| before symmetrisation
     min_eigenvalue: float = math.inf
     min_eigenvalue_t: float = math.nan
     max_trace_drift: float = 0.0
@@ -98,20 +97,19 @@ def _hermitian(mat):
     return mat
 
 
-def make_propagator(H: OperatorMatrix, dt: float,
-                    hbar: float = 1.0) -> OperatorMatrix:
-    """exp(-i H dt / hbar) via spectral decomposition of Hermitian H."""
+def make_propagator(H: OperatorMatrix, dt: float) -> OperatorMatrix:
+    """exp(-i H dt) via spectral decomposition of Hermitian H."""
     mat = _hermitian(H.mat)
     evals, vecs = np.linalg.eigh(mat)
-    phases = np.exp(-1j * evals * (dt / hbar))
+    phases = np.exp(-1j * evals * dt)
     u = (vecs * phases) @ vecs.conj().T
     return OperatorMatrix(u, H.space)
 
 
-def _lindblad_propagator(h, channels, hbar):
+def _lindblad_propagator(h, channels):
     """(rho, tau) -> exp(L tau) rho for the Lindblad generator
     L(T) = K T + (K T)^dagger + sum_c rate_c a_c T a_c^dagger, with
-    K = -i H / hbar - sum_c rate_c a_c^dagger a_c / 2, by the truncated
+    K = -i H - sum_c rate_c a_c^dagger a_c / 2, by the truncated
     Taylor series of expm_multiply (Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 488 (2011)) applied to rho as a matrix.
 
@@ -122,7 +120,7 @@ def _lindblad_propagator(h, channels, hbar):
     pairs (real part at 2k, imaginary part at 2k + 1).
     """
     dim = h.shape[0]
-    k = (-1j / hbar) * h
+    k = -1j * h
     src, dst, rates = [], [], []
     for ch in channels:
         a = ch.op.mat
@@ -179,13 +177,13 @@ def _record_points(n_steps, stride):
 
 
 def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
-           cfg: SimConfig, hbar: float = 1.0) -> Trajectory:
+           cfg: SimConfig) -> Trajectory:
     """Propagate rho0 and record every record_stride steps plus the endpoint.
 
     Each record interval is one exact hop: a cached spectral propagator
     for closed runs, the Taylor series of exp(L tau) for open runs.
-    Each record is symmetrised, optionally renormalised and checked for
-    positivity; the trajectory keeps the worst margins.
+    Each record is symmetrised and checked for positivity; the
+    trajectory keeps the worst margins.
     """
     if rho0.space is not H.space:
         raise SpaceMismatch("state and Hamiltonian bound to different spaces")
@@ -204,10 +202,7 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
         nonlocal min_eig, min_eig_t, max_drift, max_herm
         max_herm = max(max_herm, float(np.abs(rho - rho.conj().T).max()))
         rho = 0.5 * (rho + rho.conj().T)
-        trace = rho.trace().real
-        max_drift = max(max_drift, abs(trace - 1.0))
-        if cfg.renormalize_trace:
-            rho = rho / trace
+        max_drift = max(max_drift, abs(rho.trace().real - 1.0))
         low = float(np.linalg.eigvalsh(rho)[0])
         if low < -1e-6:
             raise PositivityLost(f"eigenvalue {low:g} at step {step}")
@@ -218,7 +213,7 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
         return rho
 
     if channels:
-        propagate = _lindblad_propagator(_hermitian(H.mat), channels, hbar)
+        propagate = _lindblad_propagator(_hermitian(H.mat), channels)
 
         def hop(rho, steps):
             return propagate(rho, steps * cfg.dt)
@@ -227,8 +222,7 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
 
         def hop(rho, steps):
             if steps not in unitaries:
-                unitaries[steps] = make_propagator(H, cfg.dt * steps,
-                                                   hbar).mat
+                unitaries[steps] = make_propagator(H, cfg.dt * steps).mat
             u = unitaries[steps]
             return u @ rho @ u.conj().T
 

@@ -25,7 +25,6 @@ class ModelParams:
     resonant mode frequencies at ten times that scale, no dissipation.
     """
 
-    hbar: float = 1.0
     freq_pht_up: float = 1.0e8
     freq_pht_down: float = 1.0e8
     freq_phn: float = 1.0e8
@@ -45,8 +44,6 @@ class ModelParams:
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if f.name == "hbar" and value <= 0:
-                raise ValueError("hbar must be positive")
             if value < 0:
                 raise ValueError(f"{f.name} must be nonnegative")
 
@@ -109,11 +106,10 @@ def build_hamiltonian(params: ModelParams, space: StateSpace,
     if gating is None:
         gating = GatingPolicy()
     h = _zeros(space)
-    hbar = params.hbar
     for i, s in enumerate(space):
-        h[i, i] += hbar * (params.freq_pht_up * (s.p1 + s.l1)
-                           + params.freq_pht_down * (s.p2 + s.l2)
-                           + params.freq_phn * (s.m + s.L))
+        h[i, i] += (params.freq_pht_up * (s.p1 + s.l1)
+                    + params.freq_pht_down * (s.p2 + s.l2)
+                    + params.freq_phn * (s.m + s.L))
         for move in MOVES:
             strength = getattr(params, move.strength)
             if not (strength > 0 and move.gate(s, gating)):
@@ -147,12 +143,3 @@ def build_jump_channels(params: ModelParams, space: StateSpace):
                 op = ladder(jump.mode, direction, space)
                 channels.append(JumpChannel(op, rate, kind, jump.mode))
     return channels
-
-
-def write_operator(path, op: OperatorMatrix):
-    """Dump nonzero entries as `row col re im` lines for diffing."""
-    rows, cols = np.nonzero(op.mat)
-    lines = [f"{r} {c} {v.real!r} {v.imag!r}"
-             for r, c, v in zip(rows, cols, op.mat[rows, cols].tolist())]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

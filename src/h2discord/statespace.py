@@ -193,10 +193,6 @@ class StateSpace:
     def dump_lines(self):
         return [f"{i}\t{s.to_string()}" for i, s in enumerate(self.states)]
 
-    def dump(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.dump_lines()) + "\n")
-
     def __repr__(self):
         return f"StateSpace(mode={self.mode!r}, size={self.size})"
 

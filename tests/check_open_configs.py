@@ -4,15 +4,15 @@
 
 For every open run of the configs given (default: each file in
 configs/), that is each sweep point or each config that is not a sweep,
-with a positive loss rate, the script computes the run's discord series
-as ``h2discord run`` does, then recomputes each mixed snapshot with the
-cold search, ``discord()`` without a warm point.  It prints one line per
-run (``fig9/0.1`` is the ``g_omega_over_g=0.1/`` point of ``fig9``):
-mixed snapshots, full-grid fallbacks, the largest |J_series - J_cold|
-and the number of snapshots whose argmin angles differ.  It exits 1
-when some |J_series - J_cold| exceeds 1e-12 or an angle differs.
-pytest does not collect it; the whole set takes about half a minute on
-a 2-core host.
+with a positive loss or influx rate, the script computes the run's
+discord series as ``h2discord run`` does, then recomputes each mixed
+snapshot with the cold search, ``discord()`` without a warm point.  It
+prints one line per run (``fig9/0.1`` is the ``g_omega_over_g=0.1/``
+point of ``fig9``): mixed snapshots, full-grid fallbacks, the largest
+|J_series - J_cold| and the number of snapshots whose argmin angles
+differ.  It exits 1 when some |J_series - J_cold| exceeds 1e-12 or an
+angle differs.  pytest does not collect it; the whole set takes about
+half a minute on a 2-core host.
 """
 
 import sys

@@ -59,12 +59,12 @@ def dissipator(rho_mat, channels):
     return out
 
 
-def liouvillian(h, channels, hbar=1.0):
+def liouvillian(h, channels):
     """Sparse Lindblad generator on row-major vec(rho), by
     vec(A rho B) = (A kron B^T) vec(rho)."""
     kron = sparse.kron
     eye = sparse.identity(h.shape[0], format="csr")
-    gen = (-1j / hbar) * (kron(h, eye) - kron(eye, h.T))
+    gen = -1j * (kron(h, eye) - kron(eye, h.T))
     for ch in channels:
         a = ch.op.mat
         number = a.conj().T @ a

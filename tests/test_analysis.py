@@ -259,11 +259,9 @@ class TestPeriodLaw:
         assert doubled / period == pytest.approx(0.5, rel=1e-2)
         assert meta["fit_on_envelope"] == "True"
 
-    def test_forces_closed_system(self, tmp_path):
-        period, meta = self.law(tmp_path, "sweep_values=0.2\nzeta=0\n"
-                                          "gamma=g\n")
-        # with the rates active the discord would decay instead of
-        # oscillating; recovering the closed-run period shows the sweep
-        # zeroed them
-        assert period == pytest.approx(4.44e-7 / 0.2, rel=0.1)
-        assert meta["fit_on_envelope"] == "False"
+    def test_rejects_an_influx_rate(self, tmp_path):
+        # the law is fitted on closed runs; influx alone makes a run open
+        with pytest.raises(ConfigTypeError, match=r"got influx_phn:"):
+            self.law(tmp_path, "sweep_values=0.2\nzeta=0\n"
+                               "influx_phn=0.1g\n")
+        assert not (tmp_path / "sweep.csv").exists()

@@ -13,8 +13,6 @@ from h2discord.cli import KEYS as CONFIG_KEYS, KINDS, SWEEPS, \
 from h2discord.discord import SearchConfig
 from h2discord.errors import ConfigError, ConfigTypeError, MissingRequired, \
     UnknownKey
-from h2discord.operators import build_hamiltonian
-from h2discord.statespace import TABLE_STATES
 
 
 def resolve(text, **kwargs):
@@ -80,8 +78,11 @@ class TestResolveConfig:
             resolve("g_omega=banana\n", kind="discord-series")
         assert "g_omega" in str(err.value)
 
-    # the search has no tied-angle families
-    @pytest.mark.parametrize("key", ["banana", "tie_thetas", "tie_phis"])
+    # the search has no tied-angle families; hbar (every value is in
+    # rad/s), renormalize_trace and dump_operators went as well
+    @pytest.mark.parametrize("key", ["banana", "tie_thetas", "tie_phis",
+                                     "hbar", "renormalize_trace",
+                                     "dump_operators"])
     def test_unknown_key_named_with_line(self, key):
         with pytest.raises(UnknownKey) as err:
             resolve(f"g=1e7\n{key}=1\n", kind="discord-series")
@@ -96,7 +97,6 @@ class TestResolveConfig:
                                       "g_up=1e308g\n", "t_end=inf\n",
                                       "sweep_values=0.1,nan\n",
                                       "phi_points=0\n", "theta_points=-3\n",
-                                      "hbar=0\n", "hbar=-1\n",
                                       "envelope_window=2\n",
                                       "envelope_window=-1\n",
                                       "g_up=0\ng_down=0\ng_omega=0\nzeta=0\n",
@@ -130,16 +130,13 @@ class TestResolveConfig:
         with pytest.raises(ConfigTypeError, match="g_up"):
             resolve(text, kind=kind)
 
-    def test_period_law_records_no_record_grid_or_rates(self):
-        # every point runs closed, on the default grid of its own model
-        unused = {"dt", "t_end", "record_stride", "gamma_up", "gamma_down",
-                  "gamma_phn", "influx_up", "influx_down", "influx_phn"}
-        law = resolve("gamma=g\ninflux_up=g\n", kind="period-law")
-        assert not unused & set(law.resolved)
-        assert unused <= set(resolve("", kind="discord-series").resolved)
+    def test_period_law_records_no_record_grid(self):
+        # every point runs on the default grid of its own model
+        grid = {"dt", "t_end", "record_stride"}
+        law = resolve("", kind="period-law")
+        assert not grid & set(law.resolved)
         for _, point in _sweep_points(law):
-            assert all(point.resolved[name] == 0.0 for name in unused
-                       if name.startswith(("gamma", "influx")))
+            assert grid <= set(point.resolved)
 
     @pytest.mark.parametrize("text", ["g_up=0\nenvelope_window=3\n",
                                       "g_up=0\nzeta=0\n",
@@ -177,7 +174,6 @@ class TestResolveConfig:
         assert seen
 
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @example(kind="discord-series", entries={"hbar": "0"})
     @example(kind="discord-series",
              entries={"g_up": "0", "g_down": "0", "g_omega": "0",
                       "zeta": "0", "dt": "1e-10", "t_end": "1e-8"})
@@ -199,6 +195,9 @@ class TestResolveConfig:
         names = {name for row in rows
                  for name in re.findall(r"`([a-z_]+)`", row.split("|")[1])}
         assert names == {key.name for key in CONFIG_KEYS}
+        kind_row, = [row for row in rows if row.startswith("| `kind` |")]
+        assert re.findall(r"`([a-z-]+)`", kind_row.split("|")[3]) \
+            == list(KINDS)
 
     def test_search_defaults_are_search_config_defaults(self):
         assert resolve("", kind="discord-series").search == SearchConfig()
@@ -319,28 +318,6 @@ class TestRun:
             peak = float(row(swept / "sweep_peak.csv")["peak_discord"])
             assert peak == data["D"].max()
 
-    def test_operator_dump_holds_the_hamiltonian(self, tmp_path):
-        config = resolve("kind=discord-series\nt_end=1e-9\ndt=1e-10\n"
-                         "dump_operators=true\n", out=str(tmp_path))
-        run(config)
-        lines = (tmp_path / "hamiltonian.txt").read_text().splitlines()
-        h = build_hamiltonian(config.params, _build_space(config),
-                              config.gating).mat
-        dumped = np.zeros_like(h)
-        for line in lines:
-            row, col, real, imag = line.split()
-            dumped[int(row), int(col)] = complex(float(real), float(imag))
-        assert len(lines) == np.count_nonzero(h)
-        assert np.array_equal(dumped, h)
-
-    def test_generate_space_dump(self, tmp_path):
-        config = resolve("kind=generate-space\n", out=str(tmp_path / "o"))
-        run(config)
-        lines = (tmp_path / "o" / "space.txt").read_text().splitlines()
-        assert len(lines) == 26
-        bits = {line.split("\t")[1] for line in lines}
-        assert bits == {s.to_string() for s in TABLE_STATES}
-
     def test_discord_series_artifacts(self, tmp_path):
         config = resolve(SMALL_SERIES, out=str(tmp_path / "o"))
         run(config)
@@ -380,8 +357,10 @@ class TestRun:
         assert f"discord_grid_fallbacks={fallbacks}" in meta
 
     @pytest.mark.parametrize("extra", [
-        "", "gamma=g\ntheta_points=5\nrefine=false\n"],
-        ids=["closed", "open"])
+        "", "gamma=g\ntheta_points=5\nrefine=false\n",
+        "influx_up=0.2g\nspace_mode=closure\ntheta_points=5\n"
+        "refine=false\n"],
+        ids=["closed", "open", "influx"])
     def test_guard_margins_in_metadata(self, tmp_path, extra):
         text = ("kind=discord-series\nt_end=4e-8\ndt=1e-10\n"
                 "record_stride=100\n" + extra)
@@ -395,6 +374,9 @@ class TestRun:
         assert 0 <= float(meta["max_hermiticity_error"]) <= 1e-12
         assert float(meta["min_eigenvalue_t"]) in \
             {step * 1e-10 for step in (100, 200, 300, 400)}
+        # a loss or an influx rate makes the run open: no period fit
+        assert meta.get("fit_skipped") == ("open-system run" if extra
+                                           else None)
 
     def test_open_observables(self, tmp_path):
         text = ("kind=discord-series\ngamma=g\nt_end=2e-7\ndt=1e-12\n"
@@ -424,7 +406,8 @@ class TestMain:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, "banana=1\n")
-        assert main(["validate", path, "--kind", "discord-series"]) == 2
+        assert main(["validate", path, "--override",
+                     "kind=discord-series"]) == 2
         assert "banana" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
@@ -438,7 +421,7 @@ class TestMain:
     def test_io_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        path = write_config(tmp_path, "kind=generate-space\n")
+        path = write_config(tmp_path, SMALL_SERIES)
         code = main(["run", path, "--out", str(blocker / "nested")])
         assert code == 4
 
@@ -456,7 +439,7 @@ class TestMain:
         assert "line" not in err
 
     def test_dump_space(self, tmp_path, capsys):
-        path = write_config(tmp_path, "kind=generate-space\n")
+        path = write_config(tmp_path, "kind=discord-series\n")
         assert main(["dump-space", path]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 26
@@ -472,14 +455,14 @@ class TestMain:
         assert len(lines) == 26
 
     def test_out_flag_replaces_out_key(self, tmp_path, capsys):
-        path = write_config(tmp_path, "kind=generate-space\nout=a\n")
+        path = write_config(tmp_path, SMALL_SERIES + "out=a\n")
         assert main(["run", path, "--out", str(tmp_path / "b")]) == 0
-        assert (tmp_path / "b" / "space.txt").exists()
+        assert (tmp_path / "b" / "discord.csv").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("override", ["g=nan", "dt=nan",
-                                          "theta_points=0", "hbar=0",
-                                          "hbar=-1", "envelope_window=2",
+                                          "theta_points=0",
+                                          "envelope_window=2",
                                           "envelope_window=-1", "g_up=0"])
     def test_bad_numbers_exit_as_config_errors(self, tmp_path, capsys,
                                                command, override):
@@ -493,10 +476,11 @@ class TestMain:
                                       "record_stride=50\n",
                                       "discord_stride=50\n",
                                       "envelope_window=7\n",
-                                      "renormalize_trace=true\n"])
+                                      "gamma=g\ninflux_up=g\n"])
     def test_period_law_refuses_the_keys_it_cannot_honour(self, tmp_path,
                                                           capsys, text):
-        # every sweep point runs on the default grid of its own model
+        # every sweep point runs closed, on the default grid of its own
+        # model
         path = write_config(tmp_path, "kind=period-law\n" + text)
         assert main(["validate", path]) == 2
         assert text.split("=")[0] in capsys.readouterr().err
@@ -515,7 +499,7 @@ class TestMain:
         "seeds=\nspace_mode=closure\n"], ids=["outside-table", "empty"])
     def test_seeds_no_space_can_take_exit_as_config_errors(
             self, tmp_path, capsys, command, text):
-        path = write_config(tmp_path, "kind=generate-space\n" + text)
+        path = write_config(tmp_path, "kind=discord-series\n" + text)
         assert main([command, path, "--out", str(tmp_path / "o")]) == 2
         assert "seeds" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -527,7 +511,7 @@ class TestMain:
             self, tmp_path, capsys, command, kind):
         # the closure of the vacuum holds none of the initial components
         path = write_config(tmp_path, f"kind={kind}\nspace_mode=closure\n"
-                                      "seeds=0000000\ngamma=0.2g\n")
+                                      "seeds=0000000\n")
         assert main([command, path, "--out", str(tmp_path / "o")]) == 2
         assert "0000010" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

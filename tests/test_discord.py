@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h2discord.discord import A_LABEL_SPACE, PURE_TOL, DiscordPoint, \
-    MeasurementConfig, SearchConfig, discord, is_pure, \
-    measured_conditional_entropy, partial_trace_A, partial_trace_B, \
-    projector_set
+    MeasurementConfig, SearchConfig, _Evaluator, _embedded, discord, \
+    is_pure, partial_trace_A, partial_trace_B, projector_set
 from h2discord.dynamics import DensityMatrix, initial_state
 from h2discord.errors import AngleOutOfRange, NotDensityMatrix
 from h2discord.operators import ModelParams
@@ -197,49 +196,49 @@ class TestProjectors:
             projector_set(MeasurementConfig(0.1, 0.1, phi=-1.0))
 
 
-class TestMeasuredConditionalEntropy:
+def conditional_entropy(rho, angles) -> float:
+    """Sum_k p_k S(rho_k) of the measurement at `angles`, the value
+    `discord()` computes."""
+    return _Evaluator(_embedded(rho)).conditional_entropies([angles])[0]
+
+
+def probabilities(rho, angles):
+    return _Evaluator(_embedded(rho)).probabilities(angles)
+
+
+class TestConditionalEntropy:
     def test_product_state_is_undisturbed(self):
         rng = np.random.default_rng(21)
         rho, _, rho_b = product_state(rng)
-        pset = projector_set(MeasurementConfig(0.7, 0.2, 1.1, 0.4))
-        value, probs, posts = measured_conditional_entropy(rho, pset)
-        assert value == pytest.approx(von_neumann_entropy(rho_b), abs=1e-8)
-        assert sum(probs) == pytest.approx(1.0, abs=1e-9)
-        for post in posts:
-            assert np.abs(post.mat - rho_b).max() <= 1e-9
+        angles = (0.7, 0.2, 1.1, 0.4)
+        assert conditional_entropy(rho, angles) == \
+            pytest.approx(von_neumann_entropy(rho_b), abs=1e-8)
+        assert probabilities(rho, angles).sum() == \
+            pytest.approx(1.0, abs=1e-9)
 
     def test_pure_state_collapses_matter(self):
-        value, probs, posts = measured_conditional_entropy(
-            bell_state(), projector_set(MeasurementConfig(0.5, 0.3)))
-        assert value == pytest.approx(0.0, abs=1e-9)
-        for p, post in zip(probs, posts):
-            if post is not None:
-                purity = (post.mat @ post.mat).trace().real
-                assert purity == pytest.approx(1.0, abs=1e-9)
+        assert conditional_entropy(bell_state(), (0.5, 0.3, 0.0, 0.0)) == \
+            pytest.approx(0.0, abs=1e-9)
 
     def test_classical_state_own_and_conjugate_basis(self):
         rho = classical_correlated_state()
-        own = projector_set(MeasurementConfig(0.0, 0.0))
-        value, probs, _ = measured_conditional_entropy(rho, own)
-        assert value == pytest.approx(0.0, abs=1e-12)
-        assert sorted(probs) == pytest.approx([0, 0, 0.5, 0.5], abs=1e-12)
-        conjugate = projector_set(MeasurementConfig(np.pi / 4, 0.0))
-        value, _, _ = measured_conditional_entropy(rho, conjugate)
-        assert value == pytest.approx(LN2, abs=1e-12)
+        own = (0.0, 0.0, 0.0, 0.0)
+        assert conditional_entropy(rho, own) == pytest.approx(0.0, abs=1e-12)
+        assert sorted(probabilities(rho, own)) == \
+            pytest.approx([0, 0, 0.5, 0.5], abs=1e-12)
+        conjugate = (np.pi / 4, 0.0, 0.0, 0.0)
+        assert conditional_entropy(rho, conjugate) == \
+            pytest.approx(LN2, abs=1e-12)
 
     def test_routes_agree(self):
-        # the projector route, the basis-vector route and the oracle's
-        # einsum sandwich must agree
-        from h2discord.discord import _Evaluator, _embedded
+        # the evaluator's batched route and the oracle's einsum sandwich
+        # must agree
         rng = np.random.default_rng(31)
         rho = DensityMatrix(random_density(rng, 26), table_space())
         angles = (0.4, 1.1, 2.2, 5.0)
-        value, _, _ = measured_conditional_entropy(
-            rho, projector_set(MeasurementConfig(*angles)))
-        fast = _Evaluator(_embedded(rho)).conditional_entropies([angles])[0]
         oracle = reference_conditional_entropies(_embedded(rho), *angles)[0]
-        assert value == pytest.approx(fast, abs=1e-11)
-        assert value == pytest.approx(oracle, abs=1e-11)
+        assert conditional_entropy(rho, angles) == \
+            pytest.approx(oracle, abs=1e-11)
 
 
 class TestClassicalCorrelation:
@@ -267,8 +266,7 @@ class TestClassicalCorrelation:
         rho = DensityMatrix(random_density(rng, 26), table_space())
         search = SearchConfig(theta_points=9, zero_phases=True)
         point = discord(rho, search)
-        value, _, _ = measured_conditional_entropy(
-            rho, projector_set(point.argmin_config))
+        value = conditional_entropy(rho, point.argmin_config)
         s_b = von_neumann_entropy(partial_trace_A(rho).mat)
         assert s_b - value == pytest.approx(point.classical_corr, abs=1e-9)
 
@@ -402,9 +400,9 @@ class TestSearchBounds:
         search = SearchConfig(theta_points=7, zero_phases=True)
         for _ in range(10):
             rho = DensityMatrix(random_density(rng, 26), sp)
-            pset = projector_set(MeasurementConfig(
-                rng.uniform(0, np.pi / 2), rng.uniform(0, np.pi / 2)))
-            value, _, _ = measured_conditional_entropy(rho, pset)
+            value = conditional_entropy(rho, (
+                rng.uniform(0, np.pi / 2), rng.uniform(0, np.pi / 2), 0.0,
+                0.0))
             assert value >= 0.0
             j = discord(rho, search).classical_corr
             s_b = von_neumann_entropy(partial_trace_A(rho).mat)

@@ -290,17 +290,15 @@ class TestExactPropagator:
             vec = hop @ vec
             assert np.abs(snap - vec.reshape(n, n)).max() <= 1e-12
 
-    @pytest.mark.parametrize("renormalize", [False, True])
-    def test_interval_call_matches_hop_per_record(self, renormalize):
+    def test_interval_call_matches_hop_per_record(self):
         # 650 steps at stride 100: six equal hops, then a short one; a
-        # trace of 1.1 gives the renormalisation something to remove
+        # trace of 1.1 shows that no record rescales rho
         sp = table_space()
         params = open_params(0.5 * G, G)
         h = build_hamiltonian(params, sp)
         channels = build_jump_channels(params, sp)
         rho0 = DensityMatrix(1.1 * initial_state(sp).mat, sp)
-        cfg = SimConfig(dt=1e-10, t_end=6.5e-8, record_stride=100,
-                        renormalize_trace=renormalize)
+        cfg = SimConfig(dt=1e-10, t_end=6.5e-8, record_stride=100)
         traj = evolve(rho0, h, channels, cfg)
         gen = liouvillian(h.mat, channels)
         rho, previous = rho0.mat, 0
@@ -309,8 +307,6 @@ class TestExactPropagator:
             rho = expm_multiply(gen * ((step - previous) * cfg.dt),
                                 rho.reshape(-1)).reshape(sp.size, sp.size)
             rho = 0.5 * (rho + rho.conj().T)
-            if renormalize:
-                rho = rho / rho.trace().real
             previous = step
             assert np.abs(snap - rho).max() <= 1e-12
 
@@ -394,25 +390,6 @@ class TestConfigsAndValidation:
             SimConfig(dt=1.0, t_end=0.5)
         with pytest.raises(ValueError):
             SimConfig(dt=1.0, t_end=2.0, record_stride=0)
-
-    def test_renormalize_trace_flag(self):
-        space, params = damped_mode_space()
-        h = build_hamiltonian(params, space)
-        channels = build_jump_channels(params, space)
-        excited = space.index_of(BasisState.from_string("1000000"))
-        rho0 = DensityMatrix.from_pure(np.eye(2)[excited], space)
-        cfg = SimConfig(dt=1e-10, t_end=1e-7, record_stride=100,
-                        renormalize_trace=True)
-        traj = evolve(rho0, h, channels, cfg)
-        for snap in traj.snapshots[1:]:
-            assert snap.trace().real == pytest.approx(1.0, abs=1e-15)
-
-    def test_hbar_scales_the_propagator(self):
-        sp = table_space()
-        h = build_hamiltonian(PARAMS, sp)
-        doubled = make_propagator(h, 2e-10, hbar=2.0)
-        halved = make_propagator(h, 1e-10, hbar=1.0)
-        assert np.array_equal(doubled.mat, halved.mat)
 
     def test_free_frequencies_leave_populations_alone(self):
         # resonant diagonal terms commute with every interaction, so

@@ -1,5 +1,6 @@
 """Importing the package, validating a config, closed runs and open runs
-load numpy only: no scipy module is imported anywhere in the package."""
+load numpy only: no scipy module is imported anywhere in the package,
+and no numpy.ma."""
 
 import os
 import subprocess
@@ -23,10 +24,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["validate", closed]) == 0
     assert main(["run", closed, "--out", sys.argv[2]]) == 0
 assert not scipy_modules(), scipy_modules()
+assert "numpy.ma" not in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["run", closed, "--out", sys.argv[3],
                  "--override", "gamma=g"]) == 0
 assert not scipy_modules(), scipy_modules()
+assert "numpy.ma" not in sys.modules
 """
 
 

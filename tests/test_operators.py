@@ -170,11 +170,7 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(g_bond=-1.0)
 
-    def test_rejects_nonpositive_hbar(self):
-        with pytest.raises(ValueError):
-            ModelParams(hbar=0.0)
-
-    @pytest.mark.parametrize("name", ["hbar", "g_up", "zeta", "gamma_phn",
+    @pytest.mark.parametrize("name", ["g_up", "zeta", "gamma_phn",
                                       "influx_up", "freq_phn"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])

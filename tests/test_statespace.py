@@ -161,11 +161,8 @@ class TestGenerateSpace:
 
 
 class TestDump:
-    def test_format(self, tmp_path):
-        sp = table_space()
-        path = tmp_path / "space.txt"
-        sp.dump(path)
-        lines = path.read_text().splitlines()
+    def test_format(self):
+        lines = table_space().dump_lines()
         assert len(lines) == 26
         assert lines[0] == "0\t0000000"
         index, bits = lines[1].split("\t")
