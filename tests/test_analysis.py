@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from h2discord.analysis import envelope, fit_period, fit_sinusoid, \
-    population, run_discord_series, state_population
+from h2discord.analysis import _median_spacing, envelope, fit_period, \
+    fit_sinusoid, population, run_discord_series, state_population
 from h2discord.cli import parse_config, resolve_config, run
 from h2discord.dynamics import DensityMatrix, SimConfig, initial_state
 from h2discord.errors import ConfigTypeError, InsufficientData, \
@@ -81,6 +81,15 @@ class TestFitSinusoid:
     def test_too_few_samples(self):
         with pytest.raises(InsufficientData):
             fit_sinusoid(np.arange(5.0), np.arange(5.0))
+
+    # an odd count of gaps takes the middle one, an even count the mean
+    # of the two middle ones
+    @pytest.mark.parametrize("extra", [0, 1], ids=["odd", "even"])
+    def test_median_spacing_is_np_median(self, extra):
+        rng = np.random.default_rng(41)
+        for n in range(4 + extra, 200, 2):
+            times = np.cumsum(rng.uniform(1e-10, 3e-9, size=n))
+            assert _median_spacing(times) == np.median(np.diff(times))
 
 
 # the closed reproduction runs whose discord series the CLI fits: the

@@ -104,7 +104,8 @@ class TestResolveConfig:
                                       "dt=1e-10\nt_end=1e-8\n",
                                       "dt=1e-320\n", "refine=maybe\n",
                                       "periods_factor=-1\n", "g_up=0\n",
-                                      "refine_tol=0\n", "refine_tol=-1e-4\n"])
+                                      "refine_tol=0\n", "refine_tol=-1e-4\n",
+                                      "gamma=-1g\n", "zeta=-1g\n"])
     def test_rejects_non_finite_numbers_and_empty_grids(self, text):
         with pytest.raises(ConfigTypeError) as err:
             resolve(text, kind="discord-series")
@@ -410,6 +411,21 @@ class TestMain:
                      "kind=discord-series"]) == 2
         assert "banana" in capsys.readouterr().err
 
+    def test_kind_flag_is_gone(self, tmp_path, capsys):
+        # --override kind=... sets the kind
+        path = write_config(tmp_path, "kind=period-law\n")
+        with pytest.raises(SystemExit) as err:
+            main(["validate", path, "--kind", "discord-series"])
+        assert err.value.code == 2
+        assert "--kind" in capsys.readouterr().err
+
+    def test_generate_space_is_a_bad_kind(self, tmp_path, capsys):
+        # dump-space prints the space of any config
+        path = write_config(tmp_path, "kind=generate-space\n")
+        assert main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert "generate-space" in err and "line 1" in err
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # a horizon of 1% of the period leaves the fit 3 samples
         path = write_config(
@@ -463,7 +479,8 @@ class TestMain:
     @pytest.mark.parametrize("override", ["g=nan", "dt=nan",
                                           "theta_points=0",
                                           "envelope_window=2",
-                                          "envelope_window=-1", "g_up=0"])
+                                          "envelope_window=-1", "g_up=0",
+                                          "gamma=-1g"])
     def test_bad_numbers_exit_as_config_errors(self, tmp_path, capsys,
                                                command, override):
         path = write_config(tmp_path, SMALL_SERIES)
@@ -476,7 +493,9 @@ class TestMain:
                                       "record_stride=50\n",
                                       "discord_stride=50\n",
                                       "envelope_window=7\n",
-                                      "gamma=g\ninflux_up=g\n"])
+                                      "gamma=g\ninflux_up=g\n",
+                                      "gamma_phn=0.1g\n",
+                                      "influx_down=0.1g\n"])
     def test_period_law_refuses_the_keys_it_cannot_honour(self, tmp_path,
                                                           capsys, text):
         # every sweep point runs closed, on the default grid of its own

@@ -170,8 +170,8 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(g_bond=-1.0)
 
-    @pytest.mark.parametrize("name", ["g_up", "zeta", "gamma_phn",
-                                      "influx_up", "freq_phn"])
+    @pytest.mark.parametrize("name", ["g_up", "g_bond", "zeta",
+                                      "gamma_phn", "influx_up", "freq_phn"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
     def test_rejects_non_finite_fields(self, name, value):
