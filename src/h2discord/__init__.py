@@ -8,7 +8,7 @@ from .discord import DiscordPoint, MeasurementConfig, SearchConfig, \
     discord, discord_series, partial_trace_A, partial_trace_B, \
     projector_set
 from .dynamics import DensityMatrix, SimConfig, Trajectory, evolve, \
-    initial_state, make_propagator
+    initial_state
 from .operators import JumpChannel, ModelParams, OperatorMatrix, \
     build_hamiltonian, build_jump_channels, ladder
 from .statespace import BasisState, GatingPolicy, StateSpace, TABLE_STATES, \

@@ -28,7 +28,7 @@ from .errors import ConfigError, ConfigTypeError, EmptySeeds, \
     UnknownKey
 from .operators import ModelParams
 from .statespace import INITIAL_COMPONENTS, BasisState, GatingPolicy, \
-    check_seeds, full_space, generate_space, table_space
+    StateSpace, check_seeds, full_space, generate_space, table_space
 
 KINDS = ("discord-series", "sweep-g-omega", "sweep-gamma", "period-law")
 # the kinds that run a discord series once per sweep value, each on its
@@ -239,6 +239,9 @@ class ExperimentConfig:
     periods_factor: float
     dump_rho: bool
     resolved: dict = field(default_factory=dict)
+    # set by resolve_config: a series' space, a sweep's (x, config) points
+    space: StateSpace = field(default=None, init=False)
+    points: list = field(default_factory=list, init=False)
 
     # the record grid, as perfbench's workload checks read it
     dt = property(lambda self: self.sim.dt)
@@ -273,9 +276,9 @@ def _origin(lineno) -> str:
 
 
 def _bind(cls, v: dict, **given):
-    """cls(**given), each other field read from the key of its name."""
+    """cls(**given), each other init field from the key of its name."""
     return cls(**given, **{f.name: v[f.name] for f in fields(cls)
-                           if f.name not in given})
+                           if f.init and f.name not in given})
 
 
 def _model(v: dict) -> ModelParams:
@@ -305,7 +308,9 @@ def _check(v: dict, params: ModelParams, given):
         raise ConfigTypeError("TypeError: t_end must be finite and at least "
                               "one step")
     sweep = v["sweep_values"]
-    if kind == "period-law" and not (sweep and all(0 < x <= 1 for x in sweep)):
+    if kind in SWEEPS and not sweep:
+        raise ConfigTypeError(f"TypeError: {kind} needs sweep_values")
+    if kind == "period-law" and not all(0 < x <= 1 for x in sweep):
         raise ConfigTypeError("TypeError: period-law sweep_values must lie "
                               "in (0, 1]")
     if kind in SWEEPS and len(set(sweep)) < len(sweep):
@@ -361,20 +366,23 @@ def resolve_config(entries: dict, kind: str = None,
     config = _bind(ExperimentConfig, v, params=params,
                    gating=_bind(GatingPolicy, v), sim=_bind(SimConfig, v),
                    search=_bind(SearchConfig, v), resolved=resolved)
-    _check_seeds(config)
-    _sweep_points(config)  # resolving a point checks it as a discord series
+    config.space = _check_seeds(config)
+    config.points = _sweep_points(config)  # each checked as a series
     return config
 
 
 def _check_seeds(config: ExperimentConfig):
     """The seed rules: seeds valid for the space mode, whose space holds
-    the standard initial state wherever the kind evolves it."""
-    if config.space_mode == "full":  # the full space ignores the seeds
-        return
+    the standard initial state wherever the kind evolves it.  Returns
+    the space a discord series runs on, None for the other kinds."""
     try:
-        check_seeds(config.seeds, config.space_mode)
-        if config.kind == "discord-series":
-            initial_state(_build_space(config))
+        if config.space_mode != "full":  # the full space ignores the seeds
+            check_seeds(config.seeds, config.space_mode)
+        if config.kind != "discord-series":
+            return None
+        space = _build_space(config)
+        initial_state(space)
+        return space
     except (EmptySeeds, SeedOutsideCompatTable, StateMissing) as exc:
         raise ConfigTypeError(f"TypeError: seeds with space_mode="
                               f"{config.space_mode}: {exc}") from None
@@ -510,7 +518,7 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
         name, header = _SWEEP_CSV[kind]
         xcol, ycol = header.split(",")[:2]
         rows = []
-        for x, point in _sweep_points(config):
+        for x, point in config.points:
             paths, records, point_fit = _run(point, out / f"{xcol}={x!r}")
             written += paths
             if law and isinstance(point_fit, SimulationError):
@@ -569,8 +577,7 @@ def _discord_artifacts(config, points, notes, emit):
 
 
 def _run_series(config: ExperimentConfig):
-    return run_discord_series(config.params, config.sim,
-                              space=_build_space(config),
+    return run_discord_series(config.params, config.sim, space=config.space,
                               gating=config.gating, search=config.search,
                               discord_stride=config.discord_stride)
 
@@ -602,7 +609,7 @@ def main(argv=None) -> int:
                 print(f"{key}={config.resolved[key]}")
             return EXIT_OK
         if args.command == "dump-space":
-            lines = _build_space(config).dump_lines()
+            lines = (config.space or _build_space(config)).dump_lines()
             sys.stdout.write("\n".join(lines) + "\n")
             return EXIT_OK
         written = run(config)

@@ -1,7 +1,11 @@
-"""Density-matrix evolution with exact propagators between records.
+"""Density-matrix evolution, exact at every record.
 
-Closed runs hop with the spectral propagator exp(-i H tau), from numpy's
-eigh; open runs apply the Lindblad solution exp(L tau) to rho
+A closed run forms each record straight from rho0 by the eigenvector
+method for a Hermitian generator (Moler & Van Loan, SIAM Rev. 45, 3
+(2003)): one eigh H = V diag(E) V^dagger, R0 = V^dagger rho0 V, and
+rho(t) = W R0 W^dagger with W = V diag(exp(-i E t)), so no record
+carries the rounding of the ones before it.  An open run hops from
+record to record with the Lindblad solution exp(L tau), applied to rho
 as a matrix by a truncated Taylor series, the algorithm of
 expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)):
 a hop takes ceil(||L||_1 tau / TAYLOR_THETA) substeps, and each substep
@@ -97,15 +101,6 @@ def _hermitian(mat):
     return mat
 
 
-def make_propagator(H: OperatorMatrix, dt: float) -> OperatorMatrix:
-    """exp(-i H dt) via spectral decomposition of Hermitian H."""
-    mat = _hermitian(H.mat)
-    evals, vecs = np.linalg.eigh(mat)
-    phases = np.exp(-1j * evals * dt)
-    u = (vecs * phases) @ vecs.conj().T
-    return OperatorMatrix(u, H.space)
-
-
 def _lindblad_propagator(h, channels):
     """(rho, tau) -> exp(L tau) rho for the Lindblad generator
     L(T) = K T + (K T)^dagger + sum_c rate_c a_c T a_c^dagger, with
@@ -180,10 +175,11 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
            cfg: SimConfig) -> Trajectory:
     """Propagate rho0 and record every record_stride steps plus the endpoint.
 
-    Each record interval is one exact hop: a cached spectral propagator
-    for closed runs, the Taylor series of exp(L tau) for open runs.
-    Each record is symmetrised and checked for positivity; the
-    trajectory keeps the worst margins.
+    A closed run forms each record from rho0 by one eigh of H, so a
+    record at a given step does not depend on record_stride; an open run
+    makes one exact hop per record interval, the Taylor series of
+    exp(L tau).  Each record is symmetrised and checked for positivity;
+    the trajectory keeps the worst margins.
     """
     if rho0.space is not H.space:
         raise SpaceMismatch("state and Hamiltonian bound to different spaces")
@@ -212,24 +208,19 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
         snapshots.append(rho.copy())
         return rho
 
+    points = _record_points(n_steps, cfg.record_stride)
     if channels:
         propagate = _lindblad_propagator(_hermitian(H.mat), channels)
-
-        def hop(rho, steps):
-            return propagate(rho, steps * cfg.dt)
+        previous = 0
+        for step in points:
+            rho = record(step, propagate(rho, (step - previous) * cfg.dt))
+            previous = step
     else:
-        unitaries = {}
-
-        def hop(rho, steps):
-            if steps not in unitaries:
-                unitaries[steps] = make_propagator(H, cfg.dt * steps).mat
-            u = unitaries[steps]
-            return u @ rho @ u.conj().T
-
-    previous = 0
-    for step in _record_points(n_steps, cfg.record_stride):
-        rho = record(step, hop(rho, step - previous))
-        previous = step
+        energies, vecs = np.linalg.eigh(_hermitian(H.mat))
+        start = vecs.conj().T @ rho @ vecs
+        for step in points:
+            w = vecs * np.exp(-1j * energies * (step * cfg.dt))
+            record(step, w @ start @ w.conj().T)
     return Trajectory(np.array(times), snapshots, rho0.space,
                       min_eigenvalue=min_eig, min_eigenvalue_t=min_eig_t,
                       max_trace_drift=max_drift,

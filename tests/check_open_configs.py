@@ -19,8 +19,8 @@ import sys
 import time
 from pathlib import Path
 
-from h2discord.cli import _closed, _run_series, _sweep_points, \
-    parse_config, resolve_config
+from h2discord.cli import _closed, _run_series, parse_config, \
+    resolve_config
 from h2discord.discord import discord
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,7 +32,7 @@ def runs(path: Path) -> list:
     the config itself."""
     config = resolve_config(parse_config(path.read_text(encoding="utf-8")))
     return [(f"{path.stem}/{x!r}", point)
-            for x, point in _sweep_points(config)] or [(path.stem, config)]
+            for x, point in config.points] or [(path.stem, config)]
 
 
 def check(config) -> tuple:

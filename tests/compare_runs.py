@@ -1,17 +1,20 @@
 """Run every reproduction config and compare the artifacts with a reference.
 
-    PYTHONPATH=src python tests/compare_runs.py OUT [--against REF [--atol X]]
+    PYTHONPATH=src python tests/compare_runs.py OUT \
+        [--against REF [--atol X] [--rtol R]]
 
 Each ``configs/*.cfg`` runs through ``h2discord run`` into
 ``OUT/<name>``, in this process; the script prints each config's
 ``wall_time_s`` from its ``run-metadata.txt``, and their total.  With
 ``--against``, every artifact of ``OUT/<name>`` is compared byte for
 byte with ``REF/<name>``; the ``wall_time_s`` line of
-``run-metadata.txt`` is ignored.  With ``--atol X`` as well, a CSV
-matches when its shape and non-numeric cells are equal and every
-numeric cell is within X, and the script prints the largest |delta| of
-each CSV that is not byte-identical.  It prints each artifact that
-differs or is present on one side only, and exits 1 on any difference.
+``run-metadata.txt`` is ignored.  With ``--atol X`` or ``--rtol R``
+(each 0 when not given) as well, a CSV matches when its shape and
+non-numeric cells are equal and every pair of numeric cells a, b has
+|a - b| <= X + R max(|a|, |b|), and the script prints the largest
+|delta| and the largest |delta| / max(|a|, |b|) of each CSV that is not
+byte-identical.  It prints each artifact that differs or is present on
+one side only, and exits 1 on any difference.
 pytest does not collect it; the configs' ``wall_time_s`` sum to about
 9.5 s on a 2-core host, a third of it the closed fig8a and fig8b.
 """
@@ -44,32 +47,39 @@ def wall_time(run_dir: Path) -> float:
     raise ValueError(f"{run_dir} records no wall_time_s")
 
 
-def csv_deviation(a: bytes, b: bytes) -> float:
-    """Largest |delta| over the numeric cells of two CSVs; inf when their
-    shapes or their other cells differ."""
+def csv_deviation(a: bytes, b: bytes, atol=0.0, rtol=0.0) -> tuple:
+    """(largest |delta|, largest |delta| / max(|x|, |y|), whether every
+    |delta| <= atol + rtol max(|x|, |y|)) over the numeric cells x, y of
+    two CSVs; (inf, inf, False) when their shapes or their other cells
+    differ."""
+    unequal = (math.inf, math.inf, False)
     rows_a = [line.split(",") for line in a.decode().splitlines()]
     rows_b = [line.split(",") for line in b.decode().splitlines()]
     if [len(row) for row in rows_a] != [len(row) for row in rows_b]:
-        return math.inf
-    worst = 0.0
+        return unequal
+    worst, worst_rel, match = 0.0, 0.0, True
     for row_a, row_b in zip(rows_a, rows_b):
         for x, y in zip(row_a, row_b):
             if x == y:
                 continue
             try:
-                delta = abs(float(x) - float(y))
+                x, y = float(x), float(y)
             except ValueError:
-                return math.inf
-            if math.isnan(delta):
-                return math.inf
-            worst = max(worst, delta)
-    return worst
+                return unequal
+            delta, size = abs(x - y), max(abs(x), abs(y))
+            if not math.isfinite(delta):
+                return unequal
+            if not delta:  # 0.0 against -0.0
+                continue
+            worst, worst_rel = max(worst, delta), max(worst_rel, delta / size)
+            match = match and delta <= atol + rtol * size
+    return worst, worst_rel, match
 
 
-def differences(out: Path, ref: Path, atol=None) -> tuple:
+def differences(out: Path, ref: Path, atol=None, rtol=None) -> tuple:
     """Artifact paths, relative to `out`, that differ from `ref`'s, and
-    with `atol` the largest |delta| of each CSV that is not byte for byte
-    equal, by path."""
+    with `atol` or `rtol` the largest |delta| and relative |delta| of
+    each CSV that is not byte for byte equal, by path."""
     names = {p.relative_to(out) for p in out.rglob("*") if p.is_file()}
     names |= {p.relative_to(ref) for p in ref.rglob("*") if p.is_file()}
     diffs, deviations = [], {}
@@ -80,9 +90,10 @@ def differences(out: Path, ref: Path, atol=None) -> tuple:
         ours, theirs = _content(out / name), _content(ref / name)
         if ours == theirs:
             continue
-        if atol is not None and name.suffix == ".csv":
-            deviations[str(name)] = csv_deviation(ours, theirs)
-            if deviations[str(name)] <= atol:
+        if (atol, rtol) != (None, None) and name.suffix == ".csv":
+            *deviations[str(name)], match = csv_deviation(
+                ours, theirs, atol or 0.0, rtol or 0.0)
+            if match:
                 continue
         diffs.append(str(name))
     return diffs, deviations
@@ -94,6 +105,8 @@ def main(argv) -> int:
     parser.add_argument("--against", type=Path, metavar="REF")
     parser.add_argument("--atol", type=float, metavar="X",
                         help="compare CSV numbers within X")
+    parser.add_argument("--rtol", type=float, metavar="R",
+                        help="compare CSV numbers within R max(|a|, |b|)")
     args = parser.parse_args(argv)
     configs = sorted((ROOT / "configs").glob("*.cfg"))
     total = 0.0
@@ -110,9 +123,10 @@ def main(argv) -> int:
     print(f"total      wall_time_s={total:.3f}")
     if args.against is None:
         return 0
-    diffs, deviations = differences(args.out, args.against, args.atol)
-    for name, delta in deviations.items():
-        print(f"max|delta| {delta:.2e}: {name}")
+    diffs, deviations = differences(args.out, args.against, args.atol,
+                                    args.rtol)
+    for name, (delta, relative) in deviations.items():
+        print(f"max|delta| {delta:.2e} relative {relative:.2e}: {name}")
     for name in diffs:
         print(f"differs: {name}")
     print(f"{len(diffs)} differing artifacts over {len(configs)} configs")

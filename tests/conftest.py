@@ -7,8 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from h2discord.cli import _run_series, _sweep_points, parse_config, \
-    resolve_config
+from h2discord.cli import _run_series, parse_config, resolve_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # the sweep configs: the period laws, whose points are the closed discord
@@ -28,7 +27,7 @@ def sweep_runs():
         config = resolve_config(parse_config(
             (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")))
         points = [(x, point, *_run_series(point))
-                  for x, point in _sweep_points(config)]
+                  for x, point in config.points]
         return points, time.time() - started
 
     return runs

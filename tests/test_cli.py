@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from h2discord import analysis
+from h2discord import analysis, cli
 from h2discord.cli import KEYS as CONFIG_KEYS, KINDS, SWEEPS, \
-    _build_space, _sweep_points, main, parse_config, resolve_config, run
+    _build_space, main, parse_config, resolve_config, run
 from h2discord.discord import SearchConfig
 from h2discord.errors import ConfigError, ConfigTypeError, MissingRequired, \
     UnknownKey
@@ -114,6 +114,8 @@ class TestResolveConfig:
     @pytest.mark.parametrize("kind,values", [("period-law", "2"),
                                              ("period-law", "0,0.1"),
                                              ("period-law", ""),
+                                             ("sweep-gamma", ""),
+                                             ("sweep-g-omega", ""),
                                              ("sweep-gamma", "-1"),
                                              ("period-law", "0.1,0.2,0.1"),
                                              ("sweep-gamma", "0.5,0.5"),
@@ -136,7 +138,7 @@ class TestResolveConfig:
         grid = {"dt", "t_end", "record_stride"}
         law = resolve("", kind="period-law")
         assert not grid & set(law.resolved)
-        for _, point in _sweep_points(law):
+        for _, point in law.points:
             assert grid <= set(point.resolved)
 
     @pytest.mark.parametrize("text", ["g_up=0\nenvelope_window=3\n",
@@ -155,8 +157,8 @@ class TestResolveConfig:
     def test_grid_a_sweep_gives_applies_to_every_point(self, kind):
         sweep = resolve("dt=1e-10\nrecord_stride=100\n", kind=kind)
         assert "t_end" not in sweep.resolved
-        own = _sweep_points(resolve("", kind=kind))
-        for (x, point), (_, alone) in zip(_sweep_points(sweep), own):
+        own = resolve("", kind=kind).points
+        for (x, point), (_, alone) in zip(sweep.points, own):
             assert point.sim == dataclasses.replace(
                 alone.sim, dt=1e-10, record_stride=100), x
 
@@ -168,7 +170,7 @@ class TestResolveConfig:
             config = resolve(path.read_text(encoding="utf-8"))
             for name, each in [(path.stem, config)] + [
                     (f"{path.stem}/{x!r}", point)
-                    for x, point in _sweep_points(config)]:
+                    for x, point in config.points]:
                 key = tuple(sorted(each.resolved.items()))
                 assert key not in seen, f"{name} repeats {seen.get(key)}"
                 seen[key] = name
@@ -399,6 +401,31 @@ class TestRun:
 
 
 class TestMain:
+    @pytest.mark.parametrize("text,builds,resolves", [
+        ("kind=discord-series\n", 1, 1),
+        ("kind=sweep-gamma\nsweep_values=0.5,1\n", 2, 3)],
+        ids=["discord-series", "sweep-gamma"])
+    def test_each_space_is_built_once_and_each_point_resolved_once(
+            self, tmp_path, monkeypatch, text, builds, resolves):
+        # one space per run or sweep point, one resolve per point plus
+        # the config's own
+        calls = dict.fromkeys(("generate_space", "table_space",
+                               "full_space", "resolve_config"), 0)
+
+        def spy(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+        path = write_config(tmp_path, text + "space_mode=closure\ngamma=g\n"
+                            "dt=1e-10\nt_end=1e-8\nrecord_stride=20\n")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"generate_space": builds, "table_space": 0,
+                         "full_space": 0, "resolve_config": resolves}
+
     def test_validate_prints_resolved(self, tmp_path, capsys):
         path = write_config(tmp_path, "kind=discord-series\nzeta=0\n")
         assert main(["validate", path]) == 0

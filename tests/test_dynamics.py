@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy.sparse.linalg import expm_multiply
 
 from h2discord.dynamics import TAYLOR_THETA, DensityMatrix, SimConfig, \
-    _record_points, evolve, initial_state, make_propagator
+    _record_points, evolve, initial_state
 from h2discord.errors import NotHermitian, PositivityLost, SpaceMismatch, \
     StateMissing
 from h2discord.discord import partial_trace_B
@@ -79,27 +79,46 @@ class TestInitialState:
 
 
 class TestPropagator:
-    def test_zero_hamiltonian(self):
+    @pytest.mark.parametrize("state", ["initial", "random"])
+    def test_closed_records_match_dense_expm(self, state):
+        # free frequencies of 10g (no interaction picture) turn E t into
+        # hundreds of radians by the last record
         sp = table_space()
-        h = OperatorMatrix(np.zeros((26, 26), dtype=complex), sp)
-        u = make_propagator(h, 1e-9)
-        assert np.allclose(u.mat, np.eye(26), atol=1e-15)
+        h = build_hamiltonian(PARAMS, sp)
+        rho0 = initial_state(sp) if state == "initial" else DensityMatrix(
+            random_density(np.random.default_rng(13), sp.size), sp)
+        traj = evolve(rho0, h, [], SimConfig(dt=1e-10, t_end=1e-6,
+                                             record_stride=2500))
+        assert len(traj) == 5
+        for t, snap in zip(traj.times, traj.snapshots):
+            u = scipy.linalg.expm(-1j * h.mat * t)
+            expected = u @ rho0.mat @ u.conj().T
+            scale = max(1.0, float(np.abs(expected).max()))
+            assert np.abs(snap - expected).max() <= 1e-12 * scale, t
 
-    def test_unitarity_random_hermitian(self):
-        rng = np.random.default_rng(3)
+    def test_closed_records_do_not_depend_on_the_stride(self):
+        # 600 steps: strides 15 and 20 share the records at every 60th
         sp = table_space()
-        for _ in range(5):
-            raw = rng.normal(size=(26, 26)) + 1j * rng.normal(size=(26, 26))
-            h = OperatorMatrix((raw + raw.conj().T) * 1e7, sp)
-            u = make_propagator(h, 1e-8).mat
-            assert np.abs(u @ u.conj().T - np.eye(26)).max() < 1e-10
+        h = build_hamiltonian(PARAMS, sp)
+        rho0 = initial_state(sp)
+        runs = [evolve(rho0, h, [], SimConfig(dt=1e-10, t_end=6e-8,
+                                               record_stride=stride))
+                for stride in (15, 20)]
+        common = [{int(round(t / 1e-10)): snap
+                   for t, snap in zip(run.times, run.snapshots)
+                   if int(round(t / 1e-10)) % 60 == 0} for run in runs]
+        assert sorted(common[0]) == sorted(common[1]) == list(
+            range(0, 601, 60))
+        for step, snap in common[0].items():
+            assert np.array_equal(snap, common[1][step]), step
 
     def test_not_hermitian(self):
         sp = table_space()
         mat = np.zeros((26, 26), dtype=complex)
         mat[0, 1] = 1.0
         with pytest.raises(NotHermitian):
-            make_propagator(OperatorMatrix(mat, sp), 1e-9)
+            evolve(initial_state(sp), OperatorMatrix(mat, sp), [],
+                   SimConfig(dt=1e-10, t_end=1e-9))
 
     def test_rabi_populations(self):
         space, params = two_level_space()
