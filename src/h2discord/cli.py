@@ -180,10 +180,10 @@ KEYS = (
     Key("kind", _choice(*KINDS), None),
     Key("out", TEXT, lambda v: f"{v['kind']}-out", recorded=False),
     Key("g", POSITIVE, "1e7"),
-    Key("interaction_picture", BOOL, "true"),
-    Key("omega_up", G_MULTIPLE, "10g"),
-    Key("omega_down", G_MULTIPLE, "10g"),
-    Key("omega_phn", G_MULTIPLE, "10g"),
+    # mode frequencies; 0, the default, is the interaction picture
+    Key("omega_up", G_MULTIPLE, "0"),
+    Key("omega_down", G_MULTIPLE, "0"),
+    Key("omega_phn", G_MULTIPLE, "0"),
     Key("g_up", G_MULTIPLE, "g"),
     Key("g_down", G_MULTIPLE, "g"),
     Key("g_omega", G_MULTIPLE, "0.5g"),
@@ -209,9 +209,8 @@ KEYS = (
         lambda params, v: default_t_end(params, v["periods_factor"]))),
     Key("record_stride", _int_at_least(1), _from_scale(
         lambda params, v: default_record_stride(params, v["dt"]))),
-    _search_key("theta_points", _int_at_least(1)),
+    _search_key("theta_points", _int_at_least(2)),
     _search_key("phi_points", _int_at_least(1)),
-    _search_key("zero_phases", BOOL),
     _search_key("refine", BOOL),
     _search_key("refine_tol", POSITIVE),
     Key("discord_stride", _int_at_least(1), "1"),
@@ -282,11 +281,9 @@ def _bind(cls, v: dict, **given):
 
 
 def _model(v: dict) -> ModelParams:
-    picture = v["interaction_picture"]
     return _bind(ModelParams, v, g_bond=v["g_omega"],
-                 freq_pht_up=0.0 if picture else v["omega_up"],
-                 freq_pht_down=0.0 if picture else v["omega_down"],
-                 freq_phn=0.0 if picture else v["omega_phn"])
+                 freq_pht_up=v["omega_up"], freq_pht_down=v["omega_down"],
+                 freq_phn=v["omega_phn"])
 
 
 # the record grid keys; a sweep's record leaves out those its config
@@ -457,6 +454,8 @@ fig.savefig({png!r}, dpi=150)
 """
 
 _PLOT_SWEEP = """\
+import os
+
 import matplotlib.pyplot as plt
 import numpy as np
 
@@ -465,9 +464,10 @@ x = data[{xcol!r}]
 y = data[{ycol!r}]
 fig, ax = plt.subplots()
 ax.plot(x, y, "+", markersize=12)
-if {constant!r} is not None:
+if os.path.exists("law.csv"):  # a period law: T = c / x
+    c = np.genfromtxt("law.csv", delimiter=",", names=True)["c_seconds"]
     grid = np.linspace(x.min(), x.max(), 200)
-    ax.plot(grid, {constant!r} / grid, "-")
+    ax.plot(grid, c / grid, "-")
 ax.set_xlabel({xcol!r})
 ax.set_ylabel({ycol!r})
 fig.savefig({png!r}, dpi=150)
@@ -526,7 +526,6 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
             rows.append([x, point_fit.period, point_fit.rms_residual] if law
                         else [x, max(pt.discord for pt in records)])
         emit(name, lambda p: _write_csv(p, header, rows))
-        constant = None
         if law:
             constant, residual = fit_law([row[:2] for row in rows])
             emit("law.csv", lambda p: _write_csv(
@@ -534,7 +533,7 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
             notes.update(fit_on_envelope=config.params.zeta > 0,
                          constant_c=constant)
         plot("plot_sweep.py", _PLOT_SWEEP, csv=name, xcol=xcol, ycol=ycol,
-             constant=constant, png=name.replace(".csv", ".png"))
+             png=name.replace(".csv", ".png"))
 
     meta = dict(config.resolved)
     meta.update(notes)
@@ -554,8 +553,8 @@ def _discord_artifacts(config, points, notes, emit):
     mixed = [pt for pt in points if not pt.pure]
     notes["discord_grid_fallbacks"] = \
         f"{sum(pt.full_grid for pt in mixed)}/{len(mixed)}"
-    emit("discord.csv", lambda p: _write_lines(
-        p, [DiscordPoint.CSV_HEADER] + [pt.csv_row() for pt in points]))
+    emit("discord.csv", lambda p: _write_csv(
+        p, DiscordPoint.CSV_HEADER, (pt.row() for pt in points)))
     params = config.params
     if not _closed(params):
         # the decaying open-system discord has no sensible sinusoid fit

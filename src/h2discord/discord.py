@@ -22,16 +22,18 @@ Classical correlation maximizes over a deterministic grid of the free
 angles, evaluated once per distinct measurement, followed by a batched
 pattern-search refinement; ties within 1e-9 nats resolve to the
 lexicographically smallest angle tuple, so results are reproducible
-bit for bit.  `SearchConfig()` is the CLI preset: 17 thetas per qubit,
-zero phases, refinement on.  The grid drops every point whose
-unordered set of product projectors an earlier point (in ij order)
-already gives: theta = pi/2 repeats theta = 0 with the outcomes
-swapped, the phase does nothing at theta in {0, pi/2}, phi = 2 pi
-repeats phi = 0, and (theta, phi) and (pi/2 - theta, phi + pi) give
-the same basis.  The 17-point grids keep 256 of 289 zero-phase points
-and 14641 of 83521 four-angle points.  Computing discord is
-NP-complete in general (Huang, New J. Phys. 16, 033027 (2014)), so the
-search is a heuristic.
+bit for bit.  Both thetas are always searched, and the two phases
+exactly when `phi_points > 1`; one phase point fixes them at 0.
+`SearchConfig()` is the CLI preset: 17 thetas per qubit, one phase
+point, refinement on.  The grid drops every point whose unordered set
+of product projectors an earlier point (in ij order) already gives:
+theta = pi/2 repeats theta = 0 with the outcomes swapped, the phase
+does nothing at theta in {0, pi/2}, phi = 2 pi repeats phi = 0, and
+(theta, phi) and (pi/2 - theta, phi + pi) give the same basis.  The
+17-point grids keep 256 of 289 points with one phase point and 14641
+of 83521 four-angle points.  Computing discord is NP-complete in
+general (Huang, New J. Phys. 16, 033027 (2014)), so the search is a
+heuristic.
 
 The refinement steps h from the largest grid spacing down to
 refine_tol / 4, halving: at each h it moves to the best of the +-h
@@ -44,8 +46,8 @@ Along a trajectory (`discord_series`) each mixed snapshot may start
 from the argmin of the last mixed snapshot, the warm point.  One batch
 evaluates the warm point and the guard grid, the search's family on
 GUARD_POINTS = 5 points per free angle (16 distinct measurements with
-zero phases).  When the best of these lies within one guard spacing of
-the warm point on every free angle, the refinement starts there;
+one phase point).  When the best of these lies within one guard spacing
+of the warm point on every free angle, the refinement starts there;
 otherwise, and for the first mixed snapshot, the full grid runs, as it
 always does for a lone `discord()` call and with refine off.
 
@@ -199,38 +201,35 @@ class SearchConfig:
     defaults are the CLI's."""
 
     theta_points: int = 17
-    phi_points: int = 17
-    zero_phases: bool = True
+    phi_points: int = 1     # a phase axis is searched when above 1
     refine: bool = True
     refine_tol: float = 1e-4
 
     def __post_init__(self):
-        for name in ("theta_points", "phi_points"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name, low in (("theta_points", 2), ("phi_points", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}")
         if not 0 < self.refine_tol < np.inf:
             raise ValueError("refine_tol must be positive and finite")
 
 
 def _free(search: SearchConfig) -> np.ndarray:
     """Which columns of a point's row the search varies."""
-    return np.array([True, True, not search.zero_phases,
-                     not search.zero_phases])
+    return np.array([True, True] + [search.phi_points > 1] * 2)
 
 
 def _axes(search: SearchConfig) -> list:
     """The grid of each column of a point's row; [0.0] for a fixed one."""
     counts = (search.theta_points, search.theta_points, search.phi_points,
               search.phi_points)
-    return [np.linspace(lo, hi, n) if free else np.zeros(1)
-            for (lo, hi), n, free in zip(_ANGLE_BOUNDS, counts,
-                                         _free(search))]
+    return [np.linspace(lo, hi, n) for (lo, hi), n in zip(_ANGLE_BOUNDS,
+                                                          counts)]
 
 
 def _spacing(search: SearchConfig) -> np.ndarray:
-    """The grid spacing per column; 0.1 on a one-point axis."""
-    return np.array([grid[1] - grid[0] if len(grid) > 1 else 0.1
-                     for grid in _axes(search)])
+    """The grid spacing of each free column."""
+    return np.array([grid[1] - grid[0] for grid in _axes(search)
+                     if len(grid) > 1])
 
 
 class _Evaluator:
@@ -347,11 +346,12 @@ def _warm_start(ev: _Evaluator, search: SearchConfig,
     minimum may have moved to another basin.
     """
     guard = replace(search, theta_points=GUARD_POINTS,
-                    phi_points=GUARD_POINTS)
+                    phi_points=GUARD_POINTS if search.phi_points > 1 else 1)
     points = np.vstack([warm, _grid(guard)[1]])
     values = ev.conditional_entropies(points)
     best = int(np.argmin(values))
-    if (np.abs(points[best] - points[0]) > _spacing(guard)).any():
+    moved = np.abs(points[best] - points[0])[_free(guard)]
+    if (moved > _spacing(guard)).any():
         return None
     return points[best], float(values[best])
 
@@ -377,7 +377,7 @@ def _refine(ev: _Evaluator, search: SearchConfig, point: np.ndarray,
     lo, hi = _ANGLE_BOUNDS.T
     # rows -e_k, +e_k for each free column k
     moves = np.kron(np.eye(4)[free], [[-1.0], [1.0]])
-    steps = [_spacing(search)[free].max()]
+    steps = [_spacing(search).max()]
     while steps[-1] > search.refine_tol / 4:
         steps.append(steps[-1] / 2)
     level, smaller = 0, True  # try steps[level], and all smaller ones?
@@ -450,11 +450,11 @@ class DiscordPoint:
     CSV_HEADER = ("t,S_A,S_B,S_AB,I,J,D,"
                   "theta,theta_prime,phi,phi_prime,p0,p1,p2,p3")
 
-    def csv_row(self) -> str:
-        fields = (self.t, self.s_a, self.s_b, self.s_ab, self.mutual_info,
-                  self.classical_corr, self.discord, *self.argmin_config,
-                  *self.outcome_probs)
-        return ",".join(repr(float(x)) for x in fields)
+    def row(self) -> tuple:
+        """The values of the CSV_HEADER columns."""
+        return (self.t, self.s_a, self.s_b, self.s_ab, self.mutual_info,
+                self.classical_corr, self.discord, *self.argmin_config,
+                *self.outcome_probs)
 
     def check(self) -> "DiscordPoint":
         """self, or DiscordOutOfBounds when a bound of discord fails."""

@@ -14,7 +14,9 @@ non-numeric cells are equal and every pair of numeric cells a, b has
 |a - b| <= X + R max(|a|, |b|), and the script prints the largest
 |delta| and the largest |delta| / max(|a|, |b|) of each CSV that is not
 byte-identical.  It prints each artifact that differs or is present on
-one side only, and exits 1 on any difference.
+one side only, under each differing ``run-metadata.txt`` the keys
+removed, added or changed (``omega_up: 100000000.0 -> 0.0``), and exits
+1 on any difference.
 pytest does not collect it; the configs' ``wall_time_s`` sum to about
 9.5 s on a 2-core host, a third of it the closed fig8a and fig8b.
 """
@@ -76,6 +78,25 @@ def csv_deviation(a: bytes, b: bytes, atol=0.0, rtol=0.0) -> tuple:
     return worst, worst_rel, match
 
 
+def metadata_changes(ours: bytes, theirs: bytes) -> list:
+    """One line per key of two run-metadata.txt files that differs:
+    `removed key=value`, `added key=value` or `key: theirs -> ours`."""
+    def keys(data):
+        return dict(line.split("=", 1) for line in data.decode().splitlines()
+                    if "=" in line)
+
+    new, old = keys(ours), keys(theirs)
+    lines = []
+    for key in sorted(new.keys() | old.keys()):
+        if key not in new:
+            lines.append(f"removed {key}={old[key]}")
+        elif key not in old:
+            lines.append(f"added {key}={new[key]}")
+        elif new[key] != old[key]:
+            lines.append(f"{key}: {old[key]} -> {new[key]}")
+    return lines
+
+
 def differences(out: Path, ref: Path, atol=None, rtol=None) -> tuple:
     """Artifact paths, relative to `out`, that differ from `ref`'s, and
     with `atol` or `rtol` the largest |delta| and relative |delta| of
@@ -129,6 +150,11 @@ def main(argv) -> int:
         print(f"max|delta| {delta:.2e} relative {relative:.2e}: {name}")
     for name in diffs:
         print(f"differs: {name}")
+        ours, theirs = args.out / name, args.against / name
+        if ours.name == "run-metadata.txt" and ours.is_file() \
+                and theirs.is_file():
+            for line in metadata_changes(_content(ours), _content(theirs)):
+                print(f"    {line}")
     print(f"{len(diffs)} differing artifacts over {len(configs)} configs")
     return 1 if diffs else 0
 

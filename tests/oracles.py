@@ -159,12 +159,13 @@ ANGLE_BOUNDS = {"theta": (0.0, np.pi / 2), "theta_prime": (0.0, np.pi / 2),
 
 def free_axes(search):
     """{name: grid over its range} of the angles the search varies: both
-    thetas, and both phis unless the search zeroes the phases."""
+    thetas, and both phis when the search has more than one phase
+    point."""
     axes = {"theta": np.linspace(*ANGLE_BOUNDS["theta"],
                                  search.theta_points),
             "theta_prime": np.linspace(*ANGLE_BOUNDS["theta_prime"],
                                        search.theta_points)}
-    if not search.zero_phases:
+    if search.phi_points > 1:
         axes["phi"] = np.linspace(*ANGLE_BOUNDS["phi"], search.phi_points)
         axes["phi_prime"] = np.linspace(*ANGLE_BOUNDS["phi_prime"],
                                         search.phi_points)
@@ -173,8 +174,8 @@ def free_axes(search):
 
 def resolve_free(free, search):
     """(theta, theta', phi, phi') from a {name: angle} dict of the angles
-    the search varies; zeroed phases are 0.0."""
-    if search.zero_phases:
+    the search varies; fixed phases are 0.0."""
+    if search.phi_points == 1:
         return free["theta"], free["theta_prime"], 0.0, 0.0
     return free["theta"], free["theta_prime"], free["phi"], free["phi_prime"]
 
@@ -192,8 +193,7 @@ def full_grid_minimum(evaluate, search):
     values = evaluate(points)
     best = int(np.nonzero(values <= values.min() + TIE_TOL)[0][0])
     free = {name: float(flat[name][best]) for name in axes}
-    spacing = {name: float(vals[1] - vals[0]) if len(vals) > 1 else 0.1
-               for name, vals in axes.items()}
+    spacing = {name: float(vals[1] - vals[0]) for name, vals in axes.items()}
     return free, spacing, float(values[best])
 
 

@@ -36,7 +36,7 @@ VACUUM = BasisState.from_string("0000000")
 EXPECTED_C_TUNNELING = 6.29e-7
 EXPECTED_C_NO_TUNNELING = 4.44e-7
 
-OPEN_SEARCH = SearchConfig(zero_phases=True)
+OPEN_SEARCH = SearchConfig()
 
 
 def open_sim(params) -> SimConfig:
@@ -285,8 +285,8 @@ class TestCriterion6:
 
     def test_grid_refinement_consistency(self, open_endpoint):
         traj, _, _ = open_endpoint
-        coarse = SearchConfig(theta_points=17, zero_phases=True)
-        fine = SearchConfig(theta_points=33, zero_phases=True)
+        coarse = SearchConfig(theta_points=17)
+        fine = SearchConfig(theta_points=33)
         worst = 0.0
         for i in (40, 120, 200, 280, 360):
             rho = traj.density(i)
@@ -397,8 +397,7 @@ class TestCriterion7:
     def test_pure_state_discord_is_marginal_entropy(self):
         rng = np.random.default_rng(77)
         full = full_space()
-        search = SearchConfig(theta_points=3, phi_points=3,
-                              zero_phases=False, refine=False)
+        search = SearchConfig(theta_points=3, phi_points=3, refine=False)
         worst = 0.0
         for _ in range(50):
             point = discord(DensityMatrix(random_pure(rng, 128), full),
@@ -412,7 +411,7 @@ class TestCriterion7:
     def test_uncorrelated_states_have_zero_discord(self):
         rng = np.random.default_rng(78)
         full = full_space()
-        search = SearchConfig(theta_points=5, zero_phases=True)
+        search = SearchConfig(theta_points=5)
         worst = 0.0
         for _ in range(10):
             mat = np.kron(random_density(rng, 4), random_density(rng, 32))

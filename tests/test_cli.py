@@ -79,10 +79,13 @@ class TestResolveConfig:
         assert "g_omega" in str(err.value)
 
     # the search has no tied-angle families; hbar (every value is in
-    # rad/s), renormalize_trace and dump_operators went as well
+    # rad/s), renormalize_trace and dump_operators went as well, and so
+    # did the switches that only picked another key's value:
+    # interaction_picture (omega_* = 0) and zero_phases (phi_points = 1)
     @pytest.mark.parametrize("key", ["banana", "tie_thetas", "tie_phis",
                                      "hbar", "renormalize_trace",
-                                     "dump_operators"])
+                                     "dump_operators", "interaction_picture",
+                                     "zero_phases"])
     def test_unknown_key_named_with_line(self, key):
         with pytest.raises(UnknownKey) as err:
             resolve(f"g=1e7\n{key}=1\n", kind="discord-series")
@@ -97,6 +100,7 @@ class TestResolveConfig:
                                       "g_up=1e308g\n", "t_end=inf\n",
                                       "sweep_values=0.1,nan\n",
                                       "phi_points=0\n", "theta_points=-3\n",
+                                      "theta_points=1\n",
                                       "envelope_window=2\n",
                                       "envelope_window=-1\n",
                                       "g_up=0\ng_down=0\ng_omega=0\nzeta=0\n",
@@ -205,11 +209,11 @@ class TestResolveConfig:
     def test_search_defaults_are_search_config_defaults(self):
         assert resolve("", kind="discord-series").search == SearchConfig()
 
-    def test_frequencies_kept_outside_interaction_picture(self):
-        config = resolve("interaction_picture=false\nomega_up=12g\n",
-                         kind="discord-series")
+    def test_given_frequency_reaches_the_model(self):
+        # the omegas default to 0, the interaction picture
+        config = resolve("omega_up=12g\n", kind="discord-series")
         assert config.params.freq_pht_up == 12e7
-        assert config.params.freq_phn == 10e7
+        assert config.params.freq_pht_down == config.params.freq_phn == 0
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -321,6 +325,25 @@ class TestRun:
             peak = float(row(swept / "sweep_peak.csv")["peak_discord"])
             assert peak == data["D"].max()
 
+    def test_law_plot_scripts_read_law_csv(self, tmp_path, monkeypatch,
+                                           sweep_runs):
+        # the fitted c is read from law.csv, so the two laws' scripts are
+        # the same bytes; each point's series comes from the fixture
+        series = {}
+        for name in ("fig8a", "fig8b"):
+            for _, point, *result in sweep_runs(name)[0]:
+                series[tuple(sorted(point.resolved.items()))] = result
+        monkeypatch.setattr(cli, "_run_series", lambda point: series[
+            tuple(sorted(point.resolved.items()))])
+        scripts = []
+        for name in ("fig8a", "fig8b"):
+            config = resolve((ROOT / "configs" / f"{name}.cfg").read_text())
+            run(config, tmp_path / name)
+            assert (tmp_path / name / "law.csv").exists()
+            scripts.append((tmp_path / name / "plot_sweep.py").read_bytes())
+        assert scripts[0] == scripts[1]
+        assert b'"law.csv"' in scripts[0]
+
     def test_discord_series_artifacts(self, tmp_path):
         config = resolve(SMALL_SERIES, out=str(tmp_path / "o"))
         run(config)
@@ -332,6 +355,13 @@ class TestRun:
         assert (out / "plot_discord.py").exists()
         meta = (out / "run-metadata.txt").read_text()
         assert "version=" in meta and "wall_time_s=" in meta
+        # no free terms and no phase search: the record says so
+        lines = meta.splitlines()
+        for line in ("omega_up=0.0", "omega_down=0.0", "omega_phn=0.0",
+                     "phi_points=1"):
+            assert line in lines
+        assert "interaction_picture" not in meta
+        assert "zero_phases" not in meta
 
     def test_reruns_are_byte_identical(self, tmp_path):
         for name in ("a", "b"):
@@ -481,6 +511,15 @@ class TestMain:
         assert "unknown key 'bogus' (--override)" in err
         assert "line" not in err
 
+    @pytest.mark.parametrize("key", ["interaction_picture", "zero_phases"])
+    def test_removed_switches_are_unknown_overrides(self, tmp_path, capsys,
+                                                    key):
+        # omega_* = 0 is the interaction picture, phi_points = 1 fixes
+        # the phases
+        path = write_config(tmp_path, "kind=discord-series\n")
+        assert main(["validate", path, "--override", f"{key}=true"]) == 2
+        assert f"unknown key '{key}' (--override)" in capsys.readouterr().err
+
     def test_dump_space(self, tmp_path, capsys):
         path = write_config(tmp_path, "kind=discord-series\n")
         assert main(["dump-space", path]) == 0
@@ -504,7 +543,7 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("override", ["g=nan", "dt=nan",
-                                          "theta_points=0",
+                                          "theta_points=0", "theta_points=1",
                                           "envelope_window=2",
                                           "envelope_window=-1", "g_up=0",
                                           "gamma=-1g"])

@@ -245,7 +245,7 @@ class TestClassicalCorrelation:
     def test_product_state(self):
         rho, _, _ = product_state()
         j = discord(rho, SearchConfig(
-            theta_points=5, phi_points=5, zero_phases=False)).classical_corr
+            theta_points=5, phi_points=5)).classical_corr
         assert abs(j) <= 1e-9
 
     def test_pure_state(self):
@@ -253,18 +253,18 @@ class TestClassicalCorrelation:
         rho = DensityMatrix(random_pure(rng, 128), FULL)
         s_b = von_neumann_entropy(partial_trace_A(rho).mat, trace_tol=1e-6)
         j = discord(rho, SearchConfig(
-            theta_points=3, phi_points=3, zero_phases=False)).classical_corr
+            theta_points=3, phi_points=3)).classical_corr
         assert j == pytest.approx(s_b, abs=1e-9)
 
     def test_bell_pair(self):
         point = discord(bell_state(),
-                        SearchConfig(theta_points=9, zero_phases=True))
+                        SearchConfig(theta_points=9))
         assert point.classical_corr == pytest.approx(LN2, abs=1e-9)
 
     def test_argmin_reproduces_value(self):
         rng = np.random.default_rng(9)
         rho = DensityMatrix(random_density(rng, 26), table_space())
-        search = SearchConfig(theta_points=9, zero_phases=True)
+        search = SearchConfig(theta_points=9)
         point = discord(rho, search)
         value = conditional_entropy(rho, point.argmin_config)
         s_b = von_neumann_entropy(partial_trace_A(rho).mat)
@@ -283,8 +283,7 @@ def werner_state(q=0.7):
 class TestDiscord:
     def test_product_state(self):
         rho, _, _ = product_state()
-        point = discord(rho, SearchConfig(theta_points=5, phi_points=5,
-                                          zero_phases=False))
+        point = discord(rho, SearchConfig(theta_points=5, phi_points=5))
         assert abs(point.discord) <= 1e-8
         point.check()
 
@@ -292,8 +291,7 @@ class TestDiscord:
         rng = np.random.default_rng(10)
         for _ in range(5):
             rho = DensityMatrix(random_pure(rng, 128), FULL)
-            point = discord(rho, SearchConfig(theta_points=3, phi_points=3,
-                                              zero_phases=False))
+            point = discord(rho, SearchConfig(theta_points=3, phi_points=3))
             assert point.discord == pytest.approx(point.s_a, abs=1e-6)
             point.check()
 
@@ -305,12 +303,12 @@ class TestDiscord:
                 idx = FULL.index_of(BasisState(i, 0, j, 0, 0, 0, 0))
                 rho[idx, idx] = weights[i, j]
         point = discord(DensityMatrix(rho, FULL),
-                        SearchConfig(theta_points=5, zero_phases=True))
+                        SearchConfig(theta_points=5))
         assert abs(point.discord) <= 1e-6
 
     def test_werner_state_bounds_and_determinism(self):
         rho = werner_state()
-        search = SearchConfig(theta_points=9, phi_points=9, zero_phases=False)
+        search = SearchConfig(theta_points=9, phi_points=9)
         one = discord(rho, search)
         two = discord(rho, search)
         assert one.discord > 0.01
@@ -319,7 +317,7 @@ class TestDiscord:
 
     def test_local_phase_invariance(self):
         rho = werner_state()
-        search = SearchConfig(zero_phases=False)
+        search = SearchConfig(phi_points=17)
         base = discord(rho, search)
         # phase rotation of the photon-down mode: acts on the two
         # states with p2 = 1 (sorted positions 2 and 3 of the space)
@@ -330,16 +328,14 @@ class TestDiscord:
 
     def test_grid_refinement_consistency(self):
         rho = werner_state(0.55)
-        coarse = discord(rho, SearchConfig(theta_points=17, phi_points=9,
-                                           zero_phases=False))
-        fine = discord(rho, SearchConfig(theta_points=33, phi_points=17,
-                                         zero_phases=False))
+        coarse = discord(rho, SearchConfig(theta_points=17, phi_points=9))
+        fine = discord(rho, SearchConfig(theta_points=33, phi_points=17))
         assert abs(coarse.classical_corr - fine.classical_corr) <= 1e-4
 
     def test_lexicographic_tie_break(self):
         rho = DensityMatrix(np.eye(4, dtype=complex) / 4, TINY)
         point = discord(rho, SearchConfig(theta_points=5, phi_points=5,
-                                          zero_phases=False, refine=False))
+                                          refine=False))
         assert point.argmin_config == (0.0, 0.0, 0.0, 0.0)
 
     def test_unnormalised_state_fails_on_its_trace(self):
@@ -354,12 +350,11 @@ class TestDiscord:
                 with pytest.raises(NotDensityMatrix, match="trace deviates"):
                     discord(rho, search)
 
-    def test_csv_row_shape(self):
-        point = discord(werner_state(), SearchConfig(theta_points=5,
-                                                     zero_phases=True), t=1.5)
-        row = point.csv_row().split(",")
+    def test_row_shape(self):
+        point = discord(werner_state(), SearchConfig(theta_points=5), t=1.5)
+        row = point.row()
         assert len(row) == len(DiscordPoint.CSV_HEADER.split(","))
-        assert float(row[0]) == 1.5
+        assert row[0] == 1.5
 
 
 class TestFreeRotationInvariance:
@@ -372,7 +367,7 @@ class TestFreeRotationInvariance:
         from h2discord.operators import ModelParams
 
         sim = SimConfig(dt=1e-10, t_end=8.3e-9, record_stride=83)
-        search = SearchConfig(zero_phases=False)
+        search = SearchConfig(phi_points=17)
         points = {}
         for label, freq in (("rotating", 0.0), ("lab", 1e8)):
             params = ModelParams(freq_pht_up=freq, freq_pht_down=freq,
@@ -389,7 +384,7 @@ class TestSearchBounds:
     @pytest.mark.parametrize("field,value", [
         ("refine_tol", 0.0), ("refine_tol", -1e-4), ("refine_tol", np.inf),
         ("refine_tol", np.nan), ("theta_points", 0), ("theta_points", -2),
-        ("phi_points", 0)])
+        ("theta_points", 1), ("phi_points", 0)])
     def test_search_config_rejects_out_of_range_fields(self, field, value):
         with pytest.raises(ValueError, match=field):
             SearchConfig(**{field: value})
@@ -397,7 +392,7 @@ class TestSearchBounds:
     def test_conditional_entropy_nonnegative_and_j_capped(self):
         rng = np.random.default_rng(55)
         sp = table_space()
-        search = SearchConfig(theta_points=7, zero_phases=True)
+        search = SearchConfig(theta_points=7)
         for _ in range(10):
             rho = DensityMatrix(random_density(rng, 26), sp)
             value = conditional_entropy(rho, (
@@ -414,9 +409,8 @@ CLOSURE = generate_space(INITIAL_COMPONENTS,
                          ModelParams(gamma_up=1e7, gamma_down=1e7,
                                      gamma_phn=1e7), mode="closure")
 # the CLI's default family and a four-free-angle family
-PRESETS = {"cli": SearchConfig(theta_points=17, zero_phases=True),
-           "four-angle": SearchConfig(theta_points=5, phi_points=5,
-                                      zero_phases=False)}
+PRESETS = {"cli": SearchConfig(theta_points=17),
+           "four-angle": SearchConfig(theta_points=5, phi_points=5)}
 # the package re-exports the discord() function under the module's name
 discord_module = importlib.import_module("h2discord.discord")
 SEARCH_MINIMUM = discord_module._search_minimum
@@ -482,16 +476,15 @@ class TestPureClosedForm:
 
 # refine=False presets covering each way a grid point can repeat another
 GRID_PRESETS = {
-    "zero-phase": SearchConfig(zero_phases=True, refine=False),
-    "four-angle": SearchConfig(theta_points=5, phi_points=5,
-                               zero_phases=False, refine=False),
+    "zero-phase": SearchConfig(refine=False),
+    "four-angle": SearchConfig(theta_points=5, phi_points=5, refine=False),
 }
 
 
 class TestGridDeduplication:
     @pytest.mark.parametrize("search,kept,total", [
-        (SearchConfig(zero_phases=True), 256, 289),
-        (SearchConfig(zero_phases=False), 14641, 83521)],
+        (SearchConfig(), 256, 289),
+        (SearchConfig(phi_points=17), 14641, 83521)],
         ids=["zero-phase", "four-angle"])
     def test_kept_point_counts(self, search, kept, total):
         indices, points = discord_module._grid(search)
