@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 from .analysis import FitResult, envelope, fit_law, fit_sinusoid, \
     population, run_discord_series, state_population
 from .discord import DiscordPoint, MeasurementConfig, SearchConfig, \
-    discord, discord_series, partial_trace_A, partial_trace_B, \
-    projector_set
+    discord, discord_series
 from .dynamics import DensityMatrix, SimConfig, Trajectory, evolve, \
     initial_state
 from .operators import JumpChannel, ModelParams, OperatorMatrix, \
@@ -14,4 +13,12 @@ from .operators import JumpChannel, ModelParams, OperatorMatrix, \
 from .statespace import BasisState, GatingPolicy, StateSpace, TABLE_STATES, \
     full_space, generate_space, table_space
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "FitResult", "envelope", "fit_law", "fit_sinusoid", "population",
+    "run_discord_series", "state_population", "DiscordPoint",
+    "MeasurementConfig", "SearchConfig", "discord", "discord_series",
+    "DensityMatrix", "SimConfig", "Trajectory", "evolve", "initial_state",
+    "JumpChannel", "ModelParams", "OperatorMatrix", "build_hamiltonian",
+    "build_jump_channels", "ladder", "BasisState", "GatingPolicy",
+    "StateSpace", "TABLE_STATES", "full_space", "generate_space",
+    "table_space"]

@@ -13,6 +13,7 @@ import itertools
 import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -24,26 +25,29 @@ from .analysis import OBSERVABLES, PREDICATES, default_dt, \
 from .discord import DiscordPoint, SearchConfig
 from .dynamics import SimConfig, initial_state
 from .errors import ConfigError, ConfigTypeError, EmptySeeds, \
-    MissingRequired, SeedOutsideCompatTable, SimulationError, StateMissing, \
-    UnknownKey
-from .operators import ModelParams
+    ImageOutsideSpace, MissingRequired, SeedOutsideCompatTable, \
+    SimulationError, StateMissing, UnknownKey
+from .operators import ModelParams, build_jump_channels
 from .statespace import INITIAL_COMPONENTS, BasisState, GatingPolicy, \
     StateSpace, check_seeds, full_space, generate_space, table_space
 
-KINDS = ("discord-series", "sweep-g-omega", "sweep-gamma", "period-law")
-# the kinds that run a discord series once per sweep value, each on its
-# own space
-SWEEPS = ("sweep-g-omega", "sweep-gamma", "period-law")
-# the keys a sweep sets to x g_up
-_SWEPT = {"sweep-g-omega": ("g_omega",),
-          "sweep-gamma": ("gamma_up", "gamma_down", "gamma_phn"),
-          "period-law": ("g_omega",)}
-# per sweep kind: the CSV of one row per point, and its header
-_SWEEP_CSV = {
-    "sweep-g-omega": ("sweep_peak.csv", "g_omega_over_g,peak_discord"),
-    "sweep-gamma": ("sweep_peak.csv", "gamma_over_g,peak_discord"),
-    "period-law": ("sweep.csv",
-                   "g_omega_over_g,fitted_period_s,rms_residual")}
+# A sweep kind runs a discord series once per sweep value, each on its own
+# space: the keys a point sets to x g_up, the CSV of one row per point and
+# its header, and the default sweep_values.
+_Sweep = namedtuple("_Sweep", "swept csv header default_values")
+_SWEEPS = {
+    "sweep-g-omega": _Sweep(("g_omega",), "sweep_peak.csv",
+                            "g_omega_over_g,peak_discord",
+                            (0.1, 0.2, 0.5, 1.0)),
+    "sweep-gamma": _Sweep(("gamma_up", "gamma_down", "gamma_phn"),
+                          "sweep_peak.csv", "gamma_over_g,peak_discord",
+                          (0.2, 0.5, 1.0, 2.0)),
+    "period-law": _Sweep(("g_omega",), "sweep.csv",
+                         "g_omega_over_g,fitted_period_s,rms_residual",
+                         (0.01, 0.02, 0.05, 0.1, 0.2)),
+}
+SWEEPS = tuple(_SWEEPS)
+KINDS = ("discord-series", *SWEEPS)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -150,11 +154,6 @@ def _search_key(name: str, key_type: _Type) -> Key:
     return Key(name, key_type, str(getattr(SearchConfig, name)))
 
 
-_SWEEP_DEFAULTS = {"period-law": (0.01, 0.02, 0.05, 0.1, 0.2),
-                   "sweep-g-omega": (0.1, 0.2, 0.5, 1.0),
-                   "sweep-gamma": (0.2, 0.5, 1.0, 2.0)}
-
-
 # the loss and influx rates, keys and ModelParams fields alike
 _RATES = ("gamma_up", "gamma_down", "gamma_phn", "influx_up", "influx_down",
           "influx_phn")
@@ -215,7 +214,8 @@ KEYS = (
     _search_key("refine_tol", POSITIVE),
     Key("discord_stride", _int_at_least(1), "1"),
     Key("sweep_values", NUMBERS,
-        lambda v: _SWEEP_DEFAULTS.get(v["kind"], ())),
+        lambda v: _SWEEPS[v["kind"]].default_values if v["kind"] in SWEEPS
+        else ()),
     Key("envelope_window", _int_at_least(0), "0"),
     Key("dump_rho", BOOL, "false"),
 )
@@ -235,7 +235,6 @@ class ExperimentConfig:
     discord_stride: int
     sweep_values: tuple
     envelope_window: int
-    periods_factor: float
     dump_rho: bool
     resolved: dict = field(default_factory=dict)
     # set by resolve_config: a series' space, a sweep's (x, config) points
@@ -370,7 +369,8 @@ def resolve_config(entries: dict, kind: str = None,
 
 def _check_seeds(config: ExperimentConfig):
     """The seed rules: seeds valid for the space mode, whose space holds
-    the standard initial state wherever the kind evolves it.  Returns
+    the standard initial state wherever the kind evolves it and, in
+    closure mode, the image of every loss and influx channel.  Returns
     the space a discord series runs on, None for the other kinds."""
     try:
         if config.space_mode != "full":  # the full space ignores the seeds
@@ -379,10 +379,15 @@ def _check_seeds(config: ExperimentConfig):
             return None
         space = _build_space(config)
         initial_state(space)
+        if config.space_mode == "closure":
+            build_jump_channels(config.params, space)
         return space
     except (EmptySeeds, SeedOutsideCompatTable, StateMissing) as exc:
         raise ConfigTypeError(f"TypeError: seeds with space_mode="
                               f"{config.space_mode}: {exc}") from None
+    except ImageOutsideSpace as exc:  # a loss or influx image left out
+        raise ConfigTypeError(f"TypeError: space_mode=closure with "
+                              f"include_dissipation=false: {exc}") from None
 
 
 def _sweep_points(config: ExperimentConfig) -> list:
@@ -390,7 +395,7 @@ def _sweep_points(config: ExperimentConfig) -> list:
     sweeping kind; none for the other kinds.
 
     A point resolves the sweep's recorded keys, without sweep_values,
-    with the kind's _SWEPT keys set to x g_up.  A sweep's record leaves
+    with the kind's swept keys set to x g_up.  A sweep's record leaves
     out the record grid keys its config does not give, so its points run
     on the default grid of their own model.
     """
@@ -400,7 +405,8 @@ def _sweep_points(config: ExperimentConfig) -> list:
                for name, value in config.resolved.items()
                if name != "sweep_values"}
     return [(x, resolve_config({**entries, **dict.fromkeys(
-                _SWEPT[config.kind], (repr(x * config.params.g_up), None))},
+                _SWEEPS[config.kind].swept,
+                (repr(x * config.params.g_up), None))},
                 kind="discord-series"))
             for x in sorted(config.sweep_values)]
 
@@ -515,8 +521,8 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
                       if name.startswith("photons")], png="observables.png")
     else:
         law = kind == "period-law"
-        name, header = _SWEEP_CSV[kind]
-        xcol, ycol = header.split(",")[:2]
+        sweep = _SWEEPS[kind]
+        xcol, ycol = sweep.header.split(",")[:2]
         rows = []
         for x, point in config.points:
             paths, records, point_fit = _run(point, out / f"{xcol}={x!r}")
@@ -525,15 +531,15 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
                 raise point_fit
             rows.append([x, point_fit.period, point_fit.rms_residual] if law
                         else [x, max(pt.discord for pt in records)])
-        emit(name, lambda p: _write_csv(p, header, rows))
+        emit(sweep.csv, lambda p: _write_csv(p, sweep.header, rows))
         if law:
             constant, residual = fit_law([row[:2] for row in rows])
             emit("law.csv", lambda p: _write_csv(
                 p, "c_seconds,residual", [[constant, residual]]))
             notes.update(fit_on_envelope=config.params.zeta > 0,
                          constant_c=constant)
-        plot("plot_sweep.py", _PLOT_SWEEP, csv=name, xcol=xcol, ycol=ycol,
-             png=name.replace(".csv", ".png"))
+        plot("plot_sweep.py", _PLOT_SWEEP, csv=sweep.csv, xcol=xcol,
+             ycol=ycol, png=sweep.csv.replace(".csv", ".png"))
 
     meta = dict(config.resolved)
     meta.update(notes)
@@ -615,7 +621,7 @@ def main(argv=None) -> int:
         for path in written:
             print(path)
         return EXIT_OK
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:  # configs are UTF-8
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SimulationError as exc:

@@ -1,4 +1,4 @@
-"""Partial traces, entropies and measurement-optimized quantum discord.
+"""Marginals, entropies and measurement-optimized quantum discord.
 
 The observed subsystem A is the photon pair (p1, p2); everything else
 is the matter subsystem B.  States over a reduced StateSpace are first
@@ -71,7 +71,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dynamics import DensityMatrix
-from .errors import AngleOutOfRange, DiscordOutOfBounds, NotDensityMatrix
+from .errors import DiscordOutOfBounds, NotDensityMatrix
 
 EPS_EIGENVALUE = 1e-12  # floor below which spectrum weight is treated as 0
 EPS_OUTCOME = 1e-12     # outcomes rarer than this contribute nothing
@@ -79,22 +79,6 @@ TIE_TOL = 1e-9
 PURE_TOL = 1e-10        # 1 - tr(rho^2) below this takes the closed form
 GUARD_POINTS = 5        # guard grid points per free angle of a warm start
 _CHUNK = 256            # outcome vectors per batch (bounds its B blocks)
-
-A_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-@dataclass(frozen=True)
-class LabelSpace:
-    """Index space of a subsystem marginal (photon pair or matter labels)."""
-    kind: str
-    labels: tuple
-
-
-A_LABEL_SPACE = LabelSpace("photon-pair", A_LABELS)
-
-
-def _b_label_space(space) -> LabelSpace:
-    return LabelSpace("matter", tuple(space.b_labels))
 
 
 def _embedded(rho: DensityMatrix) -> np.ndarray:
@@ -119,17 +103,6 @@ def _entropy_psd(mat: np.ndarray) -> float:
     if w.size == 0:
         return 0.0
     return max(0.0, float(-(w * np.log(w)).sum()))
-
-
-def partial_trace_B(rho: DensityMatrix) -> DensityMatrix:
-    """Trace out the matter labels; always a 4x4 photon-pair state."""
-    return DensityMatrix(_marginals(_embedded(rho))[0], A_LABEL_SPACE)
-
-
-def partial_trace_A(rho: DensityMatrix) -> DensityMatrix:
-    """Trace out the photon pair; indexed by the B-labels present."""
-    return DensityMatrix(_marginals(_embedded(rho))[1],
-                         _b_label_space(rho.space))
 
 
 # (lo, hi) of theta, theta', phi and phi', the columns of a point's row
@@ -182,17 +155,6 @@ def _blocks(rows: np.ndarray, ac_bd: np.ndarray) -> np.ndarray:
     batch is one matmul.
     """
     return (rows @ ac_bd.reshape(16, -1)).reshape(-1, *ac_bd.shape[1:])
-
-
-def projector_set(config: MeasurementConfig) -> tuple:
-    """The four rank-1 projectors of the product single-qubit bases, in
-    the outcome order 00', 10', 01', 11'."""
-    for name, (lo, hi), value in zip(MeasurementConfig._fields,
-                                     _ANGLE_BOUNDS, config):
-        if not lo - 1e-12 <= value <= hi + 1e-12:
-            raise AngleOutOfRange(f"{name}={value:g} outside "
-                                  f"[{lo:g}, {hi:g}]")
-    return tuple(np.outer(u, u.conj()) for u in _basis_vectors(*config))
 
 
 @dataclass(frozen=True)

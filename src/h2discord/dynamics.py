@@ -34,12 +34,6 @@ class DensityMatrix:
     mat: np.ndarray
     space: StateSpace
 
-    @classmethod
-    def from_pure(cls, amplitudes: np.ndarray, space) -> "DensityMatrix":
-        v = np.asarray(amplitudes, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()), space)
-
     def trace(self) -> float:
         return float(self.mat.trace().real)
 

@@ -37,10 +37,6 @@ class NotDensityMatrix(SimulationError):
     """Trace or positivity of a density matrix is violated beyond tolerance."""
 
 
-class AngleOutOfRange(SimulationError):
-    """A measurement angle lies outside its allowed interval."""
-
-
 class DiscordOutOfBounds(SimulationError):
     """A discord record breaks a bound that `DiscordPoint.check` tests."""
 

@@ -21,13 +21,13 @@ from .statespace import JUMPS, MODE_CLOSURE, MOVES, BasisState, \
 class ModelParams:
     """Frequencies, couplings and rates, all angular (rad/s or 1/s).
 
-    Defaults describe the closed reference model: coupling scale 1e7,
-    resonant mode frequencies at ten times that scale, no dissipation.
+    Defaults are the CLI's model: coupling scale 1e7, mode frequencies
+    0 (the interaction picture), no dissipation.
     """
 
-    freq_pht_up: float = 1.0e8
-    freq_pht_down: float = 1.0e8
-    freq_phn: float = 1.0e8
+    freq_pht_up: float = 0.0
+    freq_pht_down: float = 0.0
+    freq_phn: float = 0.0
     g_up: float = 1.0e7
     g_down: float = 1.0e7
     g_bond: float = 5.0e6

@@ -16,9 +16,7 @@ non-numeric cells are equal and every pair of numeric cells a, b has
 byte-identical.  It prints each artifact that differs or is present on
 one side only, under each differing ``run-metadata.txt`` the keys
 removed, added or changed (``omega_up: 100000000.0 -> 0.0``), and exits
-1 on any difference.
-pytest does not collect it; the configs' ``wall_time_s`` sum to about
-9.5 s on a 2-core host, a third of it the closed fig8a and fig8b.
+1 on any difference.  pytest does not collect it.
 """
 
 import argparse

@@ -14,8 +14,8 @@ import pytest
 
 from h2discord.analysis import fit_law, fit_period, run_discord_series, \
     state_population
-from h2discord.discord import MeasurementConfig, SearchConfig, _embedded, \
-    discord, projector_set
+from h2discord.discord import SearchConfig, _basis_vectors, _embedded, \
+    _marginals, discord
 from h2discord.dynamics import DensityMatrix, SimConfig, evolve, \
     initial_state
 from h2discord.operators import ModelParams, build_hamiltonian, \
@@ -322,14 +322,11 @@ class TestCriterion7:
         worst = 0.0
         for i in range(200):
             mat = random_pure(rng, 128) if i % 2 else random_density(rng, 128)
-            rho = DensityMatrix(mat, full)
-            from h2discord.discord import partial_trace_A, partial_trace_B
+            rho_a, rho_b = _marginals(_embedded(DensityMatrix(mat, full)))
             worst = max(
                 worst,
-                np.abs(partial_trace_B(rho).mat
-                       - brute_force_trace_B(mat, full)).max(),
-                np.abs(partial_trace_A(rho).mat
-                       - brute_force_trace_A(mat, full)).max())
+                np.abs(rho_a - brute_force_trace_B(mat, full)).max(),
+                np.abs(rho_b - brute_force_trace_A(mat, full)).max())
         ok = worst <= 1e-12
         report(7, ok, f"partial traces vs oracle on 200 states: "
                       f"max dev {worst:.2e}")
@@ -367,7 +364,8 @@ class TestCriterion7:
         h = build_hamiltonian(params, space)
         channels = build_jump_channels(params, space)
         excited = space.index_of(BasisState.from_string("1000000"))
-        rho0 = DensityMatrix.from_pure(np.eye(2)[excited], space)
+        v = np.eye(2)[excited]
+        rho0 = DensityMatrix(np.outer(v, v.conj()), space)
         traj = evolve(rho0, h, channels,
                       SimConfig(dt=1e-10, t_end=3e-7, record_stride=50))
         worst = max(abs(snap[excited, excited].real - np.exp(-G * t))
@@ -384,7 +382,8 @@ class TestCriterion7:
                                include_dissipation=False)
         h = build_hamiltonian(params, space)
         start = space.index_of(BasisState.from_string("0000010"))
-        rho0 = DensityMatrix.from_pure(np.eye(2)[start], space)
+        v = np.eye(2)[start]
+        rho0 = DensityMatrix(np.outer(v, v.conj()), space)
         traj = evolve(rho0, h, [],
                       SimConfig(dt=1e-10, t_end=6e-7, record_stride=60))
         worst = max(abs(snap[start, start].real - np.cos(G * t) ** 2)
@@ -440,8 +439,8 @@ class TestCriterion8:
         for _ in range(1000):
             theta, theta_p = rng.uniform(0, np.pi / 2, size=2)
             phi, phi_p = rng.uniform(0, 2 * np.pi, size=2)
-            pset = projector_set(MeasurementConfig(theta, theta_p,
-                                                   phi, phi_p))
+            pset = [np.outer(u, u.conj())
+                    for u in _basis_vectors(theta, theta_p, phi, phi_p)]
             total = sum(pset)
             worst = max(worst, np.abs(total - eye).max())
             for k, pk in enumerate(pset):
@@ -462,7 +461,8 @@ class TestCriterion8:
         rng = np.random.default_rng(27182)
         worst = 0.0
         for theta in rng.uniform(0, np.pi / 2, size=200):
-            pset = projector_set(MeasurementConfig(theta, theta))
+            pset = [np.outer(u, u.conj())
+                    for u in _basis_vectors(theta, theta, 0.0, 0.0)]
             for got, want in zip(pset, tied_pattern_projectors(theta)):
                 worst = max(worst, np.abs(got - want).max())
         ok = worst <= 1e-15

@@ -13,6 +13,7 @@ from h2discord.cli import KEYS as CONFIG_KEYS, KINDS, SWEEPS, \
 from h2discord.discord import SearchConfig
 from h2discord.errors import ConfigError, ConfigTypeError, MissingRequired, \
     UnknownKey
+from h2discord.operators import ModelParams
 
 
 def resolve(text, **kwargs):
@@ -208,6 +209,16 @@ class TestResolveConfig:
 
     def test_search_defaults_are_search_config_defaults(self):
         assert resolve("", kind="discord-series").search == SearchConfig()
+
+    def test_library_default_model_is_the_cli_default(self):
+        assert resolve_config({"kind": ("discord-series", 1)}).params \
+            == ModelParams()
+
+    def test_closure_without_dissipation_resolves_when_closed(self):
+        # with no loss or influx rate no channel needs a jump image
+        config = resolve("space_mode=closure\ninclude_dissipation=false\n"
+                         "gamma=0\nt_end=1e-7\n", kind="discord-series")
+        assert config.space.mode == "closure"
 
     def test_given_frequency_reaches_the_model(self):
         # the omegas default to 0, the interaction picture
@@ -599,6 +610,29 @@ class TestMain:
                                       "seeds=0000000\n")
         assert main([command, path, "--out", str(tmp_path / "o")]) == 2
         assert "0000010" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
+    @pytest.mark.parametrize("kind", ["discord-series", "sweep-gamma"])
+    def test_closure_without_the_jump_images_exits_as_config_error(
+            self, tmp_path, capsys, command, kind):
+        # without dissipation the closure holds no decay image, which the
+        # loss channels map into
+        path = write_config(tmp_path, f"kind={kind}\nspace_mode=closure\n"
+                                      "include_dissipation=false\ngamma=g\n"
+                                      "t_end=1e-7\n")
+        assert main([command, path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "include_dissipation" in err and "0000000" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
+    def test_config_that_is_not_utf8_exits_as_config_error(
+            self, tmp_path, capsys, command):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"kind=discord-series\n# \xff\n")
+        assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_discord_bound_violation_exits_as_numerical_error(

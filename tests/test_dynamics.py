@@ -9,15 +9,21 @@ from h2discord.dynamics import TAYLOR_THETA, DensityMatrix, SimConfig, \
     _record_points, evolve, initial_state
 from h2discord.errors import NotHermitian, PositivityLost, SpaceMismatch, \
     StateMissing
-from h2discord.discord import partial_trace_B
+from h2discord.discord import _embedded, _marginals
 from h2discord.operators import JumpChannel, ModelParams, OperatorMatrix, \
     build_hamiltonian, build_jump_channels
 from h2discord.statespace import BasisState, generate_space, table_space
 
 from oracles import dissipator, liouvillian, random_density
 
-PARAMS = ModelParams()
+# the lab frame: free frequencies of 10g
+PARAMS = ModelParams(freq_pht_up=1e8, freq_pht_down=1e8, freq_phn=1e8)
 G = PARAMS.g_up
+
+
+def pure(v, space):
+    """The density matrix of the state vector v."""
+    return DensityMatrix(np.outer(v, v.conj()), space)
 
 
 def two_level_space(g_bond=G):
@@ -67,10 +73,10 @@ class TestInitialState:
         assert rho.mat[plus, plus2].real == pytest.approx(0.25)
 
     def test_photon_marginal_is_vacuum(self):
-        rho_a = partial_trace_B(initial_state(table_space()))
+        rho_a = _marginals(_embedded(initial_state(table_space())))[0]
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        assert np.allclose(rho_a.mat, expected, atol=1e-14)
+        assert np.allclose(rho_a, expected, atol=1e-14)
 
     def test_missing_component(self):
         sp = generate_space([BasisState.from_string("0000000")], PARAMS)
@@ -123,7 +129,7 @@ class TestPropagator:
     def test_rabi_populations(self):
         space, params = two_level_space()
         h = build_hamiltonian(params, space)
-        rho0 = DensityMatrix.from_pure(
+        rho0 = pure(
             np.eye(2)[space.index_of(BasisState.from_string("0000010"))],
             space)
         cfg = SimConfig(dt=1e-10, t_end=5e-7, record_stride=50)
@@ -184,7 +190,7 @@ class TestEvolve:
                                 freq_phn=0), space)
         channels = build_jump_channels(params, space)
         excited = space.index_of(BasisState.from_string("1000000"))
-        rho0 = DensityMatrix.from_pure(np.eye(2)[excited], space)
+        rho0 = pure(np.eye(2)[excited], space)
         cfg = SimConfig(dt=1e-10, t_end=2e-7, record_stride=100)
         traj = evolve(rho0, h, channels, cfg)
         for t, snap in zip(traj.times, traj.snapshots):
@@ -275,7 +281,7 @@ class TestExactPropagator:
                                 freq_phn=0), space)
         channels = build_jump_channels(params, space)
         excited = space.index_of(BasisState.from_string("1000000"))
-        rho0 = DensityMatrix.from_pure(np.eye(2)[excited], space)
+        rho0 = pure(np.eye(2)[excited], space)
         cfg = SimConfig(dt=1e-10, t_end=2e-7, record_stride=100)
         traj = evolve(rho0, h, channels, cfg)
         for t, snap in zip(traj.times, traj.snapshots):
@@ -364,7 +370,7 @@ class TestExactPropagator:
                                      gamma_phn=G)
         vacuum = np.eye(sp.size)[sp.index_of(BasisState.from_string(
             "0000000"))]
-        rho0 = DensityMatrix.from_pure(vacuum, sp)
+        rho0 = pure(vacuum, sp)
         traj = evolve(rho0, build_hamiltonian(params, sp),
                       build_jump_channels(params, sp),
                       SimConfig(dt=1e-10, t_end=1e-6, record_stride=1000))
@@ -378,7 +384,7 @@ class TestExactPropagator:
         doubled = JumpChannel(OperatorMatrix(2 * channel.op.mat, space),
                               channel.rate, channel.kind, channel.mode_label)
         excited = space.index_of(BasisState.from_string("1000000"))
-        rho0 = DensityMatrix.from_pure(np.eye(2)[excited], space)
+        rho0 = pure(np.eye(2)[excited], space)
         with pytest.raises(ValueError, match="partial permutation"):
             evolve(rho0, h, [doubled], SimConfig(dt=1e-10, t_end=1e-9))
 

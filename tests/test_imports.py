@@ -1,7 +1,8 @@
 """Importing the package, validating a config, closed runs and open runs
 load numpy only: no scipy module is imported anywhere in the package,
-and no numpy.ma."""
+and no numpy.ma.  The package exports an explicit list of names."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -49,3 +50,19 @@ def test_runs_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "closed" / "fit.csv").exists()
     assert (tmp_path / "open" / "discord.csv").exists()
+
+
+def test_package_exports_the_explicit_list():
+    import h2discord
+    assert h2discord.__all__ == [
+        "FitResult", "envelope", "fit_law", "fit_sinusoid", "population",
+        "run_discord_series", "state_population", "DiscordPoint",
+        "MeasurementConfig", "SearchConfig", "discord", "discord_series",
+        "DensityMatrix", "SimConfig", "Trajectory", "evolve",
+        "initial_state", "JumpChannel", "ModelParams", "OperatorMatrix",
+        "build_hamiltonian", "build_jump_channels", "ladder", "BasisState",
+        "GatingPolicy", "StateSpace", "TABLE_STATES", "full_space",
+        "generate_space", "table_space"]
+    # no submodule: h2discord.discord is the function
+    assert not [name for name in h2discord.__all__
+                if inspect.ismodule(getattr(h2discord, name))]

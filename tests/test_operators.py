@@ -12,7 +12,8 @@ from h2discord.statespace import BasisState, GatingPolicy, \
 
 from oracles import total_excitations
 
-PARAMS = ModelParams()
+# the lab frame: free frequencies of 10g
+PARAMS = ModelParams(freq_pht_up=1e8, freq_pht_down=1e8, freq_phn=1e8)
 FULL = full_space()
 
 
