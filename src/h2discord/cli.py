@@ -23,13 +23,12 @@ from .analysis import OBSERVABLES, PREDICATES, default_dt, \
     default_record_stride, default_t_end, fit_law, fit_period, \
     observables, run_discord_series
 from .discord import DiscordPoint, SearchConfig
-from .dynamics import SimConfig, initial_state
-from .errors import ConfigError, ConfigTypeError, EmptySeeds, \
-    ImageOutsideSpace, MissingRequired, SeedOutsideCompatTable, \
-    SimulationError, StateMissing, UnknownKey
-from .operators import ModelParams, build_jump_channels
-from .statespace import INITIAL_COMPONENTS, BasisState, GatingPolicy, \
-    StateSpace, check_seeds, full_space, generate_space, table_space
+from .dynamics import SimConfig
+from .errors import ConfigError, ConfigTypeError, MissingRequired, \
+    SimulationError, UnknownKey
+from .operators import ModelParams
+from .statespace import INITIAL_COMPONENTS, GatingPolicy, StateSpace, \
+    generate_space, table_space
 
 # A sweep kind runs a discord series once per sweep value, each on its own
 # space: the keys a point sets to x g_up, the CSV of one row per point and
@@ -127,11 +126,6 @@ NUMBERS = _Type(
                           if part.strip()),
     lambda values: all(v >= 0 for v in values),
     lambda values: ",".join(repr(v) for v in values))
-STATES = _Type(
-    "a comma-separated list of 7-bit basis states",
-    lambda text, g: tuple(BasisState.from_string(part.strip())
-                          for part in text.split(",") if part.strip()),
-    show=lambda states: ",".join(s.to_string() for s in states))
 
 
 @dataclass(frozen=True)
@@ -198,10 +192,7 @@ KEYS = (
     Key("tunneling_requires_broken_bond", BOOL, "true"),
     Key("bond_term_requires_colocated", BOOL, "true"),
     Key("literal_tunneling_form", BOOL, "false"),
-    Key("space_mode", _choice("full", "closure", "table-compat"),
-        "table-compat"),
-    Key("seeds", STATES, lambda v: INITIAL_COMPONENTS),
-    Key("include_dissipation", BOOL, "true"),
+    Key("space_mode", _choice("closure", "table-compat"), "table-compat"),
     Key("periods_factor", POSITIVE, "1.45"),
     Key("dt", POSITIVE, _from_scale(lambda params, v: default_dt(params))),
     Key("t_end", NUMBER, _from_scale(
@@ -230,8 +221,6 @@ class ExperimentConfig:
     sim: SimConfig
     search: SearchConfig
     space_mode: str
-    seeds: tuple
-    include_dissipation: bool
     discord_stride: int
     sweep_values: tuple
     envelope_window: int
@@ -241,7 +230,10 @@ class ExperimentConfig:
     space: StateSpace = field(default=None, init=False)
     points: list = field(default_factory=list, init=False)
 
-    # the record grid, as perfbench's workload checks read it
+    # the seeds and decays closure mode closes over, and the record grid,
+    # as perfbench's workload checks read them
+    seeds = INITIAL_COMPONENTS
+    include_dissipation = True
     dt = property(lambda self: self.sim.dt)
     t_end = property(lambda self: self.sim.t_end)
     record_stride = property(lambda self: self.sim.record_stride)
@@ -300,9 +292,6 @@ def _check(v: dict, params: ModelParams, given):
             "TypeError: g_up, g_down, g_omega, zeta, the frequencies and the "
             "rates are all zero, so dt, t_end and record_stride have no "
             "default; give all three")
-    if not v["dt"] <= v["t_end"] < math.inf:
-        raise ConfigTypeError("TypeError: t_end must be finite and at least "
-                              "one step")
     sweep = v["sweep_values"]
     if kind in SWEEPS and not sweep:
         raise ConfigTypeError(f"TypeError: {kind} needs sweep_values")
@@ -355,39 +344,21 @@ def resolve_config(entries: dict, kind: str = None,
         v[key.name] = _value(key, entries.get(key.name), v)
     params = _model(v)
     _check(v, params, entries)
+    try:
+        sim = _bind(SimConfig, v)
+    except ValueError as exc:  # SimConfig holds the record grid's rules
+        raise ConfigTypeError(f"TypeError: {exc}") from None
     skipped = [name for name in _GRID
                if v["kind"] in SWEEPS and name not in entries]
     resolved = {key.name: key.type.show(v[key.name])
                 for key in KEYS if key.recorded and key.name not in skipped}
     config = _bind(ExperimentConfig, v, params=params,
-                   gating=_bind(GatingPolicy, v), sim=_bind(SimConfig, v),
+                   gating=_bind(GatingPolicy, v), sim=sim,
                    search=_bind(SearchConfig, v), resolved=resolved)
-    config.space = _check_seeds(config)
-    config.points = _sweep_points(config)  # each checked as a series
+    if config.kind == "discord-series":
+        config.space = _build_space(config)
+    config.points = _sweep_points(config)  # each resolved as a series
     return config
-
-
-def _check_seeds(config: ExperimentConfig):
-    """The seed rules: seeds valid for the space mode, whose space holds
-    the standard initial state wherever the kind evolves it and, in
-    closure mode, the image of every loss and influx channel.  Returns
-    the space a discord series runs on, None for the other kinds."""
-    try:
-        if config.space_mode != "full":  # the full space ignores the seeds
-            check_seeds(config.seeds, config.space_mode)
-        if config.kind != "discord-series":
-            return None
-        space = _build_space(config)
-        initial_state(space)
-        if config.space_mode == "closure":
-            build_jump_channels(config.params, space)
-        return space
-    except (EmptySeeds, SeedOutsideCompatTable, StateMissing) as exc:
-        raise ConfigTypeError(f"TypeError: seeds with space_mode="
-                              f"{config.space_mode}: {exc}") from None
-    except ImageOutsideSpace as exc:  # a loss or influx image left out
-        raise ConfigTypeError(f"TypeError: space_mode=closure with "
-                              f"include_dissipation=false: {exc}") from None
 
 
 def _sweep_points(config: ExperimentConfig) -> list:
@@ -412,16 +383,12 @@ def _sweep_points(config: ExperimentConfig) -> list:
 
 
 def _build_space(config: ExperimentConfig):
-    """The space every command uses: the 26-state table itself for
-    table-compat with the standard seeds, else the generated space."""
-    if config.space_mode == "full":
-        return full_space()
-    if config.space_mode == "table-compat" \
-            and config.seeds == INITIAL_COMPONENTS:
+    """The space every command uses: the 26-state table in table-compat
+    mode, in closure mode the initial state's exact reachable space,
+    closed under the moves, every decay and each positive influx."""
+    if config.space_mode == "table-compat":
         return table_space()
-    return generate_space(config.seeds, config.params, config.gating,
-                          include_dissipation=config.include_dissipation,
-                          mode=config.space_mode)
+    return generate_space(INITIAL_COMPONENTS, config.params, config.gating)
 
 
 def _write_lines(path, lines):

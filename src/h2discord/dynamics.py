@@ -48,10 +48,11 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must be at least one step")
+        if not (self.t_end >= self.dt and math.isfinite(self.t_end / self.dt)):
+            raise ValueError("t_end must be at least one step, and a finite "
+                             "number of steps")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 

@@ -181,12 +181,6 @@ class StateSpace:
     def __iter__(self):
         return iter(self.states)
 
-    def __contains__(self, state):
-        return BasisState(*state) in self._index
-
-    def index_of(self, state: BasisState) -> int:
-        return self._index[BasisState(*state)]
-
     def get_index(self, state: BasisState):
         return self._index.get(BasisState(*state))
 
@@ -223,20 +217,6 @@ def _neighbors(s: BasisState, params, gating: GatingPolicy,
     return out
 
 
-def check_seeds(seeds, mode: str):
-    """Raise EmptySeeds without seeds, and SeedOutsideCompatTable for a
-    table-compat seed outside the 26-state compatibility basis."""
-    if not seeds:
-        raise EmptySeeds("need at least one seed state")
-    if mode == MODE_TABLE:
-        outside = [s for s in map(BasisState._make, seeds)
-                   if s not in _TABLE_SET]
-        if outside:
-            listing = ", ".join(s.to_string() for s in outside)
-            raise SeedOutsideCompatTable(
-                f"seeds outside the compatibility basis: {listing}")
-
-
 def generate_space(seeds, params, gating: GatingPolicy = None,
                    include_dissipation: bool = True,
                    mode: str = MODE_CLOSURE) -> StateSpace:
@@ -249,14 +229,17 @@ def generate_space(seeds, params, gating: GatingPolicy = None,
     is intersected with the 26-state compatibility basis, and seeds
     outside that basis are rejected.
     """
+    if mode not in (MODE_CLOSURE, MODE_TABLE):
+        raise ValueError(f"unknown space mode {mode!r}")
     seeds = [BasisState(*s) for s in seeds]
-    check_seeds(seeds, mode)
+    if not seeds:
+        raise EmptySeeds("need at least one seed state")
+    outside = [s.to_string() for s in seeds if s not in _TABLE_SET]
+    if mode == MODE_TABLE and outside:
+        raise SeedOutsideCompatTable("seeds outside the compatibility "
+                                     f"basis: {', '.join(outside)}")
     if gating is None:
         gating = GatingPolicy()
-    if mode not in (MODE_FULL, MODE_CLOSURE, MODE_TABLE):
-        raise ValueError(f"unknown space mode {mode!r}")
-    if mode == MODE_FULL:
-        return full_space()
 
     seen = set(seeds)
     queue = deque(seeds)

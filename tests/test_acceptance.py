@@ -346,7 +346,7 @@ class TestCriterion7:
                                           sim))
         table, traj_t = results["table-compat"]
         full, traj_f = results["full"]
-        idx = [full.index_of(s) for s in table]
+        idx = [full.states.index(s) for s in table]
         worst = 0.0
         for snap_t, snap_f in zip(traj_t.snapshots, traj_f.snapshots):
             projected = snap_f[np.ix_(idx, idx)]
@@ -363,7 +363,7 @@ class TestCriterion7:
                                include_dissipation=True)
         h = build_hamiltonian(params, space)
         channels = build_jump_channels(params, space)
-        excited = space.index_of(BasisState.from_string("1000000"))
+        excited = space.states.index(BasisState.from_string("1000000"))
         v = np.eye(2)[excited]
         rho0 = DensityMatrix(np.outer(v, v.conj()), space)
         traj = evolve(rho0, h, channels,
@@ -381,7 +381,7 @@ class TestCriterion7:
         space = generate_space([BasisState.from_string("0000010")], params,
                                include_dissipation=False)
         h = build_hamiltonian(params, space)
-        start = space.index_of(BasisState.from_string("0000010"))
+        start = space.states.index(BasisState.from_string("0000010"))
         v = np.eye(2)[start]
         rho0 = DensityMatrix(np.outer(v, v.conj()), space)
         traj = evolve(rho0, h, [],
@@ -420,7 +420,7 @@ class TestCriterion7:
         cc = np.zeros((128, 128), dtype=complex)
         for i in range(2):
             for j in range(2):
-                idx = full.index_of(BasisState(i, 0, j, 0, 0, 0, 0))
+                idx = full.states.index(BasisState(i, 0, j, 0, 0, 0, 0))
                 cc[idx, idx] = weights[i, j]
         point = discord(DensityMatrix(cc, full), search)
         worst_cc = abs(point.discord)

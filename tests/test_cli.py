@@ -1,5 +1,7 @@
 import dataclasses
 import importlib
+import itertools
+import math
 import re
 from pathlib import Path
 
@@ -11,9 +13,11 @@ from h2discord import analysis, cli
 from h2discord.cli import KEYS as CONFIG_KEYS, KINDS, SWEEPS, \
     _build_space, main, parse_config, resolve_config, run
 from h2discord.discord import SearchConfig
+from h2discord.dynamics import initial_state
 from h2discord.errors import ConfigError, ConfigTypeError, MissingRequired, \
     UnknownKey
-from h2discord.operators import ModelParams
+from h2discord.operators import ModelParams, build_jump_channels
+from h2discord.statespace import GatingPolicy
 
 
 def resolve(text, **kwargs):
@@ -82,11 +86,14 @@ class TestResolveConfig:
     # the search has no tied-angle families; hbar (every value is in
     # rad/s), renormalize_trace and dump_operators went as well, and so
     # did the switches that only picked another key's value:
-    # interaction_picture (omega_* = 0) and zero_phases (phi_points = 1)
+    # interaction_picture (omega_* = 0) and zero_phases (phi_points = 1),
+    # and the space inputs that space_mode decides: seeds and
+    # include_dissipation
     @pytest.mark.parametrize("key", ["banana", "tie_thetas", "tie_phis",
                                      "hbar", "renormalize_trace",
                                      "dump_operators", "interaction_picture",
-                                     "zero_phases"])
+                                     "zero_phases", "seeds",
+                                     "include_dissipation"])
     def test_unknown_key_named_with_line(self, key):
         with pytest.raises(UnknownKey) as err:
             resolve(f"g=1e7\n{key}=1\n", kind="discord-series")
@@ -185,15 +192,20 @@ class TestResolveConfig:
     @example(kind="discord-series",
              entries={"g_up": "0", "g_down": "0", "g_omega": "0",
                       "zeta": "0", "dt": "1e-10", "t_end": "1e-8"})
+    # a step count that overflows a float
+    @example(kind="discord-series", entries={"dt": "1e-300",
+                                             "t_end": "1e300"})
     @given(kind=st.sampled_from(KINDS),
            entries=st.dictionaries(st.sampled_from(KEYS), TOKEN, max_size=8))
     def test_any_config_text_resolves_or_raises_config_error(self, kind,
                                                              entries):
         text = "".join(f"{key}={value}\n" for key, value in entries.items())
         try:
-            resolve(text, kind=kind)
+            config = resolve(text, kind=kind)
         except ConfigError:
-            pass
+            return
+        for each in [config] + [point for _, point in config.points]:
+            assert math.isfinite(each.sim.t_end / each.sim.dt)
 
     def test_readme_key_table_matches_keys(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -214,11 +226,23 @@ class TestResolveConfig:
         assert resolve_config({"kind": ("discord-series", 1)}).params \
             == ModelParams()
 
-    def test_closure_without_dissipation_resolves_when_closed(self):
-        # with no loss or influx rate no channel needs a jump image
-        config = resolve("space_mode=closure\ninclude_dissipation=false\n"
-                         "gamma=0\nt_end=1e-7\n", kind="discord-series")
-        assert config.space.mode == "closure"
+    @pytest.mark.parametrize("rates", ["", "gamma=g\n", "influx_up=0.3g\n"],
+                             ids=["closed", "loss", "influx"])
+    @pytest.mark.parametrize("switches", list(itertools.product(
+        ("true", "false"), repeat=3)), ids="-".join)
+    @pytest.mark.parametrize("mode", ["table-compat", "closure"])
+    def test_every_space_holds_the_initial_state_and_the_jump_images(
+            self, mode, switches, rates):
+        # the table holds the initial components, and closure mode closes
+        # them under every decay and each positive influx, under every
+        # gating
+        gating = "".join(f"{field.name}={switch}\n" for field, switch
+                         in zip(dataclasses.fields(GatingPolicy), switches))
+        config = resolve(f"space_mode={mode}\nt_end=1e-7\n" + rates
+                         + gating, kind="discord-series")
+        assert config.space.mode == mode
+        initial_state(config.space)
+        build_jump_channels(config.params, config.space)
 
     def test_given_frequency_reaches_the_model(self):
         # the omegas default to 0, the interaction picture
@@ -451,7 +475,7 @@ class TestMain:
         # one space per run or sweep point, one resolve per point plus
         # the config's own
         calls = dict.fromkeys(("generate_space", "table_space",
-                               "full_space", "resolve_config"), 0)
+                               "resolve_config"), 0)
 
         def spy(name, original):
             def counted(*args, **kwargs):
@@ -465,7 +489,7 @@ class TestMain:
                             "dt=1e-10\nt_end=1e-8\nrecord_stride=20\n")
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
         assert calls == {"generate_space": builds, "table_space": 0,
-                         "full_space": 0, "resolve_config": resolves}
+                         "resolve_config": resolves}
 
     def test_validate_prints_resolved(self, tmp_path, capsys):
         path = write_config(tmp_path, "kind=discord-series\nzeta=0\n")
@@ -522,11 +546,12 @@ class TestMain:
         assert "unknown key 'bogus' (--override)" in err
         assert "line" not in err
 
-    @pytest.mark.parametrize("key", ["interaction_picture", "zero_phases"])
+    @pytest.mark.parametrize("key", ["interaction_picture", "zero_phases",
+                                     "seeds", "include_dissipation"])
     def test_removed_switches_are_unknown_overrides(self, tmp_path, capsys,
                                                     key):
         # omega_* = 0 is the interaction picture, phi_points = 1 fixes
-        # the phases
+        # the phases, and space_mode alone picks the space
         path = write_config(tmp_path, "kind=discord-series\n")
         assert main(["validate", path, "--override", f"{key}=true"]) == 2
         assert f"unknown key '{key}' (--override)" in capsys.readouterr().err
@@ -590,40 +615,30 @@ class TestMain:
         assert "g_up" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
-    @pytest.mark.parametrize("text", [
-        "seeds=0000010,1111111\n",
-        "seeds=\nspace_mode=closure\n"], ids=["outside-table", "empty"])
-    def test_seeds_no_space_can_take_exit_as_config_errors(
-            self, tmp_path, capsys, command, text):
+    @pytest.mark.parametrize("text,key,line", [
+        ("seeds=0000010,1111111\n", "seeds", 2),
+        ("space_mode=closure\nseeds=\n", "seeds", 3),
+        # the standard seeds reordered: no seed order can shrink the space
+        ("gamma=g\ninclude_dissipation=false\n"
+         "seeds=0000110,0000010,0001010,0001110\n", "include_dissipation",
+         3)], ids=["outside-table", "empty", "reordered"])
+    def test_seeds_and_include_dissipation_exit_as_unknown_keys(
+            self, tmp_path, capsys, command, text, key, line):
+        # space_mode alone picks the space
         path = write_config(tmp_path, "kind=discord-series\n" + text)
         assert main([command, path, "--out", str(tmp_path / "o")]) == 2
-        assert "seeds" in capsys.readouterr().err
+        assert f"unknown key {key!r} (line {line})" \
+            in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
-    @pytest.mark.parametrize("kind", ["discord-series", "sweep-g-omega",
-                                      "sweep-gamma", "period-law"])
-    def test_space_without_the_initial_state_exits_as_config_error(
-            self, tmp_path, capsys, command, kind):
-        # the closure of the vacuum holds none of the initial components
-        path = write_config(tmp_path, f"kind={kind}\nspace_mode=closure\n"
-                                      "seeds=0000000\n")
+    def test_full_space_mode_exits_as_config_error(self, tmp_path, capsys,
+                                                   command):
+        # the closure is exact; the 128-state space only added unreachable
+        # states
+        path = write_config(tmp_path, "kind=discord-series\nspace_mode=full\n")
         assert main([command, path, "--out", str(tmp_path / "o")]) == 2
-        assert "0000010" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
-    @pytest.mark.parametrize("kind", ["discord-series", "sweep-gamma"])
-    def test_closure_without_the_jump_images_exits_as_config_error(
-            self, tmp_path, capsys, command, kind):
-        # without dissipation the closure holds no decay image, which the
-        # loss channels map into
-        path = write_config(tmp_path, f"kind={kind}\nspace_mode=closure\n"
-                                      "include_dissipation=false\ngamma=g\n"
-                                      "t_end=1e-7\n")
-        assert main([command, path, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "include_dissipation" in err and "0000000" in err
+        assert "space_mode='full' (line 2)" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])

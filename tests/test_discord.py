@@ -124,8 +124,8 @@ class TestEntropy:
 def classical_correlated_state():
     """Equal mixture of |p1=0>|b0> and |p1=1>|b1> on the full space."""
     rho = np.zeros((128, 128), dtype=complex)
-    i0 = FULL.index_of(BasisState.from_string("0000000"))
-    i1 = FULL.index_of(BasisState.from_string("1010000"))
+    i0 = FULL.states.index(BasisState.from_string("0000000"))
+    i1 = FULL.states.index(BasisState.from_string("1010000"))
     rho[i0, i0] = 0.5
     rho[i1, i1] = 0.5
     return DensityMatrix(rho, FULL)
@@ -133,8 +133,8 @@ def classical_correlated_state():
 
 def bell_state():
     v = np.zeros(128, dtype=complex)
-    v[FULL.index_of(BasisState.from_string("0000000"))] = 1 / np.sqrt(2)
-    v[FULL.index_of(BasisState.from_string("1010000"))] = 1 / np.sqrt(2)
+    v[FULL.states.index(BasisState.from_string("0000000"))] = 1 / np.sqrt(2)
+    v[FULL.states.index(BasisState.from_string("1010000"))] = 1 / np.sqrt(2)
     return DensityMatrix(np.outer(v, v.conj()), FULL)
 
 
@@ -278,8 +278,8 @@ class TestClassicalCorrelation:
 def werner_state(q=0.7):
     """Mixed correlated state on the tiny embedded two-qubit system."""
     phi = np.zeros(4, dtype=complex)
-    phi[TINY.index_of(BasisState.from_string("0000000"))] = 1 / np.sqrt(2)
-    phi[TINY.index_of(BasisState.from_string("0101000"))] = 1 / np.sqrt(2)
+    phi[TINY.states.index(BasisState.from_string("0000000"))] = 1 / np.sqrt(2)
+    phi[TINY.states.index(BasisState.from_string("0101000"))] = 1 / np.sqrt(2)
     mat = q * np.outer(phi, phi.conj()) + (1 - q) * np.eye(4) / 4
     return DensityMatrix(mat, TINY)
 
@@ -304,7 +304,7 @@ class TestDiscord:
         rho = np.zeros((128, 128), dtype=complex)
         for i in range(2):
             for j in range(2):
-                idx = FULL.index_of(BasisState(i, 0, j, 0, 0, 0, 0))
+                idx = FULL.states.index(BasisState(i, 0, j, 0, 0, 0, 0))
                 rho[idx, idx] = weights[i, j]
         point = discord(DensityMatrix(rho, FULL),
                         SearchConfig(theta_points=5))

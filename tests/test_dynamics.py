@@ -12,7 +12,8 @@ from h2discord.errors import NotHermitian, PositivityLost, SpaceMismatch, \
 from h2discord.discord import _embedded, _marginals
 from h2discord.operators import JumpChannel, ModelParams, OperatorMatrix, \
     build_hamiltonian, build_jump_channels
-from h2discord.statespace import BasisState, generate_space, table_space
+from h2discord.statespace import INITIAL_COMPONENTS, BasisState, \
+    GatingPolicy, full_space, generate_space, table_space
 
 from oracles import dissipator, liouvillian, random_density
 
@@ -60,15 +61,15 @@ class TestInitialState:
         sp = table_space()
         rho = initial_state(sp)
         for bits in ("0000010", "0000110", "0001010", "0001110"):
-            idx = sp.index_of(BasisState.from_string(bits))
+            idx = sp.states.index(BasisState.from_string(bits))
             assert rho.mat[idx, idx].real == pytest.approx(0.25, abs=1e-15)
 
     def test_sign_pattern(self):
         sp = table_space()
         rho = initial_state(sp)
-        plus = sp.index_of(BasisState.from_string("0000010"))
-        minus = sp.index_of(BasisState.from_string("0000110"))
-        plus2 = sp.index_of(BasisState.from_string("0001010"))
+        plus = sp.states.index(BasisState.from_string("0000010"))
+        minus = sp.states.index(BasisState.from_string("0000110"))
+        plus2 = sp.states.index(BasisState.from_string("0001010"))
         assert rho.mat[plus, minus].real == pytest.approx(-0.25)
         assert rho.mat[plus, plus2].real == pytest.approx(0.25)
 
@@ -130,11 +131,11 @@ class TestPropagator:
         space, params = two_level_space()
         h = build_hamiltonian(params, space)
         rho0 = pure(
-            np.eye(2)[space.index_of(BasisState.from_string("0000010"))],
+            np.eye(2)[space.states.index(BasisState.from_string("0000010"))],
             space)
         cfg = SimConfig(dt=1e-10, t_end=5e-7, record_stride=50)
         traj = evolve(rho0, h, [], cfg)
-        idx = space.index_of(BasisState.from_string("0000010"))
+        idx = space.states.index(BasisState.from_string("0000010"))
         for t, snap in zip(traj.times, traj.snapshots):
             expected = np.cos(params.g_bond * t) ** 2
             assert snap[idx, idx].real == pytest.approx(expected, abs=1e-10)
@@ -148,8 +149,8 @@ class TestDissipator:
     def test_single_mode_rate(self):
         space, params = damped_mode_space()
         channels = build_jump_channels(params, space)
-        excited = space.index_of(BasisState.from_string("1000000"))
-        ground = space.index_of(BasisState.from_string("0000000"))
+        excited = space.states.index(BasisState.from_string("1000000"))
+        ground = space.states.index(BasisState.from_string("0000000"))
         rho = np.zeros((2, 2), dtype=complex)
         rho[excited, excited] = 1.0
         out = dissipator(rho, channels)
@@ -189,7 +190,7 @@ class TestEvolve:
             dataclasses.replace(params, freq_pht_up=0, freq_pht_down=0,
                                 freq_phn=0), space)
         channels = build_jump_channels(params, space)
-        excited = space.index_of(BasisState.from_string("1000000"))
+        excited = space.states.index(BasisState.from_string("1000000"))
         rho0 = pure(np.eye(2)[excited], space)
         cfg = SimConfig(dt=1e-10, t_end=2e-7, record_stride=100)
         traj = evolve(rho0, h, channels, cfg)
@@ -280,7 +281,7 @@ class TestExactPropagator:
             dataclasses.replace(params, freq_pht_up=0, freq_pht_down=0,
                                 freq_phn=0), space)
         channels = build_jump_channels(params, space)
-        excited = space.index_of(BasisState.from_string("1000000"))
+        excited = space.states.index(BasisState.from_string("1000000"))
         rho0 = pure(np.eye(2)[excited], space)
         cfg = SimConfig(dt=1e-10, t_end=2e-7, record_stride=100)
         traj = evolve(rho0, h, channels, cfg)
@@ -368,7 +369,7 @@ class TestExactPropagator:
         sp = table_space()
         params = dataclasses.replace(PARAMS, gamma_up=G, gamma_down=G,
                                      gamma_phn=G)
-        vacuum = np.eye(sp.size)[sp.index_of(BasisState.from_string(
+        vacuum = np.eye(sp.size)[sp.states.index(BasisState.from_string(
             "0000000"))]
         rho0 = pure(vacuum, sp)
         traj = evolve(rho0, build_hamiltonian(params, sp),
@@ -383,7 +384,7 @@ class TestExactPropagator:
         (channel,) = build_jump_channels(params, space)
         doubled = JumpChannel(OperatorMatrix(2 * channel.op.mat, space),
                               channel.rate, channel.kind, channel.mode_label)
-        excited = space.index_of(BasisState.from_string("1000000"))
+        excited = space.states.index(BasisState.from_string("1000000"))
         rho0 = pure(np.eye(2)[excited], space)
         with pytest.raises(ValueError, match="partial permutation"):
             evolve(rho0, h, [doubled], SimConfig(dt=1e-10, t_end=1e-9))
@@ -407,6 +408,34 @@ class TestExactPropagator:
                    for snap in traj.snapshots[1:])
 
 
+class TestClosureSpace:
+    @pytest.mark.parametrize("rates,gating", [
+        (dict(gamma_up=G, gamma_down=G, gamma_phn=G, influx_up=0.3 * G),
+         GatingPolicy()),
+        ({}, GatingPolicy(tunneling_requires_broken_bond=False,
+                          bond_term_requires_colocated=False))],
+        ids=["lossy-influx", "ungated"])
+    def test_closure_evolves_as_the_full_space(self, rates, gating):
+        # the 128-state space adds only states the initial state cannot
+        # reach, through a coherent move, a decay or an influx
+        params = dataclasses.replace(open_params(0.5 * G, 0), **rates)
+        sim = SimConfig(dt=1e-10, t_end=3e-7, record_stride=1000)
+        full = full_space()
+        closure = generate_space(INITIAL_COMPONENTS, params, gating)
+        runs = [evolve(initial_state(sp),
+                       build_hamiltonian(params, sp, gating),
+                       build_jump_channels(params, sp), sim)
+                for sp in (closure, full)]
+        inside = [full.states.index(s) for s in closure]
+        outside = np.setdiff1d(np.arange(full.size), inside)
+        assert len(runs[0]) == len(runs[1]) == 4 and len(outside) > 70
+        for small, large in zip(*(run.snapshots for run in runs)):
+            embedded = np.zeros_like(large)
+            embedded[np.ix_(inside, inside)] = small
+            assert np.abs(embedded - large).max() <= 1e-13
+            assert np.abs(large.diagonal()[outside]).sum() <= 1e-15
+
+
 class TestConfigsAndValidation:
     def test_sim_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -415,6 +444,8 @@ class TestConfigsAndValidation:
             SimConfig(dt=1.0, t_end=0.5)
         with pytest.raises(ValueError):
             SimConfig(dt=1.0, t_end=2.0, record_stride=0)
+        with pytest.raises(ValueError, match="t_end"):  # inf steps
+            SimConfig(dt=1e-300, t_end=1e300)
 
     def test_free_frequencies_leave_populations_alone(self):
         # resonant diagonal terms commute with every interaction, so

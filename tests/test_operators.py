@@ -19,7 +19,7 @@ FULL = full_space()
 
 def basis_vector(space, bits):
     v = np.zeros(space.size, dtype=complex)
-    v[space.index_of(BasisState.from_string(bits))] = 1.0
+    v[space.states.index(BasisState.from_string(bits))] = 1.0
     return v
 
 
@@ -80,8 +80,8 @@ class TestHamiltonian:
     def test_bond_formation_matrix_element(self):
         sp = table_space()
         h = build_hamiltonian(PARAMS, sp)
-        row = sp.index_of(BasisState.from_string("0010000"))
-        col = sp.index_of(BasisState.from_string("0000010"))
+        row = sp.states.index(BasisState.from_string("0010000"))
+        col = sp.states.index(BasisState.from_string("0000010"))
         assert h.mat[row, col] == PARAMS.g_bond
 
     def test_commutes_with_excitation_count(self):
@@ -93,7 +93,7 @@ class TestHamiltonian:
         params = dataclasses.replace(PARAMS, freq_pht_up=0, freq_pht_down=0,
                                      freq_phn=0)
         h = build_hamiltonian(params, FULL)
-        col = h.mat[:, FULL.index_of(BasisState.from_string("0000000"))]
+        col = h.mat[:, FULL.states.index(BasisState.from_string("0000000"))]
         assert np.allclose(col, 0.0)
 
     def test_literal_tunneling_is_diagonal_shift(self):
@@ -103,16 +103,16 @@ class TestHamiltonian:
         plain = build_hamiltonian(dataclasses.replace(PARAMS, zeta=0), sp)
         diff = gated.mat - plain.mat
         assert np.allclose(np.diag(np.diag(diff)), diff)
-        broken = sp.index_of(BasisState.from_string("0000010"))
-        formed = sp.index_of(BasisState.from_string("0000000"))
+        broken = sp.states.index(BasisState.from_string("0000010"))
+        formed = sp.states.index(BasisState.from_string("0000000"))
         assert diff[broken, broken] == PARAMS.zeta
         assert diff[formed, formed] == 0.0
 
     def test_ungated_bond_term_reaches_scattered_nuclei(self):
         h = build_hamiltonian(
             PARAMS, FULL, GatingPolicy(bond_term_requires_colocated=False))
-        row = FULL.index_of(BasisState.from_string("0010001"))
-        col = FULL.index_of(BasisState.from_string("0000011"))
+        row = FULL.states.index(BasisState.from_string("0010001"))
+        col = FULL.states.index(BasisState.from_string("0000011"))
         assert h.mat[row, col] == PARAMS.g_bond
         gated = build_hamiltonian(PARAMS, FULL)
         assert gated.mat[row, col] == 0.0
@@ -128,7 +128,7 @@ class TestClosureMatchesHamiltonian:
         closure = generate_space(INITIAL_COMPONENTS, params, gating,
                                  include_dissipation=False)
         coupled = build_hamiltonian(params, FULL, gating).mat != 0
-        reached = {FULL.index_of(s) for s in INITIAL_COMPONENTS}
+        reached = {FULL.states.index(s) for s in INITIAL_COMPONENTS}
         frontier = list(reached)
         while frontier:
             for j in np.flatnonzero(coupled[:, frontier.pop()]):

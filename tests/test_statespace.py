@@ -73,7 +73,7 @@ class TestFullSpace:
         assert full_space().states[0] == state("0000000")
 
     def test_last_index(self):
-        assert full_space().index_of(state("1111111")) == 127
+        assert full_space().states.index(state("1111111")) == 127
 
     def test_canonical_order(self):
         sp = full_space()
