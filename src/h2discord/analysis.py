@@ -159,24 +159,26 @@ def envelope(times, values, window: int):
     return times[half:times.size - half], peaks
 
 
-def fit_period(times, series, zeta: float, g_ref: float, window: int = 0):
+def fit_period(times, series, zeta: float, g_ref: float):
     """Fit the slow oscillation of a closed-run discord series.
 
     For zeta = 0 the series is fitted directly.  Otherwise tunneling adds
     a fast carrier, and the fit runs on the envelope: sliding maxima over
-    `window` samples or, for window = 0, over the odd sample count
-    nearest one carrier period 2 pi/g_ref.  Returns (fit, window used),
-    the window 0 for a direct fit.
+    the odd sample count nearest one carrier period 2 pi/g_ref, which
+    g_ref = 0 leaves undefined (NoDominantFrequency).  Returns (fit,
+    window used), the window 0 for a direct fit.
     """
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
     if zeta <= 0:
         return fit_sinusoid(times, series), 0
-    if not window:
-        spacing = _median_spacing(times)
-        window = max(1, int(round((2 * np.pi / g_ref) / spacing)))
-        if window % 2 == 0:
-            window += 1
+    if g_ref <= 0:
+        raise NoDominantFrequency("g_ref=0 gives no carrier period for "
+                                  "the envelope")
+    spacing = _median_spacing(times)
+    window = max(1, int(round((2 * np.pi / g_ref) / spacing)))
+    if window % 2 == 0:
+        window += 1
     return fit_sinusoid(*envelope(times, series, window)), window
 
 
@@ -232,25 +234,21 @@ def evolve_model(params: ModelParams, sim: SimConfig,
 def run_discord_series(params: ModelParams, sim: SimConfig,
                        space: Optional[StateSpace] = None,
                        gating: Optional[GatingPolicy] = None,
-                       search: Optional[SearchConfig] = None,
-                       discord_stride: int = 1):
-    """Evolve the standard initial state and compute discord on snapshots.
+                       search: Optional[SearchConfig] = None):
+    """Evolve the standard initial state and compute discord at every
+    record.
 
-    Returns (trajectory, discord points).  The final snapshot is always
-    included even when discord_stride skips over it.  The points come
-    from `discord_series`: each mixed snapshot's search starts from the
-    last mixed snapshot's argmin when a 5x5 guard grid of the search's
-    family finds nothing better more than one guard spacing from it,
-    and searches the full grid otherwise (always, for the first mixed
+    Returns (trajectory, discord points).  The points come from
+    `discord_series`: each mixed snapshot's search starts from the last
+    mixed snapshot's argmin when a 5x5 guard grid of the search's family
+    finds nothing better more than one guard spacing from it, and
+    searches the full grid otherwise (always, for the first mixed
     snapshot).  The pattern search then tries every step size in one
     batch, so a point it cannot improve costs one batch more.
     """
     traj = evolve_model(params, sim, space, gating)
-    picks = list(range(0, len(traj), discord_stride))
-    if picks[-1] != len(traj) - 1:
-        picks.append(len(traj) - 1)
-    points = discord_series([traj.density(i) for i in picks], search,
-                            [float(traj.times[i]) for i in picks])
+    points = discord_series([traj.density(i) for i in range(len(traj))],
+                            search, [float(t) for t in traj.times])
     return traj, points
 
 

@@ -1,11 +1,11 @@
 """Configuration-driven experiment runner with CSV artifacts.
 
 Configs are flat UTF-8 ``key=value`` files with ``#`` comments.
-Coupling, rate and frequency values accept either an absolute number
-or a multiple of the coupling scale written as ``0.5g``, ``2g`` or
-``g``.  Reruns with an identical config produce byte-identical CSVs;
-the run-metadata file additionally records wall time and is exempt
-from that guarantee.
+Coupling and rate values accept either an absolute number or a
+multiple of the coupling scale written as ``0.5g``, ``2g`` or ``g``.
+Reruns with an identical config produce byte-identical CSVs; the
+run-metadata file additionally records wall time and is exempt from
+that guarantee.
 """
 
 import argparse
@@ -154,8 +154,7 @@ _RATES = ("gamma_up", "gamma_down", "gamma_phn", "influx_up", "influx_down",
 
 
 def _closed(params: ModelParams) -> bool:
-    """No loss or influx channel: the fit and the auto envelope window
-    apply."""
+    """No loss or influx channel: the period fit applies."""
     return not any(getattr(params, name) for name in _RATES)
 
 
@@ -173,10 +172,6 @@ KEYS = (
     Key("kind", _choice(*KINDS), None),
     Key("out", TEXT, lambda v: f"{v['kind']}-out", recorded=False),
     Key("g", POSITIVE, "1e7"),
-    # mode frequencies; 0, the default, is the interaction picture
-    Key("omega_up", G_MULTIPLE, "0"),
-    Key("omega_down", G_MULTIPLE, "0"),
-    Key("omega_phn", G_MULTIPLE, "0"),
     Key("g_up", G_MULTIPLE, "g"),
     Key("g_down", G_MULTIPLE, "g"),
     Key("g_omega", G_MULTIPLE, "0.5g"),
@@ -203,11 +198,9 @@ KEYS = (
     _search_key("phi_points", _int_at_least(1)),
     _search_key("refine", BOOL),
     _search_key("refine_tol", POSITIVE),
-    Key("discord_stride", _int_at_least(1), "1"),
     Key("sweep_values", NUMBERS,
         lambda v: _SWEEPS[v["kind"]].default_values if v["kind"] in SWEEPS
         else ()),
-    Key("envelope_window", _int_at_least(0), "0"),
     Key("dump_rho", BOOL, "false"),
 )
 
@@ -221,9 +214,7 @@ class ExperimentConfig:
     sim: SimConfig
     search: SearchConfig
     space_mode: str
-    discord_stride: int
     sweep_values: tuple
-    envelope_window: int
     dump_rho: bool
     resolved: dict = field(default_factory=dict)
     # set by resolve_config: a series' space, a sweep's (x, config) points
@@ -272,16 +263,13 @@ def _bind(cls, v: dict, **given):
 
 
 def _model(v: dict) -> ModelParams:
-    return _bind(ModelParams, v, g_bond=v["g_omega"],
-                 freq_pht_up=v["omega_up"], freq_pht_down=v["omega_down"],
-                 freq_phn=v["omega_phn"])
+    return _bind(ModelParams, v, g_bond=v["g_omega"])
 
 
 # the record grid keys; a sweep's record leaves out those its config
-# does not give, so that each point runs on its own model's default grid
+# does not give, so that each point runs on its own model's default grid;
+# a period law takes none of them
 _GRID = ("dt", "t_end", "record_stride")
-# keys a period-law config may not give
-_LAW_FIXED = (*_GRID, "discord_stride", "envelope_window")
 
 
 def _check(v: dict, params: ModelParams, given):
@@ -289,9 +277,9 @@ def _check(v: dict, params: ModelParams, given):
     kind = v["kind"]
     if None in (v["dt"], v["t_end"], v["record_stride"]):
         raise ConfigTypeError(
-            "TypeError: g_up, g_down, g_omega, zeta, the frequencies and the "
-            "rates are all zero, so dt, t_end and record_stride have no "
-            "default; give all three")
+            "TypeError: g_up, g_down, g_omega, zeta and the rates are all "
+            "zero, so dt, t_end and record_stride have no default; give all "
+            "three")
     sweep = v["sweep_values"]
     if kind in SWEEPS and not sweep:
         raise ConfigTypeError(f"TypeError: {kind} needs sweep_values")
@@ -300,19 +288,10 @@ def _check(v: dict, params: ModelParams, given):
                               "in (0, 1]")
     if kind in SWEEPS and len(set(sweep)) < len(sweep):
         raise ConfigTypeError("TypeError: sweep_values repeats a value")
-    window = v["envelope_window"]
-    if window % 2 == 0 and window:
-        raise ConfigTypeError("TypeError: envelope_window must be odd "
-                              "(0 picks it from the carrier period)")
     if params.g_up == 0 and kind in SWEEPS:
         raise ConfigTypeError(f"TypeError: {kind} needs a positive g_up; "
                               "sweep_values are in units of g_up")
-    if params.g_up == 0 and kind == "discord-series" and params.zeta > 0 \
-            and _closed(params) and not window:
-        raise ConfigTypeError("TypeError: g_up=0 leaves envelope_window "
-                              "without a default (one carrier period, "
-                              "2 pi/g_up); give envelope_window")
-    fixed = [name for name in _LAW_FIXED if name in given]
+    fixed = [name for name in _GRID if name in given]
     if kind == "period-law" and fixed:
         raise ConfigTypeError(f"TypeError: period-law takes no {fixed[0]}: "
                               "each sweep point runs on the default record "
@@ -380,6 +359,11 @@ def _sweep_points(config: ExperimentConfig) -> list:
                 (repr(x * config.params.g_up), None))},
                 kind="discord-series"))
             for x in sorted(config.sweep_values)]
+
+
+def _point_dir(kind: str, x: float) -> str:
+    """The run directory of a sweep point, under the sweep's own."""
+    return f"{_SWEEPS[kind].header.split(',')[0]}={x!r}"
 
 
 def _build_space(config: ExperimentConfig):
@@ -492,7 +476,8 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
         xcol, ycol = sweep.header.split(",")[:2]
         rows = []
         for x, point in config.points:
-            paths, records, point_fit = _run(point, out / f"{xcol}={x!r}")
+            paths, records, point_fit = _run(point,
+                                             out / _point_dir(kind, x))
             written += paths
             if law and isinstance(point_fit, SimulationError):
                 raise point_fit
@@ -537,7 +522,7 @@ def _discord_artifacts(config, points, notes, emit):
     try:
         fit, window = fit_period([pt.t for pt in points],
                                  [pt.discord for pt in points], params.zeta,
-                                 params.g_up, config.envelope_window)
+                                 params.g_up)
     except SimulationError as exc:
         notes["fit_error"] = f"{type(exc).__name__}: {exc}"
         return exc
@@ -550,8 +535,7 @@ def _discord_artifacts(config, points, notes, emit):
 
 def _run_series(config: ExperimentConfig):
     return run_discord_series(config.params, config.sim, space=config.space,
-                              gating=config.gating, search=config.search,
-                              discord_stride=config.discord_stride)
+                              gating=config.gating, search=config.search)
 
 
 def main(argv=None) -> int:
@@ -581,7 +565,11 @@ def main(argv=None) -> int:
                 print(f"{key}={config.resolved[key]}")
             return EXIT_OK
         if args.command == "dump-space":
-            lines = (config.space or _build_space(config)).dump_lines()
+            # a sweep's points, each on its own space
+            lines = config.space.dump_lines() if config.space else [
+                line for x, point in config.points
+                for line in (f"# {_point_dir(config.kind, x)}",
+                             *point.space.dump_lines())]
             sys.stdout.write("\n".join(lines) + "\n")
             return EXIT_OK
         written = run(config)

@@ -27,6 +27,8 @@ from .statespace import INITIAL_COMPONENTS, StateSpace
 TAYLOR_THETA = 4.0
 # a substep's series stops by then at the latest; 4^56 / 56! < 1e-40
 _MAX_TERMS = 55
+# most records a run may keep; a bound on the count, not on the memory
+MAX_RECORDS = 10**5
 
 
 @dataclass
@@ -55,6 +57,14 @@ class SimConfig:
                              "number of steps")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+        # the initial state and each point of _record_points
+        if 1 + -(-self.n_steps // self.record_stride) > MAX_RECORDS:
+            raise ValueError(f"record_stride and t_end keep more than "
+                             f"{MAX_RECORDS} records")
+
+    @property
+    def n_steps(self) -> int:
+        return max(1, int(round(self.t_end / self.dt)))
 
 
 @dataclass
@@ -182,8 +192,6 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
         if ch.op.space is not rho0.space:
             raise SpaceMismatch("channel bound to a different space")
 
-    n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
-
     rho = rho0.mat.astype(complex).copy()
     times = [0.0]
     snapshots = [rho.copy()]
@@ -203,7 +211,7 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
         snapshots.append(rho.copy())
         return rho
 
-    points = _record_points(n_steps, cfg.record_stride)
+    points = _record_points(cfg.n_steps, cfg.record_stride)
     if channels:
         propagate = _lindblad_propagator(_hermitian(H.mat), channels)
         previous = 0

@@ -1,10 +1,20 @@
 """Ladder operators, the system Hamiltonian and jump channels.
 
+The Hamiltonian is written in the interaction picture: it holds the
+couplings and no free terms.  That is exact for this resonant model.
+Every coherent move keeps p1 + l1, p2 + l2 and m + L, so mode
+frequencies would add free terms that commute with every coupling; every
+jump changes one of those counts by one, so under them a jump operator
+only picks up a phase.  Free terms would thus only apply the local
+unitary U0(t) = exp(-i H_free t), a photon-pair part times a matter
+part, which changes no population and no discord (Modi et al., Rev.
+Mod. Phys. 84, 1655 (2012)).
+
 All matrices are dense complex arrays bound to a StateSpace.  Every
 mode holds at most one quantum, so raising an occupied label gives the
 zero vector.  On a reduced space an image state can be missing: in
-table-compat (and full) mode the corresponding amplitude is dropped,
-in closure mode this signals an inconsistent space and raises.
+table-compat mode the corresponding amplitude is dropped, in closure
+mode this signals an inconsistent space and raises.
 """
 
 import math
@@ -19,15 +29,11 @@ from .statespace import JUMPS, MODE_CLOSURE, MOVES, BasisState, \
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Frequencies, couplings and rates, all angular (rad/s or 1/s).
+    """Couplings and rates, all angular (rad/s or 1/s).
 
-    Defaults are the CLI's model: coupling scale 1e7, mode frequencies
-    0 (the interaction picture), no dissipation.
+    Defaults are the CLI's model: coupling scale 1e7, no dissipation.
     """
 
-    freq_pht_up: float = 0.0
-    freq_pht_down: float = 0.0
-    freq_phn: float = 0.0
     g_up: float = 1.0e7
     g_down: float = 1.0e7
     g_bond: float = 5.0e6
@@ -48,9 +54,8 @@ class ModelParams:
                 raise ValueError(f"{f.name} must be nonnegative")
 
     def max_scale(self) -> float:
-        """Largest frequency/coupling/rate, used for step-size defaults."""
-        return max(self.freq_pht_up, self.freq_pht_down, self.freq_phn,
-                   self.g_up, self.g_down, self.g_bond, self.zeta,
+        """Largest coupling or rate, used for step-size defaults."""
+        return max(self.g_up, self.g_down, self.g_bond, self.zeta,
                    self.gamma_up, self.gamma_down, self.gamma_phn,
                    self.influx_up, self.influx_down, self.influx_phn)
 
@@ -96,20 +101,15 @@ def build_hamiltonian(params: ModelParams, space: StateSpace,
                       gating: GatingPolicy = None) -> OperatorMatrix:
     """Assemble the system Hamiltonian over the given space.
 
-    Free terms are diagonal in the occupation basis (the broken-bond
-    flag counts as one phonon-frequency quantum).  Each move of MOVES
-    with a positive strength couples its gated source states to their
-    images, each entry written with its transpose so the matrix is
-    exactly real symmetric, or, while its shift holds, adds its
-    strength to the diagonal of the gated states.
+    Each move of MOVES with a positive strength couples its gated
+    source states to their images, each entry written with its
+    transpose so the matrix is exactly real symmetric, or, while its
+    shift holds, adds its strength to the diagonal of the gated states.
     """
     if gating is None:
         gating = GatingPolicy()
     h = _zeros(space)
     for i, s in enumerate(space):
-        h[i, i] += (params.freq_pht_up * (s.p1 + s.l1)
-                    + params.freq_pht_down * (s.p2 + s.l2)
-                    + params.freq_phn * (s.m + s.L))
         for move in MOVES:
             strength = getattr(params, move.strength)
             if not (strength > 0 and move.gate(s, gating)):

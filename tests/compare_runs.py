@@ -15,7 +15,7 @@ non-numeric cells are equal and every pair of numeric cells a, b has
 |delta| and the largest |delta| / max(|a|, |b|) of each CSV that is not
 byte-identical.  It prints each artifact that differs or is present on
 one side only, under each differing ``run-metadata.txt`` the keys
-removed, added or changed (``omega_up: 100000000.0 -> 0.0``), and exits
+removed, added or changed (``phi_points: 17 -> 1``), and exits
 1 on any difference.  pytest does not collect it.
 """
 

@@ -89,6 +89,15 @@ def von_neumann_entropy(rho, trace_tol=1e-6, eig_floor=-1e-6):
     return max(0.0, float(-(w * np.log(w)).sum()))
 
 
+def free_hamiltonian(space, up, down, phn):
+    """The free terms of a lab frame with mode frequencies up, down and
+    phn: diagonal in the occupation basis, with the broken-bond flag
+    counting as one phonon-frequency quantum.  The library works in the
+    interaction picture, which drops them."""
+    return np.diag([up * (s.p1 + s.l1) + down * (s.p2 + s.l2)
+                    + phn * (s.m + s.L) for s in space]).astype(complex)
+
+
 def total_excitations(space):
     """Diagonal count of field quanta plus electron and bond excitations.
 

@@ -12,10 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from h2discord.analysis import fit_law, fit_period, run_discord_series, \
+from h2discord.analysis import evolve_model, fit_law, fit_period, \
     state_population
 from h2discord.discord import SearchConfig, _basis_vectors, _embedded, \
-    _marginals, discord
+    _marginals, discord, discord_series
 from h2discord.dynamics import DensityMatrix, SimConfig, evolve, \
     initial_state
 from h2discord.operators import ModelParams, build_hamiltonian, \
@@ -28,8 +28,7 @@ from oracles import brute_force_trace_A, brute_force_trace_B, \
     tied_pattern_projectors
 
 G = 1.0e7
-BASE = ModelParams(freq_pht_up=0.0, freq_pht_down=0.0, freq_phn=0.0,
-                   g_up=G, g_down=G, g_bond=0.5 * G, zeta=G)
+BASE = ModelParams(g_up=G, g_down=G, g_bond=0.5 * G, zeta=G)
 OPEN = dataclasses.replace(BASE, gamma_up=G, gamma_down=G, gamma_phn=G)
 VACUUM = BasisState.from_string("0000000")
 
@@ -134,8 +133,11 @@ def law_no_tunneling(logs, sweep_runs):
 @pytest.fixture(scope="module")
 def open_endpoint(logs):
     started = time.time()
-    traj, points = run_discord_series(OPEN, open_sim(OPEN),
-                                      search=OPEN_SEARCH, discord_stride=10)
+    traj = evolve_model(OPEN, open_sim(OPEN))
+    # discord at every tenth record and the last
+    picks = sorted({*range(0, len(traj), 10), len(traj) - 1})
+    points = discord_series([traj.density(i) for i in picks], OPEN_SEARCH,
+                            [float(traj.times[i]) for i in picks])
     logs["open"].add_run(traj)
     logs["open"].add_points(points)
     return traj, points, time.time() - started

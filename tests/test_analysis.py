@@ -14,7 +14,7 @@ from h2discord.operators import ModelParams
 from h2discord.statespace import BasisState, table_space
 from oracles import reference_fit_sinusoid
 
-PARAMS = ModelParams(freq_pht_up=0, freq_pht_down=0, freq_phn=0)
+PARAMS = ModelParams()
 G = PARAMS.g_up
 
 
@@ -109,8 +109,7 @@ def discord_series(sweep_runs):
             times = np.array([pt.t for pt in points])
             values = np.array([pt.discord for pt in points])
             params = config.params
-            _, window = fit_period(times, values, params.zeta, params.g_up,
-                                   config.envelope_window)
+            _, window = fit_period(times, values, params.zeta, params.g_up)
             series[law, x] = (times, values, params.zeta, params.g_up,
                               window)
     return series
@@ -162,12 +161,12 @@ class TestVariableProjectionFit:
     def test_period_stable_under_last_digit_changes_of_d(self,
                                                          discord_series,
                                                          law, x):
-        times, values, zeta, g_up, window = discord_series[law, x]
-        period = fit_period(times, values, zeta, g_up, window)[0].period
+        times, values, zeta, g_up, _ = discord_series[law, x]
+        period = fit_period(times, values, zeta, g_up)[0].period
         rng = np.random.default_rng(0)
         for _ in range(3):
             nudged = values + rng.choice([-1e-15, 1e-15], size=values.size)
-            fit, _ = fit_period(times, nudged, zeta, g_up, window)
+            fit, _ = fit_period(times, nudged, zeta, g_up)
             assert fit.period == pytest.approx(period, rel=1e-12, abs=0)
 
 
@@ -222,20 +221,19 @@ class TestFitPeriod:
         assert fit == fit_sinusoid(*envelope(self.TIMES, self.SERIES, 101))
         assert fit.angular_frequency == pytest.approx(1e7, rel=1e-2)
 
-    def test_given_window_is_used(self):
-        fit, window = fit_period(self.TIMES, self.SERIES, G, 0.0, window=5)
-        assert window == 5
-        assert fit == fit_sinusoid(*envelope(self.TIMES, self.SERIES, 5))
+    def test_zero_reference_coupling_gives_no_envelope(self):
+        # the carrier period 2 pi/g_ref is undefined
+        with pytest.raises(NoDominantFrequency, match="g_ref"):
+            fit_period(self.TIMES, self.SERIES, G, 0.0)
 
 
 class TestRunDiscordSeries:
-    def test_series_timing_and_stride(self):
+    def test_series_timing(self):
+        # one discord point per record
         params = dataclasses.replace(PARAMS, g_bond=0.1 * G)
         sim = SimConfig(dt=1e-10, t_end=4e-8, record_stride=40)
-        traj, points = run_discord_series(params, sim, discord_stride=3)
-        assert points[0].t == 0.0
-        assert points[-1].t == pytest.approx(traj.times[-1])
-        assert len(points) == len(range(0, len(traj), 3)) + 1
+        traj, points = run_discord_series(params, sim)
+        assert [pt.t for pt in points] == list(traj.times)
 
 
 class TestPeriodLaw:

@@ -13,7 +13,7 @@ from h2discord import analysis, cli
 from h2discord.cli import KEYS as CONFIG_KEYS, KINDS, SWEEPS, \
     _build_space, main, parse_config, resolve_config, run
 from h2discord.discord import SearchConfig
-from h2discord.dynamics import initial_state
+from h2discord.dynamics import MAX_RECORDS, initial_state
 from h2discord.errors import ConfigError, ConfigTypeError, MissingRequired, \
     UnknownKey
 from h2discord.operators import ModelParams, build_jump_channels
@@ -64,7 +64,6 @@ class TestResolveConfig:
         assert p.g_up == p.g_down == 1e7
         assert p.g_bond == 0.5e7
         assert p.gamma_up == 0.0
-        assert p.freq_pht_up == 0.0  # interaction picture by default
         assert config.space_mode == "table-compat"
         assert config.t_end > 0 and config.dt > 0
 
@@ -88,12 +87,16 @@ class TestResolveConfig:
     # did the switches that only picked another key's value:
     # interaction_picture (omega_* = 0) and zero_phases (phi_points = 1),
     # and the space inputs that space_mode decides: seeds and
-    # include_dissipation
+    # include_dissipation; and the mode frequencies (the model is
+    # written in the interaction picture), the envelope window (one
+    # carrier period) and the discord stride (record_stride samples)
     @pytest.mark.parametrize("key", ["banana", "tie_thetas", "tie_phis",
                                      "hbar", "renormalize_trace",
                                      "dump_operators", "interaction_picture",
                                      "zero_phases", "seeds",
-                                     "include_dissipation"])
+                                     "include_dissipation", "omega_up",
+                                     "omega_down", "omega_phn",
+                                     "discord_stride", "envelope_window"])
     def test_unknown_key_named_with_line(self, key):
         with pytest.raises(UnknownKey) as err:
             resolve(f"g=1e7\n{key}=1\n", kind="discord-series")
@@ -109,13 +112,11 @@ class TestResolveConfig:
                                       "sweep_values=0.1,nan\n",
                                       "phi_points=0\n", "theta_points=-3\n",
                                       "theta_points=1\n",
-                                      "envelope_window=2\n",
-                                      "envelope_window=-1\n",
                                       "g_up=0\ng_down=0\ng_omega=0\nzeta=0\n",
                                       "g_up=0\ng_down=0\ng_omega=0\nzeta=0\n"
                                       "dt=1e-10\nt_end=1e-8\n",
                                       "dt=1e-320\n", "refine=maybe\n",
-                                      "periods_factor=-1\n", "g_up=0\n",
+                                      "periods_factor=-1\n",
                                       "refine_tol=0\n", "refine_tol=-1e-4\n",
                                       "gamma=-1g\n", "zeta=-1g\n"])
     def test_rejects_non_finite_numbers_and_empty_grids(self, text):
@@ -139,8 +140,7 @@ class TestResolveConfig:
 
     # sweep values are in units of g_up
     @pytest.mark.parametrize("kind", SWEEPS)
-    @pytest.mark.parametrize("text", ["g_up=0\n", "g_up=0\nzeta=0\n",
-                                      "g_up=0\nenvelope_window=3\n"])
+    @pytest.mark.parametrize("text", ["g_up=0\n", "g_up=0\nzeta=0\n"])
     def test_sweeps_need_a_reference_coupling(self, text, kind):
         with pytest.raises(ConfigTypeError, match="g_up"):
             resolve(text, kind=kind)
@@ -153,8 +153,8 @@ class TestResolveConfig:
         for _, point in law.points:
             assert grid <= set(point.resolved)
 
-    @pytest.mark.parametrize("text", ["g_up=0\nenvelope_window=3\n",
-                                      "g_up=0\nzeta=0\n",
+    # a closed series with zeta > 0 records the envelope fit's error
+    @pytest.mark.parametrize("text", ["g_up=0\n", "g_up=0\nzeta=0\n",
                                       "g_up=0\ngamma=g\n"])
     def test_zero_g_up_resolves_where_nothing_divides_by_it(self, text):
         assert resolve(text, kind="discord-series").params.g_up == 0
@@ -195,6 +195,8 @@ class TestResolveConfig:
     # a step count that overflows a float
     @example(kind="discord-series", entries={"dt": "1e-300",
                                              "t_end": "1e300"})
+    # about 5e31 records on the default grid
+    @example(kind="discord-series", entries={"gamma": "1e30g"})
     @given(kind=st.sampled_from(KINDS),
            entries=st.dictionaries(st.sampled_from(KEYS), TOKEN, max_size=8))
     def test_any_config_text_resolves_or_raises_config_error(self, kind,
@@ -206,6 +208,8 @@ class TestResolveConfig:
             return
         for each in [config] + [point for _, point in config.points]:
             assert math.isfinite(each.sim.t_end / each.sim.dt)
+            assert 1 + math.ceil(each.sim.n_steps / each.sim.record_stride) \
+                <= MAX_RECORDS
 
     def test_readme_key_table_matches_keys(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -243,12 +247,6 @@ class TestResolveConfig:
         assert config.space.mode == mode
         initial_state(config.space)
         build_jump_channels(config.params, config.space)
-
-    def test_given_frequency_reaches_the_model(self):
-        # the omegas default to 0, the interaction picture
-        config = resolve("omega_up=12g\n", kind="discord-series")
-        assert config.params.freq_pht_up == 12e7
-        assert config.params.freq_pht_down == config.params.freq_phn == 0
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -390,13 +388,11 @@ class TestRun:
         assert (out / "plot_discord.py").exists()
         meta = (out / "run-metadata.txt").read_text()
         assert "version=" in meta and "wall_time_s=" in meta
-        # no free terms and no phase search: the record says so
-        lines = meta.splitlines()
-        for line in ("omega_up=0.0", "omega_down=0.0", "omega_phn=0.0",
-                     "phi_points=1"):
-            assert line in lines
-        assert "interaction_picture" not in meta
-        assert "zero_phases" not in meta
+        # no phase search: the record says so
+        assert "phi_points=1" in meta.splitlines()
+        for key in ("interaction_picture", "zero_phases", "omega_",
+                    "discord_stride"):
+            assert key not in meta
 
     def test_reruns_are_byte_identical(self, tmp_path):
         for name in ("a", "b"):
@@ -547,11 +543,14 @@ class TestMain:
         assert "line" not in err
 
     @pytest.mark.parametrize("key", ["interaction_picture", "zero_phases",
-                                     "seeds", "include_dissipation"])
+                                     "seeds", "include_dissipation",
+                                     "omega_up", "omega_down", "omega_phn",
+                                     "discord_stride", "envelope_window"])
     def test_removed_switches_are_unknown_overrides(self, tmp_path, capsys,
                                                     key):
-        # omega_* = 0 is the interaction picture, phi_points = 1 fixes
-        # the phases, and space_mode alone picks the space
+        # the model is written in the interaction picture, phi_points = 1
+        # fixes the phases, space_mode alone picks the space, the envelope
+        # spans one carrier period and discord is taken at every record
         path = write_config(tmp_path, "kind=discord-series\n")
         assert main(["validate", path, "--override", f"{key}=true"]) == 2
         assert f"unknown key '{key}' (--override)" in capsys.readouterr().err
@@ -572,6 +571,21 @@ class TestMain:
         assert lines == _build_space(resolve(text)).dump_lines()
         assert len(lines) == 26
 
+    def test_dump_space_of_a_sweep_prints_each_point_space(self, tmp_path,
+                                                            capsys):
+        # without the bond move the x = 0 point's closure is the 8 states
+        # the tunneling and photon moves reach
+        text = ("kind=sweep-g-omega\nspace_mode=closure\n"
+                "sweep_values=0,0.5\n")
+        assert main(["dump-space", write_config(tmp_path, text)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        points = resolve(text).points
+        assert lines == ["# g_omega_over_g=0.0",
+                         *points[0][1].space.dump_lines(),
+                         "# g_omega_over_g=0.5",
+                         *points[1][1].space.dump_lines()]
+        assert [point.space.size for _, point in points] == [8, 36]
+
     def test_out_flag_replaces_out_key(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_SERIES + "out=a\n")
         assert main(["run", path, "--out", str(tmp_path / "b")]) == 0
@@ -580,8 +594,6 @@ class TestMain:
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("override", ["g=nan", "dt=nan",
                                           "theta_points=0", "theta_points=1",
-                                          "envelope_window=2",
-                                          "envelope_window=-1", "g_up=0",
                                           "gamma=-1g"])
     def test_bad_numbers_exit_as_config_errors(self, tmp_path, capsys,
                                                command, override):
@@ -593,8 +605,6 @@ class TestMain:
 
     @pytest.mark.parametrize("text", ["dt=1e-10\n", "t_end=1e-7\n",
                                       "record_stride=50\n",
-                                      "discord_stride=50\n",
-                                      "envelope_window=7\n",
                                       "gamma=g\ninflux_up=g\n",
                                       "gamma_phn=0.1g\n",
                                       "influx_down=0.1g\n"])
@@ -605,6 +615,29 @@ class TestMain:
         path = write_config(tmp_path, "kind=period-law\n" + text)
         assert main(["validate", path]) == 2
         assert text.split("=")[0] in capsys.readouterr().err
+
+    def test_closed_series_without_g_up_records_the_fit_error(
+            self, tmp_path, capsys):
+        # one carrier period, 2 pi/g_up, has no length: the run writes
+        # its series and no fit
+        path = write_config(tmp_path, SMALL_SERIES + "g_up=0\n")
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "discord.csv").exists()
+        assert not (tmp_path / "o" / "fit.csv").exists()
+        meta = (tmp_path / "o" / "run-metadata.txt").read_text().splitlines()
+        assert any(line.startswith("fit_error=NoDominantFrequency: ")
+                   for line in meta)
+
+    @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
+    def test_record_grid_too_large_exits_as_config_error(self, tmp_path,
+                                                         capsys, command):
+        # gamma = 1e30g: dt 2e-42 and record_stride 19635 keep about 5e31
+        # records
+        path = write_config(tmp_path, "kind=discord-series\ngamma=1e30g\n")
+        assert main([command, path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "record_stride" in err and "t_end" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", SWEEPS)
     @pytest.mark.parametrize("command", ["validate", "run"])

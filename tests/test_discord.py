@@ -14,7 +14,7 @@ from h2discord.statespace import INITIAL_COMPONENTS, BasisState, \
     StateSpace, full_space, generate_space, table_space
 
 from oracles import brute_force_trace_A, brute_force_trace_B, \
-    full_grid_minimum, random_density, random_pure, \
+    free_hamiltonian, full_grid_minimum, random_density, random_pure, \
     reference_conditional_entropies, reference_search_minimum, \
     resolve_free, von_neumann_entropy
 
@@ -366,20 +366,22 @@ class TestFreeRotationInvariance:
         # the resonant diagonal terms act as local phase rotations on
         # both subsystems; the phase-complete search family must absorb
         # them
-        from h2discord.analysis import run_discord_series
-        from h2discord.dynamics import SimConfig
-        from h2discord.operators import ModelParams
+        from h2discord.dynamics import SimConfig, evolve
+        from h2discord.operators import OperatorMatrix, build_hamiltonian, \
+            build_jump_channels
 
+        params = ModelParams(gamma_up=1e7, gamma_down=1e7, gamma_phn=1e7)
+        sp = table_space()
+        h = build_hamiltonian(params, sp).mat
+        channels = build_jump_channels(params, sp)
         sim = SimConfig(dt=1e-10, t_end=8.3e-9, record_stride=83)
         search = SearchConfig(phi_points=17)
         points = {}
         for label, freq in (("rotating", 0.0), ("lab", 1e8)):
-            params = ModelParams(freq_pht_up=freq, freq_pht_down=freq,
-                                 freq_phn=freq, g_bond=0.5e7,
-                                 gamma_up=1e7, gamma_down=1e7, gamma_phn=1e7)
-            _, pts = run_discord_series(params, sim, search=search,
-                                        discord_stride=83)
-            points[label] = pts[-1]
+            lab = OperatorMatrix(h + free_hamiltonian(sp, freq, freq, freq),
+                                 sp)
+            traj = evolve(initial_state(sp), lab, channels, sim)
+            points[label] = discord(traj.density(len(traj) - 1), search)
         assert points["lab"].discord == pytest.approx(
             points["rotating"].discord, abs=1e-6)
 

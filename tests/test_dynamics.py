@@ -1,12 +1,13 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.sparse.linalg import expm_multiply
 
-from h2discord.dynamics import TAYLOR_THETA, DensityMatrix, SimConfig, \
-    _record_points, evolve, initial_state
+from h2discord.dynamics import MAX_RECORDS, TAYLOR_THETA, DensityMatrix, \
+    SimConfig, _record_points, evolve, initial_state
 from h2discord.errors import NotHermitian, PositivityLost, SpaceMismatch, \
     StateMissing
 from h2discord.discord import _embedded, _marginals
@@ -15,11 +16,19 @@ from h2discord.operators import JumpChannel, ModelParams, OperatorMatrix, \
 from h2discord.statespace import INITIAL_COMPONENTS, BasisState, \
     GatingPolicy, full_space, generate_space, table_space
 
-from oracles import dissipator, liouvillian, random_density
+from oracles import dissipator, free_hamiltonian, liouvillian, \
+    random_density
 
-# the lab frame: free frequencies of 10g
-PARAMS = ModelParams(freq_pht_up=1e8, freq_pht_down=1e8, freq_phn=1e8)
+PARAMS = ModelParams()
 G = PARAMS.g_up
+
+
+def lab_hamiltonian(params, space, gating=None, up=10 * G, down=10 * G,
+                    phn=10 * G):
+    """The model's Hamiltonian plus the free terms of a lab frame with
+    mode frequencies up, down and phn."""
+    h = build_hamiltonian(params, space, gating).mat
+    return OperatorMatrix(h + free_hamiltonian(space, up, down, phn), space)
 
 
 def pure(v, space):
@@ -38,8 +47,7 @@ def two_level_space(g_bond=G):
 
 def open_params(g_bond, gamma):
     """The criterion-5 family: interaction picture, every mode lossy."""
-    return dataclasses.replace(PARAMS, freq_pht_up=0, freq_pht_down=0,
-                               freq_phn=0, g_bond=g_bond, gamma_up=gamma,
+    return dataclasses.replace(PARAMS, g_bond=g_bond, gamma_up=gamma,
                                gamma_down=gamma, gamma_phn=gamma)
 
 
@@ -88,10 +96,10 @@ class TestInitialState:
 class TestPropagator:
     @pytest.mark.parametrize("state", ["initial", "random"])
     def test_closed_records_match_dense_expm(self, state):
-        # free frequencies of 10g (no interaction picture) turn E t into
-        # hundreds of radians by the last record
+        # free terms of 10g (a lab frame) turn E t into hundreds of
+        # radians by the last record
         sp = table_space()
-        h = build_hamiltonian(PARAMS, sp)
+        h = lab_hamiltonian(PARAMS, sp)
         rho0 = initial_state(sp) if state == "initial" else DensityMatrix(
             random_density(np.random.default_rng(13), sp.size), sp)
         traj = evolve(rho0, h, [], SimConfig(dt=1e-10, t_end=1e-6,
@@ -186,9 +194,7 @@ class TestEvolve:
 
     def test_damped_mode_matches_exponential(self):
         space, params = damped_mode_space()
-        h = build_hamiltonian(
-            dataclasses.replace(params, freq_pht_up=0, freq_pht_down=0,
-                                freq_phn=0), space)
+        h = build_hamiltonian(params, space)
         channels = build_jump_channels(params, space)
         excited = space.states.index(BasisState.from_string("1000000"))
         rho0 = pure(np.eye(2)[excited], space)
@@ -200,8 +206,7 @@ class TestEvolve:
 
     def test_composed_hops_match_literal_loop(self):
         sp = table_space()
-        params = dataclasses.replace(PARAMS, freq_pht_up=0, freq_pht_down=0,
-                                     freq_phn=0, gamma_up=G, gamma_down=G,
+        params = dataclasses.replace(PARAMS, gamma_up=G, gamma_down=G,
                                      gamma_phn=G)
         h = build_hamiltonian(params, sp)
         channels = build_jump_channels(params, sp)
@@ -214,8 +219,7 @@ class TestEvolve:
 
     def test_trace_and_hermiticity_over_many_steps(self):
         sp = table_space()
-        params = dataclasses.replace(PARAMS, freq_pht_up=0, freq_pht_down=0,
-                                     freq_phn=0, gamma_up=G, gamma_down=G,
+        params = dataclasses.replace(PARAMS, gamma_up=G, gamma_down=G,
                                      gamma_phn=G)
         h = build_hamiltonian(params, sp)
         channels = build_jump_channels(params, sp)
@@ -227,9 +231,7 @@ class TestEvolve:
 
     def test_closed_run_preserves_purity_and_energy(self):
         sp = table_space()
-        params = dataclasses.replace(PARAMS, freq_pht_up=0, freq_pht_down=0,
-                                     freq_phn=0)
-        h = build_hamiltonian(params, sp)
+        h = build_hamiltonian(PARAMS, sp)
         rho0 = initial_state(sp)
         cfg = SimConfig(dt=1e-10, t_end=1e-5, record_stride=1000)
         traj = evolve(rho0, h, [], cfg)
@@ -277,9 +279,7 @@ class TestEvolve:
 class TestExactPropagator:
     def test_damped_mode_matches_exponential_to_round_off(self):
         space, params = damped_mode_space()
-        h = build_hamiltonian(
-            dataclasses.replace(params, freq_pht_up=0, freq_pht_down=0,
-                                freq_phn=0), space)
+        h = build_hamiltonian(params, space)
         channels = build_jump_channels(params, space)
         excited = space.states.index(BasisState.from_string("1000000"))
         rho0 = pure(np.eye(2)[excited], space)
@@ -337,16 +337,15 @@ class TestExactPropagator:
             assert np.abs(snap - rho).max() <= 1e-12
 
     def test_substeps_match_dense_expm(self):
-        # free frequencies of 10g (no interaction picture) make
-        # ||L||_1 tau far above TAYLOR_THETA, so every hop takes substeps;
-        # a random state has coherences between every pair of excitation
-        # numbers, which those frequencies rotate fastest
+        # free terms of 10g (a lab frame) make ||L||_1 tau far above
+        # TAYLOR_THETA, so every hop takes substeps; a random state has
+        # coherences between every pair of excitation numbers, which
+        # those terms rotate fastest
         sp = table_space()
         params = dataclasses.replace(PARAMS, gamma_up=0.5 * G, gamma_down=G,
                                      gamma_phn=0.3 * G, influx_up=0.2 * G,
                                      influx_phn=0.1 * G)
-        assert params.freq_pht_up == params.freq_phn == 10 * G
-        h = build_hamiltonian(params, sp)
+        h = lab_hamiltonian(params, sp)
         channels = build_jump_channels(params, sp)
         gen = liouvillian(h.mat, channels).toarray()
         tau = 4e-7
@@ -436,6 +435,41 @@ class TestClosureSpace:
             assert np.abs(large.diagonal()[outside]).sum() <= 1e-15
 
 
+class TestInteractionPicture:
+    @pytest.mark.parametrize("mode", ["table-compat", "closure"])
+    @pytest.mark.parametrize("rates,gating", [
+        *(({}, GatingPolicy(*flags))
+          for flags in itertools.product((True, False), repeat=3)),
+        (dict(gamma_up=G, gamma_down=G, gamma_phn=G), GatingPolicy()),
+        (dict(gamma_up=0.5 * G, influx_up=0.3 * G, influx_phn=0.2 * G),
+         GatingPolicy())],
+        ids=[*("closed-" + "".join("TF"[not flag] for flag in flags)
+               for flags in itertools.product((True, False), repeat=3)),
+             "lossy", "influx"])
+    def test_free_terms_only_add_a_local_unitary(self, rates, gating, mode):
+        # every move keeps p1 + l1, p2 + l2 and m + L, and every jump
+        # changes one of them by one, so a lab frame's record is
+        # U0 rho U0^dagger with U0 = exp(-i H_free t), a photon-pair part
+        # times a matter part
+        params = dataclasses.replace(PARAMS, **rates)
+        space = table_space() if mode == "table-compat" else \
+            generate_space(INITIAL_COMPONENTS, params, gating)
+        free = free_hamiltonian(space, 10 * G, 7 * G, 13 * G).diagonal().real
+        channels = build_jump_channels(params, space)
+        sim = SimConfig(dt=1e-10, t_end=1.5e-7, record_stride=500)
+        rho0 = initial_state(space)
+        rotating = evolve(rho0, build_hamiltonian(params, space, gating),
+                          channels, sim)
+        lab = evolve(rho0, lab_hamiltonian(params, space, gating, 10 * G,
+                                           7 * G, 13 * G), channels, sim)
+        assert len(lab) == len(rotating) == 4
+        for t, snap, turned in zip(lab.times, rotating.snapshots,
+                                   lab.snapshots):
+            phase = np.exp(-1j * free * t)
+            expected = phase[:, None] * snap * phase.conj()
+            assert np.abs(turned - expected).max() <= 1e-13, t
+
+
 class TestConfigsAndValidation:
     def test_sim_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -446,15 +480,20 @@ class TestConfigsAndValidation:
             SimConfig(dt=1.0, t_end=2.0, record_stride=0)
         with pytest.raises(ValueError, match="t_end"):  # inf steps
             SimConfig(dt=1e-300, t_end=1e300)
+        # gamma = 1e30g on the default grid: about 5e31 records
+        with pytest.raises(ValueError, match="record_stride and t_end"):
+            SimConfig(dt=2e-42, t_end=1.8e-6, record_stride=19635)
+        # the initial state and one record per step
+        SimConfig(dt=1.0, t_end=MAX_RECORDS - 1)
+        with pytest.raises(ValueError, match="record_stride and t_end"):
+            SimConfig(dt=1.0, t_end=MAX_RECORDS)
 
     def test_free_frequencies_leave_populations_alone(self):
         # resonant diagonal terms commute with every interaction, so
         # they only rotate phases that populations cannot see
         sp = table_space()
-        with_frees = build_hamiltonian(PARAMS, sp)
-        rotating = dataclasses.replace(PARAMS, freq_pht_up=0,
-                                       freq_pht_down=0, freq_phn=0)
-        without = build_hamiltonian(rotating, sp)
+        with_frees = lab_hamiltonian(PARAMS, sp)
+        without = build_hamiltonian(PARAMS, sp)
         cfg = SimConfig(dt=1e-10, t_end=8.3e-9, record_stride=83)
         rho0 = initial_state(sp)
         pop_a = evolve(rho0, with_frees, [], cfg).snapshots[-1].diagonal()
