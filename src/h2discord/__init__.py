@@ -9,7 +9,7 @@ from .discord import DiscordPoint, MeasurementConfig, SearchConfig, \
 from .dynamics import DensityMatrix, SimConfig, Trajectory, evolve, \
     initial_state
 from .operators import JumpChannel, ModelParams, OperatorMatrix, \
-    build_hamiltonian, build_jump_channels, ladder
+    build_hamiltonian, build_jump_channels
 from .statespace import BasisState, GatingPolicy, StateSpace, TABLE_STATES, \
     full_space, generate_space, table_space
 
@@ -19,6 +19,5 @@ __all__ = [
     "MeasurementConfig", "SearchConfig", "discord", "discord_series",
     "DensityMatrix", "SimConfig", "Trajectory", "evolve", "initial_state",
     "JumpChannel", "ModelParams", "OperatorMatrix", "build_hamiltonian",
-    "build_jump_channels", "ladder", "BasisState", "GatingPolicy",
-    "StateSpace", "TABLE_STATES", "full_space", "generate_space",
-    "table_space"]
+    "build_jump_channels", "BasisState", "GatingPolicy", "StateSpace",
+    "TABLE_STATES", "full_space", "generate_space", "table_space"]

@@ -323,9 +323,9 @@ def resolve_config(entries: dict, kind: str = None,
         v[key.name] = _value(key, entries.get(key.name), v)
     params = _model(v)
     _check(v, params, entries)
-    try:
-        sim = _bind(SimConfig, v)
-    except ValueError as exc:  # SimConfig holds the record grid's rules
+    try:  # SimConfig and SearchConfig hold the rules of their grids
+        sim, search = _bind(SimConfig, v), _bind(SearchConfig, v)
+    except ValueError as exc:
         raise ConfigTypeError(f"TypeError: {exc}") from None
     skipped = [name for name in _GRID
                if v["kind"] in SWEEPS and name not in entries]
@@ -333,7 +333,7 @@ def resolve_config(entries: dict, kind: str = None,
                 for key in KEYS if key.recorded and key.name not in skipped}
     config = _bind(ExperimentConfig, v, params=params,
                    gating=_bind(GatingPolicy, v), sim=sim,
-                   search=_bind(SearchConfig, v), resolved=resolved)
+                   search=search, resolved=resolved)
     if config.kind == "discord-series":
         config.space = _build_space(config)
     config.points = _sweep_points(config)  # each resolved as a series
@@ -552,7 +552,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             entries = parse_config(fh.read())
         for item in args.override:
             if "=" not in item:

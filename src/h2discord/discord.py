@@ -78,6 +78,7 @@ EPS_OUTCOME = 1e-12     # outcomes rarer than this contribute nothing
 TIE_TOL = 1e-9
 PURE_TOL = 1e-10        # 1 - tr(rho^2) below this takes the closed form
 GUARD_POINTS = 5        # guard grid points per free angle of a warm start
+MAX_GRID_POINTS = 10**6  # most raw grid points a search may hold
 _CHUNK = 256            # outcome vectors per batch (bounds its B blocks)
 
 
@@ -173,6 +174,9 @@ class SearchConfig:
                 raise ValueError(f"{name} must be at least {low}")
         if not 0 < self.refine_tol < np.inf:
             raise ValueError("refine_tol must be positive and finite")
+        if self.theta_points**2 * self.phi_points**2 > MAX_GRID_POINTS:
+            raise ValueError(f"theta_points and phi_points give more than "
+                             f"{MAX_GRID_POINTS} grid points")
 
 
 def _free(search: SearchConfig) -> np.ndarray:

@@ -115,25 +115,19 @@ def _lindblad_propagator(h, channels):
 
     L maps Hermitian matrices to Hermitian ones, so one matmul gives
     both K T and T K^dagger, and every term is exactly Hermitian.  Each
-    a_c is a 0/1 partial permutation, so the jump sum is one gather of
-    the entries of T and one bincount over complex entries read as float
-    pairs (real part at 2k, imaginary part at 2k + 1).
+    a_c is the index map of its channel, so the jump sum is one gather
+    of the entries of T and one bincount over complex entries read as
+    float pairs (real part at 2k, imaginary part at 2k + 1).
     """
     dim = h.shape[0]
     k = -1j * h
     src, dst, rates = [], [], []
     for ch in channels:
-        a = ch.op.mat
-        rows, cols = np.nonzero(a)
-        if len(set(rows)) < len(rows) or len(set(cols)) < len(cols) \
-                or np.any(a[rows, cols] != 1):
-            raise ValueError(f"{ch.mode_label} jump operator is not a 0/1 "
-                             "partial permutation")
-        k[cols, cols] -= 0.5 * ch.rate
-        # (a T a^dagger)[r, r'] = T[c, c'] for entries a[r, c], a[r', c']
-        src.append((cols[:, None] * dim + cols).ravel())
-        dst.append((rows[:, None] * dim + rows).ravel())
-        rates.append(np.full(len(rows) ** 2, ch.rate))
+        k[ch.src, ch.src] -= 0.5 * ch.rate
+        # (a T a^dagger)[d, d'] = T[s, s'] for pairs (s, d), (s', d') of a
+        src.append((ch.src[:, None] * dim + ch.src).ravel())
+        dst.append((ch.dst[:, None] * dim + ch.dst).ravel())
+        rates.append(np.full(len(ch.src) ** 2, ch.rate))
     src, dst = np.concatenate(src), np.concatenate(dst)
     src = np.stack([2 * src, 2 * src + 1], axis=1).ravel()
     dst = np.stack([2 * dst, 2 * dst + 1], axis=1).ravel()
@@ -189,7 +183,7 @@ def evolve(rho0: DensityMatrix, H: OperatorMatrix, channels,
     if rho0.space is not H.space:
         raise SpaceMismatch("state and Hamiltonian bound to different spaces")
     for ch in channels:
-        if ch.op.space is not rho0.space:
+        if ch.space is not rho0.space:
             raise SpaceMismatch("channel bound to a different space")
 
     rho = rho0.mat.astype(complex).copy()

@@ -1,4 +1,4 @@
-"""Ladder operators, the system Hamiltonian and jump channels.
+"""The system Hamiltonian and the jump channels.
 
 The Hamiltonian is written in the interaction picture: it holds the
 couplings and no free terms.  That is exact for this resonant model.
@@ -10,11 +10,12 @@ unitary U0(t) = exp(-i H_free t), a photon-pair part times a matter
 part, which changes no population and no discord (Modi et al., Rev.
 Mod. Phys. 84, 1655 (2012)).
 
-All matrices are dense complex arrays bound to a StateSpace.  Every
-mode holds at most one quantum, so raising an occupied label gives the
-zero vector.  On a reduced space an image state can be missing: in
-table-compat mode the corresponding amplitude is dropped, in closure
-mode this signals an inconsistent space and raises.
+The Hamiltonian is a dense complex matrix and each jump channel an
+index map, both bound to a StateSpace.  Every mode holds at most one
+quantum, so a raising channel skips the states that already hold one.
+On a reduced space an image state can be missing: in table-compat mode
+the corresponding entry is dropped, in closure mode this signals an
+inconsistent space and raises.
 """
 
 import math
@@ -66,35 +67,12 @@ class OperatorMatrix:
     space: StateSpace
 
 
-_MODE_FIELD = {jump.mode: jump.label for jump in JUMPS}
-
-
-def _zeros(space):
-    return np.zeros((space.size, space.size), dtype=complex)
-
-
 def _target_index(space, target: BasisState, what: str):
     j = space.get_index(target)
     if j is None and space.mode == MODE_CLOSURE:
         raise ImageOutsideSpace(
             f"{what} maps into {target.to_string()}, absent from the space")
     return j
-
-
-def ladder(mode: str, direction: str, space: StateSpace) -> OperatorMatrix:
-    """Lowering/raising operator for one field mode."""
-    if mode not in _MODE_FIELD or direction not in ("lower", "raise"):
-        raise ValueError(f"unknown mode {mode!r} or direction {direction!r}")
-    field, src = _MODE_FIELD[mode], int(direction == "lower")
-    op = _zeros(space)
-    for i, s in enumerate(space):
-        if getattr(s, field) != src:
-            continue  # lowering vacuum or raising past the one-quantum cap
-        j = _target_index(space, s._replace(**{field: 1 - src}),
-                          f"{direction} {mode}")
-        if j is not None:
-            op[j, i] = 1.0
-    return OperatorMatrix(op, space)
 
 
 def build_hamiltonian(params: ModelParams, space: StateSpace,
@@ -108,7 +86,7 @@ def build_hamiltonian(params: ModelParams, space: StateSpace,
     """
     if gating is None:
         gating = GatingPolicy()
-    h = _zeros(space)
+    h = np.zeros((space.size, space.size), dtype=complex)
     for i, s in enumerate(space):
         for move in MOVES:
             strength = getattr(params, move.strength)
@@ -126,20 +104,32 @@ def build_hamiltonian(params: ModelParams, space: StateSpace,
 
 @dataclass
 class JumpChannel:
-    op: OperatorMatrix
+    """The jump operator a = sum_k |dst_k><src_k| with its rate.
+
+    src and dst are int arrays of space indices, each free of repeats,
+    so a is a 0/1 partial permutation.
+    """
+
+    space: StateSpace
+    src: np.ndarray
+    dst: np.ndarray
     rate: float
-    kind: str  # "dissipation" or "influx"
-    mode_label: str
 
 
 def build_jump_channels(params: ModelParams, space: StateSpace):
-    """One lowering channel per positive decay rate, raising for influx."""
+    """One channel per positive rate: each decay of JUMPS lowers its
+    mode, then each influx raises it."""
     channels = []
-    for kind, direction, field in (("dissipation", "lower", "decay"),
-                                   ("influx", "raise", "influx")):
+    for raising, field in ((False, "decay"), (True, "influx")):
         for jump in JUMPS:
             rate = getattr(params, getattr(jump, field))
-            if rate > 0:
-                op = ladder(jump.mode, direction, space)
-                channels.append(JumpChannel(op, rate, kind, jump.mode))
+            if rate <= 0:
+                continue
+            what = f"{field} of {jump.label}"
+            pairs = [(i, _target_index(space, t, what))
+                     for i, s in enumerate(space)
+                     if (t := jump.step(s, raising)) is not None]
+            src, dst = np.array([(i, j) for i, j in pairs if j is not None],
+                                dtype=int).reshape(-1, 2).T
+            channels.append(JumpChannel(space, src, dst, rate))
     return channels

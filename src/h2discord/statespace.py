@@ -12,7 +12,7 @@ p1 as the most significant bit, and every space orders its states by
 ascending encoding.
 """
 
-from collections import deque, namedtuple
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -102,8 +102,20 @@ class _Move(NamedTuple):
         return None
 
 
-# A field mode, its label and the ModelParams fields of its rates.
-_Jump = namedtuple("_Jump", "mode label decay influx")
+class _Jump(NamedTuple):
+    """A field mode's label and the ModelParams fields of its rates."""
+
+    label: str
+    decay: str
+    influx: str
+
+    def step(self, s: BasisState, raising: bool = False):
+        """The image of s when the mode loses its quantum (gains one if
+        raising), None when it has none to lose (already holds one)."""
+        if getattr(s, self.label) == raising:
+            return None
+        return s._replace(**{self.label: int(raising)})
+
 
 # The model's transition rules; closure, Hamiltonian and jumps read them.
 MOVES = (
@@ -123,9 +135,9 @@ MOVES = (
           shift=lambda gating: gating.literal_tunneling_form),
 )
 JUMPS = (
-    _Jump("pht_up", "p1", "gamma_up", "influx_up"),
-    _Jump("pht_down", "p2", "gamma_down", "influx_down"),
-    _Jump("phn", "m", "gamma_phn", "influx_phn"),
+    _Jump("p1", "gamma_up", "influx_up"),
+    _Jump("p2", "gamma_down", "influx_down"),
+    _Jump("m", "gamma_phn", "influx_phn"),
 )
 
 
@@ -210,10 +222,9 @@ def _neighbors(s: BasisState, params, gating: GatingPolicy,
             out += filter(None, (move.step(s), move.step(s, reverse=True)))
     if include_dissipation:
         for jump in JUMPS:  # decay closes whatever its rate, influx if on
-            if getattr(s, jump.label) == 1:
-                out.append(s._replace(**{jump.label: 0}))
-            elif getattr(params, jump.influx) > 0:
-                out.append(s._replace(**{jump.label: 1}))
+            influx = getattr(params, jump.influx) > 0
+            out += filter(None, (jump.step(s),
+                                 influx and jump.step(s, raising=True)))
     return out
 
 

@@ -47,12 +47,36 @@ def brute_force_trace_A(rho_mat, space):
     return out
 
 
+def reference_ladder(space, label, raising):
+    """Dense 0/1 lowering (raising if `raising`) matrix of the mode with
+    the given label, from the basis bitstrings alone: each state whose
+    label reads 1 (0) maps to the state that differs from it in that
+    label only.  An image outside the space is dropped."""
+    pos = BasisState._fields.index(label)
+    bits = [s.to_string() for s in space.states]
+    a = np.zeros((len(bits), len(bits)))
+    for i, b in enumerate(bits):
+        if b[pos] == ("0" if raising else "1"):
+            image = b[:pos] + ("1" if raising else "0") + b[pos + 1:]
+            if image in bits:
+                a[bits.index(image), i] = 1.0
+    return a
+
+
+def jump_matrix(ch):
+    """The dense operator sum_k |dst_k><src_k| of a jump channel."""
+    a = np.zeros((ch.space.size, ch.space.size), dtype=complex)
+    for s, d in zip(ch.src, ch.dst):
+        a[d, s] += 1.0
+    return a
+
+
 def dissipator(rho_mat, channels):
     """The Lindblad dissipator in its sandwich form: per channel a with
     rate g, g (a rho a^dagger - (a^dagger a rho + rho a^dagger a) / 2)."""
     out = np.zeros_like(rho_mat)
     for ch in channels:
-        a = ch.op.mat
+        a = jump_matrix(ch)
         number = a.conj().T @ a
         out += ch.rate * (a @ rho_mat @ a.conj().T
                           - 0.5 * (number @ rho_mat + rho_mat @ number))
@@ -66,7 +90,7 @@ def liouvillian(h, channels):
     eye = sparse.identity(h.shape[0], format="csr")
     gen = -1j * (kron(h, eye) - kron(eye, h.T))
     for ch in channels:
-        a = ch.op.mat
+        a = jump_matrix(ch)
         number = a.conj().T @ a
         gen = gen + ch.rate * (kron(a, a.conj()) - 0.5 * kron(number, eye)
                                - 0.5 * kron(eye, number.T))

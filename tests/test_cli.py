@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from h2discord import analysis, cli
 from h2discord.cli import KEYS as CONFIG_KEYS, KINDS, SWEEPS, \
     _build_space, main, parse_config, resolve_config, run
-from h2discord.discord import SearchConfig
+from h2discord.discord import MAX_GRID_POINTS, SearchConfig
 from h2discord.dynamics import MAX_RECORDS, initial_state
 from h2discord.errors import ConfigError, ConfigTypeError, MissingRequired, \
     UnknownKey
@@ -197,6 +197,8 @@ class TestResolveConfig:
                                              "t_end": "1e300"})
     # about 5e31 records on the default grid
     @example(kind="discord-series", entries={"gamma": "1e30g"})
+    # a search grid of 1001^2 points, just over MAX_GRID_POINTS
+    @example(kind="discord-series", entries={"theta_points": "1001"})
     @given(kind=st.sampled_from(KINDS),
            entries=st.dictionaries(st.sampled_from(KEYS), TOKEN, max_size=8))
     def test_any_config_text_resolves_or_raises_config_error(self, kind,
@@ -210,6 +212,8 @@ class TestResolveConfig:
             assert math.isfinite(each.sim.t_end / each.sim.dt)
             assert 1 + math.ceil(each.sim.n_steps / each.sim.record_stride) \
                 <= MAX_RECORDS
+            assert each.search.theta_points**2 * each.search.phi_points**2 \
+                <= MAX_GRID_POINTS
 
     def test_readme_key_table_matches_keys(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -639,6 +643,17 @@ class TestMain:
         assert "record_stride" in err and "t_end" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "dump-space"])
+    def test_search_grid_too_large_exits_as_config_error(self, tmp_path,
+                                                         capsys, command):
+        # 1001^2 grid points, just over MAX_GRID_POINTS
+        path = write_config(tmp_path, "kind=discord-series\ngamma=g\n"
+                            "t_end=2e-8\ntheta_points=1001\n")
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert "theta_points" in err and "phi_points" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("kind", SWEEPS)
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_sweep_without_g_up_exits_as_config_error(
@@ -682,6 +697,15 @@ class TestMain:
         assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_config_with_byte_order_mark_validates(self, tmp_path, capsys):
+        text = b"kind = discord-series\ngamma = g\n"
+        (tmp_path / "plain.cfg").write_bytes(text)
+        (tmp_path / "marked.cfg").write_bytes(b"\xef\xbb\xbf" + text)
+        assert main(["validate", str(tmp_path / "plain.cfg")]) == 0
+        plain = capsys.readouterr().out
+        assert main(["validate", str(tmp_path / "marked.cfg")]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_discord_bound_violation_exits_as_numerical_error(
             self, tmp_path, capsys, monkeypatch):

@@ -390,7 +390,8 @@ class TestSearchBounds:
     @pytest.mark.parametrize("field,value", [
         ("refine_tol", 0.0), ("refine_tol", -1e-4), ("refine_tol", np.inf),
         ("refine_tol", np.nan), ("theta_points", 0), ("theta_points", -2),
-        ("theta_points", 1), ("phi_points", 0)])
+        ("theta_points", 1), ("phi_points", 0), ("theta_points", 1001),
+        ("phi_points", 100)])
     def test_search_config_rejects_out_of_range_fields(self, field, value):
         with pytest.raises(ValueError, match=field):
             SearchConfig(**{field: value})

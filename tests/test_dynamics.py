@@ -11,7 +11,7 @@ from h2discord.dynamics import MAX_RECORDS, TAYLOR_THETA, DensityMatrix, \
 from h2discord.errors import NotHermitian, PositivityLost, SpaceMismatch, \
     StateMissing
 from h2discord.discord import _embedded, _marginals
-from h2discord.operators import JumpChannel, ModelParams, OperatorMatrix, \
+from h2discord.operators import ModelParams, OperatorMatrix, \
     build_hamiltonian, build_jump_channels
 from h2discord.statespace import INITIAL_COMPONENTS, BasisState, \
     GatingPolicy, full_space, generate_space, table_space
@@ -376,17 +376,6 @@ class TestExactPropagator:
                       SimConfig(dt=1e-10, t_end=1e-6, record_stride=1000))
         for snap in traj.snapshots:
             assert np.abs(snap - rho0.mat).max() <= 1e-15
-
-    def test_rejects_jumps_that_are_not_partial_permutations(self):
-        space, params = damped_mode_space()
-        h = build_hamiltonian(params, space)
-        (channel,) = build_jump_channels(params, space)
-        doubled = JumpChannel(OperatorMatrix(2 * channel.op.mat, space),
-                              channel.rate, channel.kind, channel.mode_label)
-        excited = space.states.index(BasisState.from_string("1000000"))
-        rho0 = pure(np.eye(2)[excited], space)
-        with pytest.raises(ValueError, match="partial permutation"):
-            evolve(rho0, h, [doubled], SimConfig(dt=1e-10, t_end=1e-9))
 
     def test_trajectory_keeps_guard_margins(self):
         sp = table_space()

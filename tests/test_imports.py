@@ -60,7 +60,7 @@ def test_package_exports_the_explicit_list():
         "MeasurementConfig", "SearchConfig", "discord", "discord_series",
         "DensityMatrix", "SimConfig", "Trajectory", "evolve",
         "initial_state", "JumpChannel", "ModelParams", "OperatorMatrix",
-        "build_hamiltonian", "build_jump_channels", "ladder", "BasisState",
+        "build_hamiltonian", "build_jump_channels", "BasisState",
         "GatingPolicy", "StateSpace", "TABLE_STATES", "full_space",
         "generate_space", "table_space"]
     # no submodule: h2discord.discord is the function

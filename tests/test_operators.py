@@ -6,56 +6,14 @@ import pytest
 
 from h2discord.errors import ImageOutsideSpace
 from h2discord.operators import ModelParams, build_hamiltonian, \
-    build_jump_channels, ladder
-from h2discord.statespace import BasisState, GatingPolicy, \
+    build_jump_channels
+from h2discord.statespace import JUMPS, BasisState, GatingPolicy, \
     INITIAL_COMPONENTS, full_space, generate_space, table_space
 
-from oracles import total_excitations
+from oracles import reference_ladder, total_excitations
 
 PARAMS = ModelParams()
 FULL = full_space()
-
-
-def basis_vector(space, bits):
-    v = np.zeros(space.size, dtype=complex)
-    v[space.states.index(BasisState.from_string(bits))] = 1.0
-    return v
-
-
-class TestLadder:
-    def test_lower_removes_photon(self):
-        op = ladder("pht_up", "lower", FULL)
-        out = op.mat @ basis_vector(FULL, "1000000")
-        assert np.allclose(out, basis_vector(FULL, "0000000"))
-
-    def test_lower_annihilates_vacuum(self):
-        op = ladder("pht_up", "lower", FULL)
-        assert np.allclose(op.mat @ basis_vector(FULL, "0000000"), 0.0)
-
-    def test_number_operator_eigenvalue(self):
-        num = ladder("pht_up", "raise", FULL).mat @ \
-            ladder("pht_up", "lower", FULL).mat
-        v = basis_vector(FULL, "1000000")
-        assert np.allclose(num @ v, v)
-
-    def test_raise_is_adjoint_of_lower(self):
-        for mode in ("pht_up", "pht_down", "phn"):
-            low = ladder(mode, "lower", FULL).mat
-            high = ladder(mode, "raise", FULL).mat
-            assert np.array_equal(high, low.conj().T)
-
-    def test_raise_capped_at_one_quantum(self):
-        op = ladder("phn", "raise", FULL)
-        assert np.allclose(op.mat @ basis_vector(FULL, "0010000"), 0.0)
-
-    def test_closure_space_missing_image(self):
-        # the phonon-raise image of |0000010> is outside this closure
-        sp = generate_space([BasisState.from_string("0000010")],
-                            dataclasses.replace(PARAMS, g_up=0, g_down=0,
-                                                g_bond=0, zeta=0),
-                            include_dissipation=False)
-        with pytest.raises(ImageOutsideSpace):
-            ladder("phn", "raise", sp)
 
 
 class TestHamiltonian:
@@ -132,32 +90,63 @@ class TestClosureMatchesHamiltonian:
         assert set(closure) == {FULL.states[i] for i in reached}
 
 
+# loss and influx at 0.3 g on every mode
+LOSSY = dataclasses.replace(PARAMS, gamma_up=3e6, gamma_down=3e6,
+                            gamma_phn=3e6)
+INFLUX = dataclasses.replace(PARAMS, influx_up=3e6, influx_down=3e6,
+                             influx_phn=3e6)
+# (space, whether its influx images are in it)
+MAP_SPACES = {
+    "full": (FULL, True),
+    "table": (table_space(), True),
+    "closure": (generate_space(INITIAL_COMPONENTS, LOSSY), False),
+    "closure-influx": (generate_space(INITIAL_COMPONENTS, INFLUX), True),
+}
+MAP_CASES = [(name, jump, raising) for name, (_, influx) in MAP_SPACES.items()
+             for jump in JUMPS for raising in (False, True)[:1 + influx]]
+
+
 class TestJumpChannels:
-    def test_three_dissipation_channels(self):
-        params = dataclasses.replace(PARAMS, gamma_up=1e7, gamma_down=1e7,
-                                     gamma_phn=1e7)
-        channels = build_jump_channels(params, table_space())
-        assert len(channels) == 3
-        assert all(ch.kind == "dissipation" for ch in channels)
+    @pytest.mark.parametrize(
+        "name, jump, raising", MAP_CASES,
+        ids=[f"{n}-{j.label}-{'influx' if r else 'decay'}"
+             for n, j, r in MAP_CASES])
+    def test_map_matches_reference_ladder(self, name, jump, raising):
+        space = MAP_SPACES[name][0]
+        field = jump.influx if raising else jump.decay
+        params = dataclasses.replace(PARAMS, **{field: 2.5e6})
+        (ch,) = build_jump_channels(params, space)
+        assert ch.space is space and ch.rate == 2.5e6
+        pairs = sorted(zip(ch.dst.tolist(), ch.src.tolist()))
+        rows, cols = np.nonzero(reference_ladder(space, jump.label, raising))
+        assert pairs == sorted(zip(rows.tolist(), cols.tolist()))
+
+    def test_order_decays_then_influxes(self):
+        rates = dict(gamma_up=1e6, gamma_down=2e6, gamma_phn=3e6,
+                     influx_up=4e6, influx_down=5e6, influx_phn=6e6)
+        params = dataclasses.replace(PARAMS, **rates)
+        channels = build_jump_channels(params, FULL)
+        assert [ch.rate for ch in channels] == list(rates.values())
 
     def test_no_rates_no_channels(self):
         assert build_jump_channels(PARAMS, table_space()) == []
 
-    def test_single_phonon_channel(self):
-        params = dataclasses.replace(PARAMS, gamma_phn=0.5e7)
-        channels = build_jump_channels(params, table_space())
-        assert len(channels) == 1
-        ch = channels[0]
-        assert ch.rate == 0.5e7 and ch.mode_label == "phn"
-        expected = ladder("phn", "lower", ch.op.space)
-        assert np.array_equal(ch.op.mat, expected.mat)
+    def test_table_compat_drops_images_outside_the_table(self):
+        sp = table_space()
+        (ch,) = build_jump_channels(
+            dataclasses.replace(PARAMS, influx_phn=1e6), sp)
+        raisable = [s for s in sp if s.m == 0]
+        assert 0 < len(ch.src) < len(raisable)
 
-    def test_influx_channel_uses_raising_op(self):
-        params = dataclasses.replace(PARAMS, influx_up=1e6)
-        channels = build_jump_channels(params, FULL)
-        assert [ch.kind for ch in channels] == ["influx"]
-        expected = ladder("pht_up", "raise", FULL)
-        assert np.array_equal(channels[0].op.mat, expected.mat)
+    def test_closure_space_missing_image(self):
+        # the phonon-raise image of |0000010> is outside this closure
+        sp = generate_space([BasisState.from_string("0000010")],
+                            dataclasses.replace(PARAMS, g_up=0, g_down=0,
+                                                g_bond=0, zeta=0),
+                            include_dissipation=False)
+        with pytest.raises(ImageOutsideSpace):
+            build_jump_channels(dataclasses.replace(PARAMS, influx_phn=1e6),
+                                sp)
 
 
 class TestModelParams:
