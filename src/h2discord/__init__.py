@@ -11,7 +11,7 @@ from .dynamics import DensityMatrix, SimConfig, Trajectory, evolve, \
 from .operators import JumpChannel, ModelParams, OperatorMatrix, \
     build_hamiltonian, build_jump_channels
 from .statespace import BasisState, GatingPolicy, StateSpace, TABLE_STATES, \
-    full_space, generate_space, table_space
+    generate_space, table_space
 
 __all__ = [
     "FitResult", "envelope", "fit_law", "fit_sinusoid", "population",
@@ -20,4 +20,4 @@ __all__ = [
     "DensityMatrix", "SimConfig", "Trajectory", "evolve", "initial_state",
     "JumpChannel", "ModelParams", "OperatorMatrix", "build_hamiltonian",
     "build_jump_channels", "BasisState", "GatingPolicy", "StateSpace",
-    "TABLE_STATES", "full_space", "generate_space", "table_space"]
+    "TABLE_STATES", "generate_space", "table_space"]

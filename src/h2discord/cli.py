@@ -196,8 +196,6 @@ KEYS = (
         lambda params, v: default_record_stride(params, v["dt"]))),
     _search_key("theta_points", _int_at_least(2)),
     _search_key("phi_points", _int_at_least(1)),
-    _search_key("refine", BOOL),
-    _search_key("refine_tol", POSITIVE),
     Key("sweep_values", NUMBERS,
         lambda v: _SWEEPS[v["kind"]].default_values if v["kind"] in SWEEPS
         else ()),
@@ -283,6 +281,9 @@ def _check(v: dict, params: ModelParams, given):
     sweep = v["sweep_values"]
     if kind in SWEEPS and not sweep:
         raise ConfigTypeError(f"TypeError: {kind} needs sweep_values")
+    if kind not in SWEEPS and sweep:
+        raise ConfigTypeError(f"TypeError: {kind} takes no sweep_values: "
+                              "it sweeps nothing")
     if kind == "period-law" and not all(0 < x <= 1 for x in sweep):
         raise ConfigTypeError("TypeError: period-law sweep_values must lie "
                               "in (0, 1]")
@@ -455,6 +456,9 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
 
     kind = config.kind
     if kind == "discord-series":
+        # a rerun into this directory leaves no file this run does not write
+        for name in ("rho.csv", "fit.csv"):
+            (out / name).unlink(missing_ok=True)
         traj, points = _run_series(config)
         notes.update(min_eigenvalue=traj.min_eigenvalue,
                      min_eigenvalue_t=traj.min_eigenvalue_t,

@@ -24,9 +24,9 @@ pattern-search refinement; ties within 1e-9 nats resolve to the
 lexicographically smallest angle tuple, so results are reproducible
 bit for bit.  Both thetas are always searched, and the two phases
 exactly when `phi_points > 1`; one phase point fixes them at 0.
-`SearchConfig()` is the CLI preset: 17 thetas per qubit, one phase
-point, refinement on.  The grid drops every point whose unordered set
-of product projectors an earlier point (in ij order) already gives:
+`SearchConfig()` is the CLI preset: 17 thetas per qubit and one phase
+point.  The grid drops every point whose unordered set of product
+projectors an earlier point (in ij order) already gives:
 theta = pi/2 repeats theta = 0 with the outcomes swapped, the phase
 does nothing at theta in {0, pi/2}, phi = 2 pi repeats phi = 0, and
 (theta, phi) and (pi/2 - theta, phi + pi) give the same basis.  The
@@ -35,12 +35,13 @@ of 83521 four-angle points.  Computing discord is NP-complete in
 general (Huang, New J. Phys. 16, 033027 (2014)), so the search is a
 heuristic.
 
-The refinement steps h from the largest grid spacing down to
-refine_tol / 4, halving: at each h it moves to the best of the +-h
-trials on every free angle while that gains more than 1e-12 nats.
-Where h would halve, one batch evaluates every smaller h as well, and
-the largest h with a gain takes its best trial, so the moves are those
-of the step-by-step rule and a point no step improves costs one batch.
+The refinement always runs.  It steps h from the largest grid spacing
+down to REFINE_TOL / 4 = 2.5e-5 rad, halving: at each h it moves to the
+best of the +-h trials on every free angle while that gains more than
+1e-12 nats.  Where h would halve, one batch evaluates every smaller h as
+well, and the largest h with a gain takes its best trial, so the moves
+are those of the step-by-step rule and a point no step improves costs
+one batch.
 
 Along a trajectory (`discord_series`) each mixed snapshot may start
 from the argmin of the last mixed snapshot, the warm point.  One batch
@@ -49,7 +50,7 @@ GUARD_POINTS = 5 points per free angle (16 distinct measurements with
 one phase point).  When the best of these lies within one guard spacing
 of the warm point on every free angle, the refinement starts there;
 otherwise, and for the first mixed snapshot, the full grid runs, as it
-always does for a lone `discord()` call and with refine off.
+always does for a lone `discord()` call.
 
 A pure joint state needs no search.  Every rank-1 measurement on A
 then leaves B pure, so the conditional entropy is zero for every
@@ -78,6 +79,7 @@ EPS_OUTCOME = 1e-12     # outcomes rarer than this contribute nothing
 TIE_TOL = 1e-9
 PURE_TOL = 1e-10        # 1 - tr(rho^2) below this takes the closed form
 GUARD_POINTS = 5        # guard grid points per free angle of a warm start
+REFINE_TOL = 1e-4       # the refinement's last step is REFINE_TOL / 4
 MAX_GRID_POINTS = 10**6  # most raw grid points a search may hold
 _CHUNK = 256            # outcome vectors per batch (bounds its B blocks)
 
@@ -160,20 +162,16 @@ def _blocks(rows: np.ndarray, ac_bd: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Grid-plus-refinement search over the measurement family; the
-    defaults are the CLI's."""
+    """The grid of the grid-plus-refinement search over the measurement
+    family; the defaults are the CLI's."""
 
     theta_points: int = 17
     phi_points: int = 1     # a phase axis is searched when above 1
-    refine: bool = True
-    refine_tol: float = 1e-4
 
     def __post_init__(self):
         for name, low in (("theta_points", 2), ("phi_points", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}")
-        if not 0 < self.refine_tol < np.inf:
-            raise ValueError("refine_tol must be positive and finite")
         if self.theta_points**2 * self.phi_points**2 > MAX_GRID_POINTS:
             raise ValueError(f"theta_points and phi_points give more than "
                              f"{MAX_GRID_POINTS} grid points")
@@ -184,18 +182,23 @@ def _free(search: SearchConfig) -> np.ndarray:
     return np.array([True, True] + [search.phi_points > 1] * 2)
 
 
+def _counts(search: SearchConfig) -> np.ndarray:
+    """The grid points of each column of a point's row."""
+    return np.array([search.theta_points] * 2 + [search.phi_points] * 2)
+
+
 def _axes(search: SearchConfig) -> list:
     """The grid of each column of a point's row; [0.0] for a fixed one."""
-    counts = (search.theta_points, search.theta_points, search.phi_points,
-              search.phi_points)
     return [np.linspace(lo, hi, n) for (lo, hi), n in zip(_ANGLE_BOUNDS,
-                                                          counts)]
+                                                          _counts(search))]
 
 
 def _spacing(search: SearchConfig) -> np.ndarray:
-    """The grid spacing of each free column."""
-    return np.array([grid[1] - grid[0] for grid in _axes(search)
-                     if len(grid) > 1])
+    """The grid spacing of each free column, bit for bit `_axes`'s
+    grid[1] - grid[0], since each range starts at 0."""
+    free = _free(search)
+    lo, hi = _ANGLE_BOUNDS[free].T
+    return (hi - lo) / (_counts(search)[free] - 1)
 
 
 class _Evaluator:
@@ -327,7 +330,7 @@ def _refine(ev: _Evaluator, search: SearchConfig, point: np.ndarray,
     """Pattern search from a grid or warm-start minimum.
 
     The rule: at each step h, from the largest grid spacing of a free
-    column down to refine_tol / 4 by halving, evaluate +-h on every
+    column down to REFINE_TOL / 4 by halving, evaluate +-h on every
     free column of the row, clipped to the angle bounds, and move to
     the best trial (the first, on a tie) while it gains more than
     1e-12; float-noise gains are ignored, so flat landscapes keep the
@@ -344,7 +347,7 @@ def _refine(ev: _Evaluator, search: SearchConfig, point: np.ndarray,
     # rows -e_k, +e_k for each free column k
     moves = np.kron(np.eye(4)[free], [[-1.0], [1.0]])
     steps = [_spacing(search).max()]
-    while steps[-1] > search.refine_tol / 4:
+    while steps[-1] > REFINE_TOL / 4:
         steps.append(steps[-1] / 2)
     level, smaller = 0, True  # try steps[level], and all smaller ones?
     while level < len(steps):
@@ -374,19 +377,17 @@ def _search_minimum(rho4: np.ndarray, search: SearchConfig,
                     warm: Optional[MeasurementConfig] = None):
     """Grid-plus-refinement minimum of the measured conditional entropy.
 
-    With a warm point and refine on, the refinement may start from the
-    guard grid instead (`_warm_start`).  Returns (value, config,
-    probabilities, whether the full grid was searched); without a warm
-    point, the reference for the pure-state closed form in `discord`.
+    With a warm point, the refinement may start from the guard grid
+    instead (`_warm_start`).  Returns (value, config, probabilities,
+    whether the full grid was searched); without a warm point, the
+    reference for the pure-state closed form in `discord`.
     """
     ev = _Evaluator(rho4)
-    start = None
-    if warm is not None and search.refine:
-        start = _warm_start(ev, search, warm)
+    start = None if warm is None else _warm_start(ev, search, warm)
     full_grid = start is None
-    point, f_best = _grid_minimum(ev, search) if full_grid else start
-    if search.refine:
-        point, f_best = _refine(ev, search, point, f_best)
+    if full_grid:
+        start = _grid_minimum(ev, search)
+    point, f_best = _refine(ev, search, *start)
     config = MeasurementConfig(*point.tolist())
     return f_best, config, ev.probabilities(config), full_grid
 

@@ -19,9 +19,7 @@ from typing import Callable, Iterable, NamedTuple
 from .errors import EmptySeeds, SeedOutsideCompatTable
 
 N_QUBITS = 7
-FULL_DIM = 2**N_QUBITS
 
-MODE_FULL = "full"
 MODE_CLOSURE = "closure"
 MODE_TABLE = "table-compat"
 
@@ -40,12 +38,6 @@ class BasisState(NamedTuple):
         for bit in self:
             value = (value << 1) | bit
         return value
-
-    @classmethod
-    def decode(cls, code: int) -> "BasisState":
-        if not 0 <= code < FULL_DIM:
-            raise ValueError(f"encoding {code} outside 0..{FULL_DIM - 1}")
-        return cls(*((code >> shift) & 1 for shift in range(6, -1, -1)))
 
     @classmethod
     def from_string(cls, bits: str) -> "BasisState":
@@ -201,11 +193,6 @@ class StateSpace:
 
     def __repr__(self):
         return f"StateSpace(mode={self.mode!r}, size={self.size})"
-
-
-def full_space() -> StateSpace:
-    return StateSpace((BasisState.decode(c) for c in range(FULL_DIM)),
-                      MODE_FULL)
 
 
 def table_space() -> StateSpace:

@@ -9,10 +9,25 @@ from scipy import sparse
 from scipy.optimize import minimize_scalar
 
 from h2discord.analysis import FitResult
-from h2discord.discord import EPS_EIGENVALUE, TIE_TOL
+from h2discord.discord import EPS_EIGENVALUE, REFINE_TOL, TIE_TOL
 from h2discord.dynamics import DensityMatrix
 from h2discord.errors import NotDensityMatrix
-from h2discord.statespace import BasisState
+from h2discord.statespace import N_QUBITS, BasisState, StateSpace
+
+FULL_DIM = 2**N_QUBITS
+MODE_FULL = "full"
+
+
+def decode(code: int) -> BasisState:
+    """The basis state whose canonical encoding is `code`."""
+    if not 0 <= code < FULL_DIM:
+        raise ValueError(f"encoding {code} outside 0..{FULL_DIM - 1}")
+    return BasisState(*((code >> shift) & 1 for shift in range(6, -1, -1)))
+
+
+def full_space() -> StateSpace:
+    """All 128 basis states: every space the model builds lies in it."""
+    return StateSpace((decode(c) for c in range(FULL_DIM)), MODE_FULL)
 
 
 def brute_force_trace_B(rho_mat, space):
@@ -241,22 +256,22 @@ def reference_search_minimum(rho4, search):
     free, spacing, f_best = full_grid_minimum(
         lambda points: reference_conditional_entropies(rho4, *points.T),
         search)
-    for _ in range(12 if search.refine else 0):
+    for _ in range(12):
         moved = 0.0
         for name in list(free):
             lo = max(ANGLE_BOUNDS[name][0], free[name] - spacing[name])
             hi = min(ANGLE_BOUNDS[name][1], free[name] + spacing[name])
-            if hi - lo <= search.refine_tol * 1e-3:
+            if hi - lo <= REFINE_TOL * 1e-3:
                 continue
             res = minimize_scalar(
                 lambda x, name=name: value({**free, name: x}),
                 bounds=(lo, hi), method="bounded",
-                options={"xatol": search.refine_tol / 4})
+                options={"xatol": REFINE_TOL / 4})
             if res.fun < f_best - 1e-12:
                 moved = max(moved, abs(float(res.x) - free[name]))
                 free[name] = float(res.x)
                 f_best = float(res.fun)
-        if moved < search.refine_tol:
+        if moved < REFINE_TOL:
             break
     return value(free), resolve_free(free, search)
 

@@ -21,10 +21,10 @@ from h2discord.dynamics import DensityMatrix, SimConfig, evolve, \
 from h2discord.operators import ModelParams, build_hamiltonian, \
     build_jump_channels
 from h2discord.statespace import BasisState, INITIAL_COMPONENTS, \
-    TABLE_STATES, full_space, generate_space, table_space
+    TABLE_STATES, generate_space, table_space
 
 from oracles import brute_force_trace_A, brute_force_trace_B, \
-    random_density, random_pure, reference_search_minimum, \
+    full_space, random_density, random_pure, reference_search_minimum, \
     tied_pattern_projectors
 
 G = 1.0e7
@@ -398,7 +398,7 @@ class TestCriterion7:
     def test_pure_state_discord_is_marginal_entropy(self):
         rng = np.random.default_rng(77)
         full = full_space()
-        search = SearchConfig(theta_points=3, phi_points=3, refine=False)
+        search = SearchConfig(theta_points=3, phi_points=3)
         worst = 0.0
         for _ in range(50):
             point = discord(DensityMatrix(random_pure(rng, 128), full),

@@ -89,19 +89,21 @@ class TestResolveConfig:
     # and the space inputs that space_mode decides: seeds and
     # include_dissipation; and the mode frequencies (the model is
     # written in the interaction picture), the envelope window (one
-    # carrier period) and the discord stride (record_stride samples)
-    @pytest.mark.parametrize("key", ["banana", "tie_thetas", "tie_phis",
-                                     "hbar", "renormalize_trace",
-                                     "dump_operators", "interaction_picture",
-                                     "zero_phases", "seeds",
-                                     "include_dissipation", "omega_up",
-                                     "omega_down", "omega_phn",
-                                     "discord_stride", "envelope_window"])
-    def test_unknown_key_named_with_line(self, key):
+    # carrier period) and the discord stride (record_stride samples); and
+    # the search's refine switch and tolerance (it always refines to
+    # discord.REFINE_TOL)
+    @pytest.mark.parametrize("key,value", [
+        *((key, "1") for key in ("banana", "tie_thetas", "tie_phis", "hbar",
+                                 "renormalize_trace", "dump_operators",
+                                 "interaction_picture", "zero_phases",
+                                 "seeds", "include_dissipation", "omega_up",
+                                 "omega_down", "omega_phn", "discord_stride",
+                                 "envelope_window")),
+        ("refine", "maybe"), ("refine_tol", "0"), ("refine_tol", "-1e-4")])
+    def test_unknown_key_named_with_line(self, key, value):
         with pytest.raises(UnknownKey) as err:
-            resolve(f"g=1e7\n{key}=1\n", kind="discord-series")
-        assert key in str(err.value)
-        assert "line 2" in str(err.value)
+            resolve(f"g=1e7\n{key}={value}\n", kind="discord-series")
+        assert f"unknown key {key!r} (line 2)" in str(err.value)
 
     def test_missing_kind(self):
         with pytest.raises(MissingRequired):
@@ -115,9 +117,7 @@ class TestResolveConfig:
                                       "g_up=0\ng_down=0\ng_omega=0\nzeta=0\n",
                                       "g_up=0\ng_down=0\ng_omega=0\nzeta=0\n"
                                       "dt=1e-10\nt_end=1e-8\n",
-                                      "dt=1e-320\n", "refine=maybe\n",
-                                      "periods_factor=-1\n",
-                                      "refine_tol=0\n", "refine_tol=-1e-4\n",
+                                      "dt=1e-320\n", "periods_factor=-1\n",
                                       "gamma=-1g\n", "zeta=-1g\n"])
     def test_rejects_non_finite_numbers_and_empty_grids(self, text):
         with pytest.raises(ConfigTypeError) as err:
@@ -264,12 +264,11 @@ SMALL_SERIES = ("kind=discord-series\n"
                 "t_end=3e-7\n"
                 "dt=1e-10\n"
                 "record_stride=150\n"
-                "theta_points=5\n"
-                "refine=false\n")
+                "theta_points=5\n")
 
 
 SWEEP = ("sweep_values=0.5,1\ngamma=g\nt_end=4e-8\ndt=1e-10\n"
-         "record_stride=100\ntheta_points=5\nrefine=false\n")
+         "record_stride=100\ntheta_points=5\n")
 
 
 @pytest.fixture(scope="module")
@@ -409,14 +408,11 @@ class TestRun:
 
     @pytest.mark.parametrize("steps,pure,fallbacks", [
         ("dt=1e-10\nrecord_stride=100\n", "5/5", "0/0"),
-        ("gamma=g\ndt=1e-12\nrecord_stride=10000\n", "1/5", "1/4"),
-        ("gamma=g\ndt=1e-12\nrecord_stride=10000\nrefine=false\n", "1/5",
-         "4/4")])
+        ("gamma=g\ndt=1e-12\nrecord_stride=10000\n", "1/5", "1/4")])
     def test_pure_snapshot_count_in_metadata(self, tmp_path, steps, pure,
                                              fallbacks):
         # closed runs stay pure; an open one is pure only at t = 0, and
-        # only its first mixed snapshot searches the full grid, unless
-        # refine is off, which leaves every search cold
+        # only its first mixed snapshot searches the full grid
         text = ("kind=discord-series\ng_omega=0.1g\nt_end=4e-8\n"
                 "theta_points=5\n" + steps)
         run(resolve(text, out=str(tmp_path / "o")))
@@ -425,9 +421,8 @@ class TestRun:
         assert f"discord_grid_fallbacks={fallbacks}" in meta
 
     @pytest.mark.parametrize("extra", [
-        "", "gamma=g\ntheta_points=5\nrefine=false\n",
-        "influx_up=0.2g\nspace_mode=closure\ntheta_points=5\n"
-        "refine=false\n"],
+        "", "gamma=g\ntheta_points=5\n",
+        "influx_up=0.2g\nspace_mode=closure\ntheta_points=5\n"],
         ids=["closed", "open", "influx"])
     def test_guard_margins_in_metadata(self, tmp_path, extra):
         text = ("kind=discord-series\nt_end=4e-8\ndt=1e-10\n"
@@ -448,7 +443,7 @@ class TestRun:
 
     def test_open_observables(self, tmp_path):
         text = ("kind=discord-series\ngamma=g\nt_end=2e-7\ndt=1e-12\n"
-                "record_stride=20000\ntheta_points=5\nrefine=false\n")
+                "record_stride=20000\ntheta_points=5\n")
         config = resolve(text, out=str(tmp_path / "o"))
         run(config)
         data = np.genfromtxt(tmp_path / "o" / "observables.csv",
@@ -546,17 +541,20 @@ class TestMain:
         assert "unknown key 'bogus' (--override)" in err
         assert "line" not in err
 
-    @pytest.mark.parametrize("key", ["interaction_picture", "zero_phases",
-                                     "seeds", "include_dissipation",
-                                     "omega_up", "omega_down", "omega_phn",
-                                     "discord_stride", "envelope_window"])
+    @pytest.mark.parametrize("key,value", [
+        *((key, "true") for key in ("interaction_picture", "zero_phases",
+                                    "seeds", "include_dissipation",
+                                    "omega_up", "omega_down", "omega_phn",
+                                    "discord_stride", "envelope_window")),
+        ("refine", "maybe"), ("refine_tol", "0"), ("refine_tol", "-1e-4")])
     def test_removed_switches_are_unknown_overrides(self, tmp_path, capsys,
-                                                    key):
+                                                    key, value):
         # the model is written in the interaction picture, phi_points = 1
         # fixes the phases, space_mode alone picks the space, the envelope
-        # spans one carrier period and discord is taken at every record
+        # spans one carrier period, discord is taken at every record and
+        # the search always refines to discord.REFINE_TOL
         path = write_config(tmp_path, "kind=discord-series\n")
-        assert main(["validate", path, "--override", f"{key}=true"]) == 2
+        assert main(["validate", path, "--override", f"{key}={value}"]) == 2
         assert f"unknown key '{key}' (--override)" in capsys.readouterr().err
 
     def test_dump_space(self, tmp_path, capsys):
@@ -678,6 +676,43 @@ class TestMain:
         assert f"unknown key {key!r} (line {line})" \
             in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
+    @pytest.mark.parametrize("key,value", [("refine", "false"),
+                                           ("refine_tol", "1e-3")])
+    def test_refine_keys_exit_as_unknown_keys(self, tmp_path, capsys,
+                                              command, key, value):
+        # the search always refines, to discord.REFINE_TOL
+        path = write_config(tmp_path, "kind=discord-series\ngamma=g\n"
+                            f"{key}={value}\n")
+        assert main([command, path, "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown key {key!r} (line 3)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
+    def test_series_refuses_sweep_values(self, tmp_path, capsys, command):
+        # a discord series sweeps nothing, so it would ignore them
+        path = write_config(tmp_path, "kind=discord-series\nt_end=1e-7\n"
+                            "sweep_values=0.5, 2\n")
+        assert main([command, path, "--out", str(tmp_path / "o")]) == 2
+        assert "sweep_values" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("first,second,stale", [
+        ("t_end=2e-7\ndump_rho=true\n", "t_end=2e-7\ngamma=g\n",
+         "rho.csv"),
+        ("zeta=0\n", "zeta=0\ngamma=g\nt_end=2e-7\n", "fit.csv")],
+        ids=["rho", "fit"])
+    def test_rerun_removes_the_files_it_does_not_write(
+            self, tmp_path, capsys, first, second, stale):
+        out = str(tmp_path / "o")
+        for text in (first, second):
+            path = write_config(tmp_path, "kind=discord-series\n" + text)
+            assert main(["run", path, "--out", out]) == 0
+            written = capsys.readouterr().out.split()
+        assert not (tmp_path / "o" / stale).exists()
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == \
+            sorted(Path(p).name for p in written)
 
     @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
     def test_full_space_mode_exits_as_config_error(self, tmp_path, capsys,

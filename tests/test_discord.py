@@ -11,12 +11,12 @@ from h2discord.dynamics import DensityMatrix, initial_state
 from h2discord.errors import NotDensityMatrix
 from h2discord.operators import ModelParams
 from h2discord.statespace import INITIAL_COMPONENTS, BasisState, \
-    StateSpace, full_space, generate_space, table_space
+    StateSpace, generate_space, table_space
 
 from oracles import brute_force_trace_A, brute_force_trace_B, \
-    free_hamiltonian, full_grid_minimum, random_density, random_pure, \
-    reference_conditional_entropies, reference_search_minimum, \
-    resolve_free, von_neumann_entropy
+    free_hamiltonian, full_grid_minimum, full_space, random_density, \
+    random_pure, reference_conditional_entropies, \
+    reference_search_minimum, resolve_free, von_neumann_entropy
 
 FULL = full_space()
 LN2 = np.log(2.0)
@@ -140,8 +140,7 @@ def bell_state():
 
 def mutual_info(rho):
     """I of discord()'s record, which no search setting changes."""
-    return discord(rho, SearchConfig(theta_points=3, refine=False)) \
-        .mutual_info
+    return discord(rho, SearchConfig(theta_points=3)).mutual_info
 
 
 class TestMutualInformation:
@@ -338,8 +337,7 @@ class TestDiscord:
 
     def test_lexicographic_tie_break(self):
         rho = DensityMatrix(np.eye(4, dtype=complex) / 4, TINY)
-        point = discord(rho, SearchConfig(theta_points=5, phi_points=5,
-                                          refine=False))
+        point = discord(rho, SearchConfig(theta_points=5, phi_points=5))
         assert point.argmin_config == (0.0, 0.0, 0.0, 0.0)
 
     def test_unnormalised_state_fails_on_its_trace(self):
@@ -388,10 +386,8 @@ class TestFreeRotationInvariance:
 
 class TestSearchBounds:
     @pytest.mark.parametrize("field,value", [
-        ("refine_tol", 0.0), ("refine_tol", -1e-4), ("refine_tol", np.inf),
-        ("refine_tol", np.nan), ("theta_points", 0), ("theta_points", -2),
-        ("theta_points", 1), ("phi_points", 0), ("theta_points", 1001),
-        ("phi_points", 100)])
+        ("theta_points", 0), ("theta_points", -2), ("theta_points", 1),
+        ("phi_points", 0), ("theta_points", 1001), ("phi_points", 100)])
     def test_search_config_rejects_out_of_range_fields(self, field, value):
         with pytest.raises(ValueError, match=field):
             SearchConfig(**{field: value})
@@ -481,10 +477,10 @@ class TestPureClosedForm:
         assert not point.pure
 
 
-# refine=False presets covering each way a grid point can repeat another
+# presets covering each way a grid point can repeat another
 GRID_PRESETS = {
-    "zero-phase": SearchConfig(refine=False),
-    "four-angle": SearchConfig(theta_points=5, phi_points=5, refine=False),
+    "zero-phase": SearchConfig(),
+    "four-angle": SearchConfig(theta_points=5, phi_points=5),
 }
 
 
@@ -514,9 +510,9 @@ class TestGridDeduplication:
             ev = discord_module._Evaluator(rho4)
             free, _, want = full_grid_minimum(ev.conditional_entropies,
                                               search)
-            value, config, _, _ = SEARCH_MINIMUM(rho4, search)
+            point, value = discord_module._grid_minimum(ev, search)
             assert abs(value - want) <= 1e-15
-            assert config == resolve_free(free, search)
+            assert tuple(point) == resolve_free(free, search)
 
 
 def coupling_groups_state(rng):

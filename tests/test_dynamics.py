@@ -14,10 +14,10 @@ from h2discord.discord import _embedded, _marginals
 from h2discord.operators import ModelParams, OperatorMatrix, \
     build_hamiltonian, build_jump_channels
 from h2discord.statespace import INITIAL_COMPONENTS, BasisState, \
-    GatingPolicy, full_space, generate_space, table_space
+    GatingPolicy, generate_space, table_space
 
-from oracles import dissipator, free_hamiltonian, liouvillian, \
-    random_density
+from oracles import dissipator, free_hamiltonian, full_space, \
+    liouvillian, random_density
 
 PARAMS = ModelParams()
 G = PARAMS.g_up

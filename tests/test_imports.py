@@ -61,8 +61,8 @@ def test_package_exports_the_explicit_list():
         "DensityMatrix", "SimConfig", "Trajectory", "evolve",
         "initial_state", "JumpChannel", "ModelParams", "OperatorMatrix",
         "build_hamiltonian", "build_jump_channels", "BasisState",
-        "GatingPolicy", "StateSpace", "TABLE_STATES", "full_space",
-        "generate_space", "table_space"]
+        "GatingPolicy", "StateSpace", "TABLE_STATES", "generate_space",
+        "table_space"]
     # no submodule: h2discord.discord is the function
     assert not [name for name in h2discord.__all__
                 if inspect.ismodule(getattr(h2discord, name))]

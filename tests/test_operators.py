@@ -8,9 +8,9 @@ from h2discord.errors import ImageOutsideSpace
 from h2discord.operators import ModelParams, build_hamiltonian, \
     build_jump_channels
 from h2discord.statespace import JUMPS, BasisState, GatingPolicy, \
-    INITIAL_COMPONENTS, full_space, generate_space, table_space
+    INITIAL_COMPONENTS, generate_space, table_space
 
-from oracles import reference_ladder, total_excitations
+from oracles import full_space, reference_ladder, total_excitations
 
 PARAMS = ModelParams()
 FULL = full_space()
