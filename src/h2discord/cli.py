@@ -9,7 +9,6 @@ that guarantee.
 """
 
 import argparse
-import itertools
 import math
 import sys
 import time
@@ -79,7 +78,7 @@ def _finite(value) -> float:
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"{value!r} is not finite")
-    return number
+    return number + 0.0  # -0 reads as 0, so no artifact holds -0.0
 
 
 @dataclass(frozen=True)
@@ -160,10 +159,13 @@ def _closed(params: ModelParams) -> bool:
 
 def _from_scale(rule):
     """A default drawn from the model's scales, given as rule(params,
-    values); None when every scale is zero, which _check rejects."""
+    values); with every scale zero there is none to draw."""
     def default(v):
         params = _model(v)
-        return rule(params, v) if params.max_scale() > 0 else None
+        if params.max_scale() == 0:
+            raise ValueError("g_up, g_down, g_omega, zeta and the rates "
+                             "are all zero")
+        return rule(params, v)
 
     return default
 
@@ -273,11 +275,6 @@ _GRID = ("dt", "t_end", "record_stride")
 def _check(v: dict, params: ModelParams, given):
     """The rules that tie keys together; `given` names the keys set."""
     kind = v["kind"]
-    if None in (v["dt"], v["t_end"], v["record_stride"]):
-        raise ConfigTypeError(
-            "TypeError: g_up, g_down, g_omega, zeta and the rates are all "
-            "zero, so dt, t_end and record_stride have no default; give all "
-            "three")
     sweep = v["sweep_values"]
     if kind in SWEEPS and not sweep:
         raise ConfigTypeError(f"TypeError: {kind} needs sweep_values")
@@ -304,16 +301,9 @@ def _check(v: dict, params: ModelParams, given):
                               "on closed runs")
 
 
-def resolve_config(entries: dict, kind: str = None,
-                   out: str = None) -> ExperimentConfig:
-    """Validate raw entries, fill defaults, and bind everything.
-
-    `kind` and `out`, when given, take the place of the entries'.
-    """
-    entries = dict(entries)
-    for name, value in (("kind", kind), ("out", out)):
-        if value:
-            entries[name] = (value, None)
+def resolve_config(entries: dict) -> ExperimentConfig:
+    """Validate raw entries {key: (raw text, line number)}, fill
+    defaults, and bind everything."""
     unknown = sorted(set(entries) - {key.name for key in KEYS})
     if unknown:
         raise UnknownKey(f"unknown key {unknown[0]!r}"
@@ -345,20 +335,20 @@ def _sweep_points(config: ExperimentConfig) -> list:
     """(x, the discord-series config of that point) per sweep value of a
     sweeping kind; none for the other kinds.
 
-    A point resolves the sweep's recorded keys, without sweep_values,
-    with the kind's swept keys set to x g_up.  A sweep's record leaves
-    out the record grid keys its config does not give, so its points run
-    on the default grid of their own model.
+    A point resolves, as a discord series, the sweep's recorded keys
+    without sweep_values and with the kind's swept keys set to x g_up.
+    A sweep's record leaves out the record grid keys its config does not
+    give, so its points run on the default grid of their own model.
     """
     if config.kind not in SWEEPS:
         return []
     entries = {name: (str(value), None)
                for name, value in config.resolved.items()
                if name != "sweep_values"}
+    entries["kind"] = ("discord-series", None)
     return [(x, resolve_config({**entries, **dict.fromkeys(
                 _SWEEPS[config.kind].swept,
-                (repr(x * config.params.g_up), None))},
-                kind="discord-series"))
+                (repr(x * config.params.g_up), None))}))
             for x in sorted(config.sweep_values)]
 
 
@@ -376,16 +366,11 @@ def _build_space(config: ExperimentConfig):
     return generate_space(INITIAL_COMPONENTS, config.params, config.gating)
 
 
-def _write_lines(path, lines):
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-
-
-def _write_csv(path, header, rows):
-    """One line per row, written as it is formed."""
-    _write_lines(path, itertools.chain(
-        [header], (",".join(repr(float(x)) for x in row) for row in rows)))
+def _csv(header, rows):
+    """A CSV's lines, each row formed as it is written."""
+    yield header
+    for row in rows:
+        yield ",".join(repr(float(x)) for x in row)
 
 
 def _rho_rows(traj):
@@ -446,13 +431,12 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
     notes = {}
     points, fit = None, None
 
-    def emit(name, writer):
+    def emit(name, lines):
         path = out / name
-        writer(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
         written.append(path)
-
-    def plot(name, template, **fields):
-        emit(name, lambda p: _write_lines(p, [template.format(**fields)]))
 
     kind = config.kind
     if kind == "discord-series":
@@ -464,16 +448,17 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
                      min_eigenvalue_t=traj.min_eigenvalue_t,
                      max_trace_drift=traj.max_trace_drift,
                      max_hermiticity_error=traj.max_hermiticity_error)
-        emit("observables.csv", lambda p: _write_csv(
-            p, ",".join(OBSERVABLES), observables(traj)))
+        emit("observables.csv",
+             _csv(",".join(OBSERVABLES), observables(traj)))
         if config.dump_rho:
-            emit("rho.csv", lambda p: _write_csv(p, *_rho_rows(traj)))
+            emit("rho.csv", _csv(*_rho_rows(traj)))
         fit = _discord_artifacts(config, points, notes, emit)
-        plot("plot_discord.py", _PLOT_SERIES, csv="discord.csv",
-             columns=["D", "I", "J"], png="discord.png")
-        plot("plot_observables.py", _PLOT_SERIES, csv="observables.csv",
-             columns=[f"pop_{name}" for name in PREDICATES
-                      if name.startswith("photons")], png="observables.png")
+        emit("plot_discord.py", [_PLOT_SERIES.format(
+            csv="discord.csv", columns=["D", "I", "J"], png="discord.png")])
+        emit("plot_observables.py", [_PLOT_SERIES.format(
+            csv="observables.csv", png="observables.png",
+            columns=[f"pop_{name}" for name in PREDICATES
+                     if name.startswith("photons")])])
     else:
         law = kind == "period-law"
         sweep = _SWEEPS[kind]
@@ -487,22 +472,21 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
                 raise point_fit
             rows.append([x, point_fit.period, point_fit.rms_residual] if law
                         else [x, max(pt.discord for pt in records)])
-        emit(sweep.csv, lambda p: _write_csv(p, sweep.header, rows))
+        emit(sweep.csv, _csv(sweep.header, rows))
         if law:
             constant, residual = fit_law([row[:2] for row in rows])
-            emit("law.csv", lambda p: _write_csv(
-                p, "c_seconds,residual", [[constant, residual]]))
+            emit("law.csv", _csv("c_seconds,residual", [[constant, residual]]))
             notes.update(fit_on_envelope=config.params.zeta > 0,
                          constant_c=constant)
-        plot("plot_sweep.py", _PLOT_SWEEP, csv=sweep.csv, xcol=xcol,
-             ycol=ycol, png=sweep.csv.replace(".csv", ".png"))
+        emit("plot_sweep.py", [_PLOT_SWEEP.format(
+            csv=sweep.csv, xcol=xcol, ycol=ycol,
+            png=sweep.csv.replace(".csv", ".png"))])
 
     meta = dict(config.resolved)
     meta.update(notes)
     meta["version"] = __version__
     meta["wall_time_s"] = round(time.perf_counter() - started, 3)
-    emit("run-metadata.txt", lambda p: _write_lines(
-        p, [f"{key}={meta[key]}" for key in sorted(meta)]))
+    emit("run-metadata.txt", [f"{key}={meta[key]}" for key in sorted(meta)])
     return written, points, fit
 
 
@@ -515,8 +499,10 @@ def _discord_artifacts(config, points, notes, emit):
     mixed = [pt for pt in points if not pt.pure]
     notes["discord_grid_fallbacks"] = \
         f"{sum(pt.full_grid for pt in mixed)}/{len(mixed)}"
-    emit("discord.csv", lambda p: _write_csv(
-        p, DiscordPoint.CSV_HEADER, (pt.row() for pt in points)))
+    notes["discord_refine_moves"] = \
+        f"{sum(pt.refine_moved for pt in mixed)}/{len(mixed)}"
+    emit("discord.csv", _csv(DiscordPoint.CSV_HEADER,
+                             (pt.row() for pt in points)))
     params = config.params
     if not _closed(params):
         # the decaying open-system discord has no sensible sinusoid fit
@@ -532,8 +518,8 @@ def _discord_artifacts(config, points, notes, emit):
         return exc
     if window:
         notes["envelope_window"] = window
-    emit("fit.csv", lambda path: _write_csv(
-        path, ",".join(f.name for f in fields(fit)), [astuple(fit)]))
+    emit("fit.csv", _csv(",".join(f.name for f in fields(fit)),
+                         [astuple(fit)]))
     return fit
 
 
@@ -563,7 +549,9 @@ def main(argv=None) -> int:
                 raise ConfigTypeError(f"override {item!r} is not key=value")
             key, value = item.split("=", 1)
             entries[key.strip()] = (value.strip(), 0)
-        config = resolve_config(entries, out=args.out)
+        if args.out:
+            entries["out"] = (args.out, None)
+        config = resolve_config(entries)
         if args.command == "validate":
             for key in sorted(config.resolved):
                 print(f"{key}={config.resolved[key]}")

@@ -103,8 +103,6 @@ def _marginals(rho4: np.ndarray):
 def _entropy_psd(mat: np.ndarray) -> float:
     w = np.linalg.eigvalsh(mat)
     w = w[w > EPS_EIGENVALUE]
-    if w.size == 0:
-        return 0.0
     return max(0.0, float(-(w * np.log(w)).sum()))
 
 
@@ -379,8 +377,9 @@ def _search_minimum(rho4: np.ndarray, search: SearchConfig,
 
     With a warm point, the refinement may start from the guard grid
     instead (`_warm_start`).  Returns (value, config, probabilities,
-    whether the full grid was searched); without a warm point, the
-    reference for the pure-state closed form in `discord`.
+    whether the full grid was searched, whether the refinement moved
+    the point); without a warm point, the reference for the pure-state
+    closed form in `discord`.
     """
     ev = _Evaluator(rho4)
     start = None if warm is None else _warm_start(ev, search, warm)
@@ -389,7 +388,8 @@ def _search_minimum(rho4: np.ndarray, search: SearchConfig,
         start = _grid_minimum(ev, search)
     point, f_best = _refine(ev, search, *start)
     config = MeasurementConfig(*point.tolist())
-    return f_best, config, ev.probabilities(config), full_grid
+    return (f_best, config, ev.probabilities(config), full_grid,
+            f_best < start[1])
 
 
 def is_pure(rho: DensityMatrix) -> bool:
@@ -413,6 +413,7 @@ class DiscordPoint:
     outcome_probs: tuple
     pure: bool = False      # closed form used: 1 - tr(rho^2) < PURE_TOL
     full_grid: bool = False  # the search evaluated the full grid
+    refine_moved: bool = False  # the refinement moved the search's start
 
     CSV_HEADER = ("t,S_A,S_B,S_AB,I,J,D,"
                   "theta,theta_prime,phi,phi_prime,p0,p1,p2,p3")
@@ -466,17 +467,18 @@ def discord(rho_AB: DensityMatrix, search: Optional[SearchConfig] = None,
     info = s_a + s_b - s_ab
     pure = is_pure(rho_AB)
     if pure:  # all angles zero: the outcomes are rho_A's diagonal
-        value = 0.0
-        full_grid = False
+        value, full_grid, moved = 0.0, False, False
         config = MeasurementConfig(0.0, 0.0)
         probs = rho_a.diagonal().real[[0, 2, 1, 3]]
     else:
-        value, config, probs, full_grid = _search_minimum(rho4, search, warm)
+        value, config, probs, full_grid, moved = _search_minimum(
+            rho4, search, warm)
     j = s_b - value
     return DiscordPoint(t=t, s_a=s_a, s_b=s_b, s_ab=s_ab, mutual_info=info,
                         classical_corr=j, discord=info - j,
                         argmin_config=config, outcome_probs=tuple(probs),
-                        pure=pure, full_grid=full_grid).check()
+                        pure=pure, full_grid=full_grid,
+                        refine_moved=moved).check()
 
 
 def discord_series(rhos, search: Optional[SearchConfig], times) -> list:

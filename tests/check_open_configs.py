@@ -8,11 +8,13 @@ with a positive loss or influx rate, the script computes the run's
 discord series as ``h2discord run`` does, then recomputes each mixed
 snapshot with the cold search, ``discord()`` without a warm point.  It
 prints one line per run (``fig9/0.1`` is the ``g_omega_over_g=0.1/``
-point of ``fig9``): mixed snapshots, full-grid fallbacks, the largest
-|J_series - J_cold| and the number of snapshots whose argmin angles
-differ.  It exits 1 when some |J_series - J_cold| exceeds 1e-12 or an
-angle differs.  pytest does not collect it; the whole set takes about
-half a minute on a 2-core host.
+point of ``fig9``), and their total: mixed snapshots, full-grid
+fallbacks, snapshots whose refinement moved the search's start, argmins
+at the all-zero corner, the number of snapshots whose argmin angles
+differ and the largest |J_series - J_cold|.  It exits 1 when some
+|J_series - J_cold| exceeds 1e-12 or an angle differs.  pytest does
+not collect it; the whole set takes about half a minute on a 2-core
+host.
 """
 
 import sys
@@ -25,6 +27,7 @@ from h2discord.discord import discord
 
 ROOT = Path(__file__).resolve().parent.parent
 TOL = 1e-12
+ROW = "{:10s} {:5d}  {:9d}  {:5d}  {:7d}  {:11d}  {:9.2e}"
 
 
 def runs(path: Path) -> list:
@@ -36,7 +39,8 @@ def runs(path: Path) -> list:
 
 
 def check(config) -> tuple:
-    """(mixed snapshots, fallbacks, max |dJ|, angle mismatches, seconds)."""
+    """(mixed snapshots, fallbacks, refine moves, corner argmins, angle
+    mismatches, max |dJ|, seconds), each over the mixed snapshots."""
     started = time.perf_counter()
     traj, points = _run_series(config)
     elapsed = time.perf_counter() - started
@@ -47,27 +51,27 @@ def check(config) -> tuple:
         cold = discord(traj.density(index[pt.t]), config.search, pt.t)
         worst = max(worst, abs(pt.classical_corr - cold.classical_corr))
         mismatches += pt.argmin_config != cold.argmin_config
-    fallbacks = sum(pt.full_grid for pt in points)
-    return len(mixed), fallbacks, worst, mismatches, elapsed
+    fallbacks = sum(pt.full_grid for pt in mixed)
+    moves = sum(pt.refine_moved for pt in mixed)
+    corners = sum(not any(pt.argmin_config) for pt in mixed)
+    return len(mixed), fallbacks, moves, corners, mismatches, worst, elapsed
 
 
 def main(argv) -> int:
     paths = [Path(arg) for arg in argv] \
         or sorted((ROOT / "configs").glob("*.cfg"))
-    print("run        mixed  fallbacks  max|dJ|    angle_diffs  series_s")
-    total_mixed, total_worst, total_diffs = 0, 0.0, 0
+    print("run        mixed  fallbacks  moves  corners  angle_diffs  "
+          "max|dJ|    series_s")
+    totals, worst = [0, 0, 0, 0, 0], 0.0
     for name, config in (each for path in paths for each in runs(path)):
         if _closed(config.params):
             continue
-        mixed, fallbacks, worst, diffs, seconds = check(config)
-        print(f"{name:10s} {mixed:5d}  {fallbacks:9d}  {worst:9.2e}  "
-              f"{diffs:11d}  {seconds:8.2f}")
-        total_mixed += mixed
-        total_worst = max(total_worst, worst)
-        total_diffs += diffs
-    print(f"total      {total_mixed:5d}             {total_worst:9.2e}  "
-          f"{total_diffs:11d}")
-    return 0 if total_worst <= TOL and total_diffs == 0 else 1
+        *counts, run_worst, seconds = check(config)
+        print(ROW.format(name, *counts, run_worst) + f"  {seconds:8.2f}")
+        totals = [a + b for a, b in zip(totals, counts)]
+        worst = max(worst, run_worst)
+    print(ROW.format("total", *totals, worst))
+    return 0 if worst <= TOL and totals[-1] == 0 else 1
 
 
 if __name__ == "__main__":

@@ -241,8 +241,7 @@ class TestPeriodLaw:
     def law(out: Path, text: str):
         """(period of the one sweep point, run-metadata) of a period-law
         run of the config text."""
-        run(resolve_config(parse_config("kind=period-law\n" + text),
-                           out=str(out)))
+        run(resolve_config(parse_config("kind=period-law\n" + text)), out)
         header, row = (out / "sweep.csv").read_text().splitlines()
         point = dict(zip(header.split(","), row.split(",")))
         meta = dict(line.split("=", 1) for line in

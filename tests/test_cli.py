@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import itertools
 import math
 import re
@@ -20,8 +21,11 @@ from h2discord.operators import ModelParams, build_jump_channels
 from h2discord.statespace import GatingPolicy
 
 
-def resolve(text, **kwargs):
-    return resolve_config(parse_config(text), **kwargs)
+def resolve(text, **given):
+    """resolve_config of the config text, each given key set as an entry."""
+    entries = parse_config(text)
+    entries.update((key, (value, None)) for key, value in given.items())
+    return resolve_config(entries)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,6 +108,19 @@ class TestResolveConfig:
         with pytest.raises(UnknownKey) as err:
             resolve(f"g=1e7\n{key}={value}\n", kind="discord-series")
         assert f"unknown key {key!r} (line 2)" in str(err.value)
+
+    def test_takes_only_entries(self):
+        # every given value, --out and a sweep point's kind included,
+        # arrives as an entry
+        assert list(inspect.signature(resolve_config).parameters) == \
+            ["entries"]
+
+    @pytest.mark.parametrize("text,key", [
+        ("g_down=-0\n", "g_down"), ("g_omega=-0g\n", "g_omega"),
+        ("influx_up=-0\n", "influx_up"), ("gamma=-0.0\n", "gamma_up")])
+    def test_negative_zero_resolves_to_zero(self, text, key):
+        config = resolve(text, kind="discord-series")
+        assert math.copysign(1.0, config.resolved[key]) == 1.0
 
     def test_missing_kind(self):
         with pytest.raises(MissingRequired):
@@ -420,6 +437,19 @@ class TestRun:
         assert f"discord_pure_snapshots={pure}" in meta
         assert f"discord_grid_fallbacks={fallbacks}" in meta
 
+    @pytest.mark.parametrize("extra,moves", [
+        ("", "0/0"), ("gamma=g\n", "0/4"),
+        ("gamma=g\nliteral_tunneling_form=true\n", "3/4")],
+        ids=["closed", "open", "open-literal"])
+    def test_refine_moves_in_metadata(self, tmp_path, extra, moves):
+        # k/m: the refinement moved the search's start at k of the m
+        # mixed snapshots; the open run's argmins all sit at the corner
+        text = ("kind=discord-series\nt_end=4e-8\ntheta_points=5\n"
+                "dt=1e-12\nrecord_stride=10000\n" + extra)
+        run(resolve(text, out=str(tmp_path / "o")))
+        meta = (tmp_path / "o" / "run-metadata.txt").read_text().splitlines()
+        assert f"discord_refine_moves={moves}" in meta
+
     @pytest.mark.parametrize("extra", [
         "", "gamma=g\ntheta_points=5\n",
         "influx_up=0.2g\nspace_mode=closure\ntheta_points=5\n"],
@@ -589,9 +619,43 @@ class TestMain:
         assert [point.space.size for _, point in points] == [8, 36]
 
     def test_out_flag_replaces_out_key(self, tmp_path, capsys):
-        path = write_config(tmp_path, SMALL_SERIES + "out=a\n")
-        assert main(["run", path, "--out", str(tmp_path / "b")]) == 0
-        assert (tmp_path / "b" / "discord.csv").exists()
+        # --out beats both an out line and --override out=...
+        path = write_config(tmp_path,
+                            SMALL_SERIES + f"out={tmp_path / 'line'}\n")
+        assert main(["run", path, "--override", f"out={tmp_path / 'over'}",
+                     "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "discord.csv").exists()
+        assert not (tmp_path / "line").exists()
+        assert not (tmp_path / "over").exists()
+
+    def test_negative_zero_is_written_as_zero(self, tmp_path, capsys):
+        path = write_config(tmp_path, "kind=sweep-g-omega\n"
+                            "sweep_values=-0, 0.5\ng_down=-0\ngamma=g\n"
+                            "t_end=1e-7\ntheta_points=5\n")
+        assert main(["validate", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "g_down=0.0" in lines and "sweep_values=0.0,0.5" in lines
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "g_omega_over_g=0.0").is_dir()
+        rows = (tmp_path / "o" / "sweep_peak.csv").read_text().splitlines()
+        assert rows[1].startswith("0.0,")
+        assert not any(name.name.startswith("g_omega_over_g=-")
+                       for name in (tmp_path / "o").iterdir())
+
+    @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
+    @pytest.mark.parametrize("given,key", [
+        ("", "dt"), ("dt=1e-10\n", "t_end"),
+        ("dt=1e-10\nt_end=1e-8\n", "record_stride")])
+    def test_all_zero_scales_name_the_first_key_to_give(
+            self, tmp_path, capsys, command, given, key):
+        # with every coupling and rate zero the record grid has no scale
+        path = write_config(tmp_path, "kind=discord-series\ng_up=0\n"
+                            "g_down=0\ng_omega=0\nzeta=0\n" + given)
+        assert main([command, path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} has no default here" in err and "g_up" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("override", ["g=nan", "dt=nan",

@@ -454,7 +454,7 @@ class TestPureClosedForm:
             assert is_pure(rho)
             point = discord(rho, search)
             assert search_calls == []
-            value, want_cfg, want_probs, _ = SEARCH_MINIMUM(
+            value, want_cfg, want_probs, *_ = SEARCH_MINIMUM(
                 discord_module._embedded(rho), search)
             want_j = point.s_b - value
             assert abs(point.classical_corr - want_j) <= 1e-9
@@ -594,6 +594,27 @@ class TestDiscordSeries:
             got = pt.argmin_config
             assert np.abs(np.subtract(got[:2], (theta, theta_p))).max() \
                 <= 1e-3
+
+    def test_refine_moves_to_an_interior_minimum(self):
+        # a random mixture's minimum lies off the grid
+        rng = np.random.default_rng(1)
+        rho = DensityMatrix(random_density(rng, 26), table_space())
+        search = PRESETS["cli"]
+        point = discord(rho, search)
+        grid = np.linspace(0, np.pi / 2, search.theta_points)
+        assert np.abs(grid - point.argmin_config.theta_prime).min() > 1e-6
+        assert point.full_grid and point.refine_moved
+
+    def test_refine_stays_at_a_corner_argmin(self):
+        # the (0, 0) basis of a classical-quantum state is its only
+        # minimum, a grid point that no step improves
+        rng = np.random.default_rng(81)
+        b_vectors = [v / np.linalg.norm(v) for v in
+                     rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))]
+        rho = cq_state(0.0, 0.0, [0.4, 0.3, 0.2, 0.1], b_vectors)
+        point = discord(rho, PRESETS["cli"])
+        assert not point.pure and not any(point.argmin_config)
+        assert point.full_grid and not point.refine_moved
 
     def test_interior_minima_match_the_cold_search(self):
         # a path between two random mixtures, whose minima lie off the
