@@ -12,7 +12,8 @@ from .dynamics import DensityMatrix, SimConfig, Trajectory, evolve, \
     initial_state
 from .errors import InsufficientData, NoDominantFrequency, WindowTooLarge
 from .operators import ModelParams, build_hamiltonian, build_jump_channels
-from .statespace import BasisState, GatingPolicy, StateSpace, table_space
+from .statespace import MOVES, RATES, BasisState, GatingPolicy, \
+    StateSpace, table_space
 
 PREDICATES = {
     "bond_formed": lambda s: s.L == 0,
@@ -191,8 +192,7 @@ def default_dt(params: ModelParams) -> float:
     dt unset; it does not guard positivity.
     """
     dt = 1e-3 / params.max_scale()
-    max_rate = max(params.gamma_up, params.gamma_down, params.gamma_phn,
-                   params.influx_up, params.influx_down, params.influx_phn)
+    max_rate = max(getattr(params, name) for name in RATES)
     if max_rate > 0:
         dt = min(dt, 2e-5 / max_rate)
     return dt
@@ -200,8 +200,8 @@ def default_dt(params: ModelParams) -> float:
 
 def default_t_end(params: ModelParams, periods_factor: float) -> float:
     """periods_factor periods of the slowest active coupling."""
-    couplings = [v for v in (params.g_up, params.g_down, params.g_bond,
-                             params.zeta) if v > 0]
+    couplings = [v for v in (getattr(params, move.strength)
+                             for move in MOVES) if v > 0]
     slowest = min(couplings) if couplings else params.max_scale()
     return periods_factor * 2 * np.pi / slowest
 

@@ -22,12 +22,12 @@ from .analysis import OBSERVABLES, PREDICATES, default_dt, \
     default_record_stride, default_t_end, fit_law, fit_period, \
     observables, run_discord_series
 from .discord import DiscordPoint, SearchConfig
-from .dynamics import SimConfig
+from .dynamics import MAX_SUBSTEPS, TAYLOR_THETA, SimConfig
 from .errors import ConfigError, ConfigTypeError, MissingRequired, \
     SimulationError, UnknownKey
 from .operators import ModelParams
-from .statespace import INITIAL_COMPONENTS, GatingPolicy, StateSpace, \
-    generate_space, table_space
+from .statespace import INITIAL_COMPONENTS, JUMPS, MODE_CLOSURE, MODE_TABLE, \
+    RATES, GatingPolicy, StateSpace, generate_space, table_space
 
 # A sweep kind runs a discord series once per sweep value, each on its own
 # space: the keys a point sets to x g_up, the CSV of one row per point and
@@ -37,7 +37,7 @@ _SWEEPS = {
     "sweep-g-omega": _Sweep(("g_omega",), "sweep_peak.csv",
                             "g_omega_over_g,peak_discord",
                             (0.1, 0.2, 0.5, 1.0)),
-    "sweep-gamma": _Sweep(("gamma_up", "gamma_down", "gamma_phn"),
+    "sweep-gamma": _Sweep(tuple(jump.decay for jump in JUMPS),
                           "sweep_peak.csv", "gamma_over_g,peak_discord",
                           (0.2, 0.5, 1.0, 2.0)),
     "period-law": _Sweep(("g_omega",), "sweep.csv",
@@ -142,19 +142,14 @@ class Key:
     recorded: bool = True
 
 
-def _search_key(name: str, key_type: _Type) -> Key:
-    """A search key; its default is SearchConfig's."""
-    return Key(name, key_type, str(getattr(SearchConfig, name)))
-
-
-# the loss and influx rates, keys and ModelParams fields alike
-_RATES = ("gamma_up", "gamma_down", "gamma_phn", "influx_up", "influx_down",
-          "influx_phn")
+def _field_key(cls, name: str, key_type: _Type) -> Key:
+    """The key of a field of cls; its default is the field's."""
+    return Key(name, key_type, str(getattr(cls, name)))
 
 
 def _closed(params: ModelParams) -> bool:
     """No loss or influx channel: the period fit applies."""
-    return not any(getattr(params, name) for name in _RATES)
+    return not any(getattr(params, name) for name in RATES)
 
 
 def _from_scale(rule):
@@ -178,26 +173,20 @@ KEYS = (
     Key("g_down", G_MULTIPLE, "g"),
     Key("g_omega", G_MULTIPLE, "0.5g"),
     Key("zeta", G_MULTIPLE, "g"),
-    # a shorthand: the three loss rates it defaults are recorded instead
+    # a shorthand: the loss rates it defaults are recorded instead
     Key("gamma", G_MULTIPLE, "0", recorded=False),
-    Key("gamma_up", G_MULTIPLE, lambda v: v["gamma"]),
-    Key("gamma_down", G_MULTIPLE, lambda v: v["gamma"]),
-    Key("gamma_phn", G_MULTIPLE, lambda v: v["gamma"]),
-    Key("influx_up", G_MULTIPLE, "0"),
-    Key("influx_down", G_MULTIPLE, "0"),
-    Key("influx_phn", G_MULTIPLE, "0"),
-    Key("tunneling_requires_broken_bond", BOOL, "true"),
-    Key("bond_term_requires_colocated", BOOL, "true"),
-    Key("literal_tunneling_form", BOOL, "false"),
-    Key("space_mode", _choice("closure", "table-compat"), "table-compat"),
+    *(Key(jump.decay, G_MULTIPLE, lambda v: v["gamma"]) for jump in JUMPS),
+    *(Key(jump.influx, G_MULTIPLE, "0") for jump in JUMPS),
+    *(_field_key(GatingPolicy, f.name, BOOL) for f in fields(GatingPolicy)),
+    Key("space_mode", _choice(MODE_CLOSURE, MODE_TABLE), MODE_TABLE),
     Key("periods_factor", POSITIVE, "1.45"),
     Key("dt", POSITIVE, _from_scale(lambda params, v: default_dt(params))),
     Key("t_end", NUMBER, _from_scale(
         lambda params, v: default_t_end(params, v["periods_factor"]))),
     Key("record_stride", _int_at_least(1), _from_scale(
         lambda params, v: default_record_stride(params, v["dt"]))),
-    _search_key("theta_points", _int_at_least(2)),
-    _search_key("phi_points", _int_at_least(1)),
+    _field_key(SearchConfig, "theta_points", _int_at_least(2)),
+    _field_key(SearchConfig, "phi_points", _int_at_least(1)),
     Key("sweep_values", NUMBERS,
         lambda v: _SWEEPS[v["kind"]].default_values if v["kind"] in SWEEPS
         else ()),
@@ -295,7 +284,7 @@ def _check(v: dict, params: ModelParams, given):
                               "each sweep point runs on the default record "
                               "grid of its own model")
     if kind == "period-law" and not _closed(params):
-        rates = ", ".join(name for name in _RATES if v[name])
+        rates = ", ".join(name for name in RATES if v[name])
         raise ConfigTypeError(f"TypeError: period-law takes no loss or "
                               f"influx rate, got {rates}: the law is fitted "
                               "on closed runs")
@@ -318,6 +307,15 @@ def resolve_config(entries: dict) -> ExperimentConfig:
         sim, search = _bind(SimConfig, v), _bind(SearchConfig, v)
     except ValueError as exc:
         raise ConfigTypeError(f"TypeError: {exc}") from None
+    # each move gives a state at most one partner and each a^dagger a is
+    # 0/1 diagonal, so ||L||_1 <= 2 (the sum of the couplings and rates)
+    substeps = 2 * sum(astuple(params)) * sim.t_end / TAYLOR_THETA
+    if not _closed(params) and substeps > MAX_SUBSTEPS:
+        rates = ", ".join(name for name in RATES if v[name])
+        raise ConfigTypeError(f"TypeError: {rates} and t_end={sim.t_end!r} "
+                              f"may take {substeps:.3g} Taylor substeps, "
+                              f"more than {MAX_SUBSTEPS}; lower the rates "
+                              "or t_end")
     skipped = [name for name in _GRID
                if v["kind"] in SWEEPS and name not in entries]
     resolved = {key.name: key.type.show(v[key.name])
@@ -361,7 +359,7 @@ def _build_space(config: ExperimentConfig):
     """The space every command uses: the 26-state table in table-compat
     mode, in closure mode the initial state's exact reachable space,
     closed under the moves, every decay and each positive influx."""
-    if config.space_mode == "table-compat":
+    if config.space_mode == MODE_TABLE:
         return table_space()
     return generate_space(INITIAL_COMPONENTS, config.params, config.gating)
 

@@ -54,9 +54,11 @@ always does for a lone `discord()` call.
 
 A pure joint state needs no search.  Every rank-1 measurement on A
 then leaves B pure, so the conditional entropy is zero for every
-angle choice and J = S(B), D = I - J = S(A) exactly (Ollivier & Zurek,
-PRL 88, 017901 (2001); Henderson & Vedral, J. Phys. A 34, 6899
-(2001)).  A state counts as pure when 1 - tr(rho^2) < PURE_TOL
+angle choice and J = S(B), D = I - J = S(A) (Ollivier & Zurek, PRL
+88, 017901 (2001); Henderson & Vedral, J. Phys. A 34, 6899 (2001)).
+The record takes J = S_B and D = (S_A + S_B - S_AB) - S_B, with S_AB
+from the spectrum of rho, so D equals S_A only up to rounding (a pure
+state's S_AB is round-off, not 0).  A state counts as pure when 1 - tr(rho^2) < PURE_TOL
 (`is_pure`).  For such a state the reported measurement is the one
 the search's tie-break picks on a flat landscape: all four angles
 zero, and the outcome probabilities of that measurement, the diagonal

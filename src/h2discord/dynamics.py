@@ -25,6 +25,9 @@ from .statespace import INITIAL_COMPONENTS, StateSpace
 
 # largest ||L||_1 tau of one Taylor substep of an open-run hop
 TAYLOR_THETA = 4.0
+# most Taylor substeps a config may ask of an open run's hops, by the
+# bound ||L||_1 <= 2 (the sum of its couplings and rates)
+MAX_SUBSTEPS = 10**6
 # a substep's series stops by then at the latest; 4^56 / 56! < 1e-40
 _MAX_TERMS = 55
 # most records a run may keep; a bound on the count, not on the memory

@@ -55,10 +55,9 @@ class ModelParams:
                 raise ValueError(f"{f.name} must be nonnegative")
 
     def max_scale(self) -> float:
-        """Largest coupling or rate, used for step-size defaults."""
-        return max(self.g_up, self.g_down, self.g_bond, self.zeta,
-                   self.gamma_up, self.gamma_down, self.gamma_phn,
-                   self.influx_up, self.influx_down, self.influx_phn)
+        """Largest coupling or rate (every field is one), used for
+        step-size defaults."""
+        return max(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass

@@ -7,9 +7,9 @@ electron orbitals (1 = excited), the covalent-bond flag (0 = formed,
 1 = different cavities).  The first two labels form the observed
 photon pair A, the remaining five the matter subsystem B.
 
-The canonical integer encoding reads the labels as a 7-bit number with
-p1 as the most significant bit, and every space orders its states by
-ascending encoding.
+Every space orders its states by ascending label tuple, p1 first: the
+order of the 7-bit numbers the labels spell with p1 as the most
+significant bit.
 """
 
 from collections import deque
@@ -32,12 +32,6 @@ class BasisState(NamedTuple):
     l2: int
     L: int
     k: int
-
-    def encode(self) -> int:
-        value = 0
-        for bit in self:
-            value = (value << 1) | bit
-        return value
 
     @classmethod
     def from_string(cls, bits: str) -> "BasisState":
@@ -109,7 +103,8 @@ class _Jump(NamedTuple):
         return s._replace(**{self.label: int(raising)})
 
 
-# The model's transition rules; closure, Hamiltonian and jumps read them.
+# The model's transition rules; closure, Hamiltonian and jumps read them,
+# and every other list of the couplings or rates is read off them.
 MOVES = (
     # photon exchange, active only while the bond is formed
     _Move({"p1": 0, "l1": 1}, {"p1": 1, "l1": 0}, "g_up",
@@ -131,6 +126,9 @@ JUMPS = (
     _Jump("p2", "gamma_down", "influx_down"),
     _Jump("m", "gamma_phn", "influx_phn"),
 )
+# the ModelParams fields of the rates: the decays, then the influxes
+RATES = tuple(getattr(jump, field) for field in ("decay", "influx")
+              for jump in JUMPS)
 
 
 # The 26-state reduced basis that compatibility mode restricts to: the
@@ -143,10 +141,8 @@ _TABLE_BITSTRINGS = (
     "0110000", "1010000", "1110000", "0010100", "1010100", "0011000",
     "0111000", "0011100",
 )
-TABLE_STATES = tuple(
-    sorted((BasisState.from_string(s) for s in _TABLE_BITSTRINGS),
-           key=BasisState.encode)
-)
+TABLE_STATES = tuple(sorted(BasisState.from_string(s)
+                            for s in _TABLE_BITSTRINGS))
 _TABLE_SET = frozenset(TABLE_STATES)
 
 # Components of the standard initial state: both electrons on atomic
@@ -163,8 +159,7 @@ class StateSpace:
     """Ordered, indexed set of basis states."""
 
     def __init__(self, states: Iterable[BasisState], mode: str):
-        self.states = tuple(sorted((BasisState(*s) for s in states),
-                                   key=BasisState.encode))
+        self.states = tuple(sorted(BasisState(*s) for s in states))
         self.mode = mode
         self._index = {s: i for i, s in enumerate(self.states)}
         if len(self._index) != len(self.states):

@@ -18,6 +18,12 @@ FULL_DIM = 2**N_QUBITS
 MODE_FULL = "full"
 
 
+def encode(state: BasisState) -> int:
+    """The canonical encoding: the labels read as a 7-bit number, p1 the
+    most significant bit."""
+    return sum(bit << shift for bit, shift in zip(state, range(6, -1, -1)))
+
+
 def decode(code: int) -> BasisState:
     """The basis state whose canonical encoding is `code`."""
     if not 0 <= code < FULL_DIM:

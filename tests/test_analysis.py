@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from h2discord.analysis import _median_spacing, envelope, fit_period, \
-    fit_sinusoid, population, run_discord_series, state_population
+from h2discord.analysis import _median_spacing, default_dt, envelope, \
+    fit_period, fit_sinusoid, population, run_discord_series, \
+    state_population
 from h2discord.cli import parse_config, resolve_config, run
 from h2discord.dynamics import DensityMatrix, SimConfig, initial_state
 from h2discord.errors import ConfigTypeError, InsufficientData, \
@@ -225,6 +226,17 @@ class TestFitPeriod:
         # the carrier period 2 pi/g_ref is undefined
         with pytest.raises(NoDominantFrequency, match="g_ref"):
             fit_period(self.TIMES, self.SERIES, G, 0.0)
+
+
+class TestDefaultDt:
+    @pytest.mark.parametrize("rate", [0.3 * G, 30 * G], ids=["slow", "fast"])
+    @pytest.mark.parametrize("name", ["gamma_up", "gamma_down", "gamma_phn",
+                                      "influx_up", "influx_down",
+                                      "influx_phn"])
+    def test_each_rate_bounds_the_step(self, name, rate):
+        params = dataclasses.replace(PARAMS, **{name: rate})
+        assert default_dt(params) \
+            == min(1e-3 / params.max_scale(), 2e-5 / rate)
 
 
 class TestRunDiscordSeries:

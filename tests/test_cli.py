@@ -18,7 +18,7 @@ from h2discord.dynamics import MAX_RECORDS, initial_state
 from h2discord.errors import ConfigError, ConfigTypeError, MissingRequired, \
     UnknownKey
 from h2discord.operators import ModelParams, build_jump_channels
-from h2discord.statespace import GatingPolicy
+from h2discord.statespace import JUMPS, GatingPolicy
 
 
 def resolve(text, **given):
@@ -245,7 +245,23 @@ class TestResolveConfig:
             == list(KINDS)
 
     def test_search_defaults_are_search_config_defaults(self):
-        assert resolve("", kind="discord-series").search == SearchConfig()
+        config = resolve("", kind="discord-series")
+        assert config.search == SearchConfig()
+        # and the gating keys' defaults are GatingPolicy's
+        assert config.gating == GatingPolicy()
+        for field in dataclasses.fields(GatingPolicy):
+            assert config.resolved[field.name] is field.default
+
+    def test_rate_keys_are_the_jump_fields(self):
+        # the decays, then the influxes; gamma sets every decay
+        rates = [key.name for key in CONFIG_KEYS
+                 if key.name.startswith(("gamma_", "influx_"))]
+        assert rates == [jump.decay for jump in JUMPS] \
+            + [jump.influx for jump in JUMPS]
+        config = resolve("gamma=2g\n", kind="discord-series")
+        for jump in JUMPS:
+            assert config.resolved[jump.decay] == 2e7
+            assert config.resolved[jump.influx] == 0.0
 
     def test_library_default_model_is_the_cli_default(self):
         assert resolve_config({"kind": ("discord-series", 1)}).params \
@@ -703,6 +719,19 @@ class TestMain:
         assert main([command, path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "record_stride" in err and "t_end" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
+    def test_stiff_open_run_exits_as_config_error(self, tmp_path, capsys,
+                                                  command):
+        # rates of 1e13/s over 1e-6 s: the hops would take about 1.5e7
+        # Taylor substeps, though the run keeps 11 records
+        path = write_config(tmp_path, "kind=discord-series\ngamma=1e6g\n"
+                            "dt=1e-7\nt_end=1e-6\nrecord_stride=1\n")
+        assert main([command, path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "gamma_up, gamma_down, gamma_phn and t_end=1e-06" in err
+        assert "Taylor substeps" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["validate", "dump-space"])

@@ -396,6 +396,23 @@ class TestExactPropagator:
                    for snap in traj.snapshots[1:])
 
 
+class TestSubstepBound:
+    @pytest.mark.parametrize("gating", [GatingPolicy(*switches) for switches
+                                        in itertools.product((True, False),
+                                                             repeat=3)])
+    def test_generator_norm_within_twice_the_fields(self, gating):
+        # ||L||_1 <= 2 (the sum of the couplings and rates), the bound by
+        # which a config's Taylor substeps are counted, on all 128 states
+        rng = np.random.default_rng(3)
+        sp = full_space()
+        for _ in range(5):
+            params = ModelParams(*rng.uniform(0, 2 * G, 10))
+            gen = liouvillian(build_hamiltonian(params, sp, gating).mat,
+                              build_jump_channels(params, sp))
+            bound = 2 * sum(dataclasses.astuple(params))
+            assert abs(gen).sum(axis=0).max() <= bound * (1 + 1e-12)
+
+
 class TestClosureSpace:
     @pytest.mark.parametrize("rates,gating", [
         (dict(gamma_up=G, gamma_down=G, gamma_phn=G, influx_up=0.3 * G),

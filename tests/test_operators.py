@@ -162,6 +162,9 @@ class TestModelParams:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ModelParams(**{name: value})
 
-    def test_max_scale(self):
-        params = ModelParams(g_up=3e8, gamma_phn=9e8)
+    @pytest.mark.parametrize("name", [f.name for f
+                                      in dataclasses.fields(ModelParams)])
+    def test_max_scale(self, name):
+        # every field is a coupling or a rate
+        params = ModelParams(**{"g_up": 3e8, name: 9e8})
         assert params.max_scale() == 9e8
