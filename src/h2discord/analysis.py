@@ -221,7 +221,7 @@ def default_record_stride(params: ModelParams, dt: float) -> int:
 
 def evolve_model(params: ModelParams, sim: SimConfig,
                  space: Optional[StateSpace] = None,
-                 gating: Optional[GatingPolicy] = None) -> Trajectory:
+                 gating: GatingPolicy = GatingPolicy()) -> Trajectory:
     """Evolve the standard initial state under the model's Hamiltonian and
     loss channels on `space` (the 26-state table by default)."""
     if space is None:
@@ -233,8 +233,8 @@ def evolve_model(params: ModelParams, sim: SimConfig,
 
 def run_discord_series(params: ModelParams, sim: SimConfig,
                        space: Optional[StateSpace] = None,
-                       gating: Optional[GatingPolicy] = None,
-                       search: Optional[SearchConfig] = None):
+                       gating: GatingPolicy = GatingPolicy(),
+                       search: SearchConfig = SearchConfig()):
     """Evolve the standard initial state and compute discord at every
     record.
 

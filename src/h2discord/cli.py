@@ -27,7 +27,7 @@ from .errors import ConfigError, ConfigTypeError, MissingRequired, \
     SimulationError, UnknownKey
 from .operators import ModelParams
 from .statespace import INITIAL_COMPONENTS, JUMPS, MODE_CLOSURE, MODE_TABLE, \
-    RATES, GatingPolicy, StateSpace, generate_space, table_space
+    MOVES, RATES, GatingPolicy, StateSpace, generate_space, table_space
 
 # A sweep kind runs a discord series once per sweep value, each on its own
 # space: the keys a point sets to x g_up, the CSV of one row per point and
@@ -112,7 +112,7 @@ def _choice(*options):
 _BOOLS = {"true": True, "yes": True, "1": True, "on": True,
           "false": False, "no": False, "0": False, "off": False}
 
-TEXT = _Type("text", lambda text, g: text)
+TEXT = _Type("non-empty text", lambda text, g: text, bool)
 NUMBER = _Type("a finite number", lambda text, g: _finite(text))
 POSITIVE = _Type("a positive finite number", NUMBER.parse,
                  lambda value: value > 0)
@@ -156,10 +156,10 @@ def _from_scale(rule):
     """A default drawn from the model's scales, given as rule(params,
     values); with every scale zero there is none to draw."""
     def default(v):
-        params = _model(v)
+        params = _bind(ModelParams, v)
         if params.max_scale() == 0:
-            raise ValueError("g_up, g_down, g_omega, zeta and the rates "
-                             "are all zero")
+            couplings = ", ".join(move.strength for move in MOVES)
+            raise ValueError(f"{couplings} and the rates are all zero")
         return rule(params, v)
 
     return default
@@ -251,10 +251,6 @@ def _bind(cls, v: dict, **given):
                            if f.init and f.name not in given})
 
 
-def _model(v: dict) -> ModelParams:
-    return _bind(ModelParams, v, g_bond=v["g_omega"])
-
-
 # the record grid keys; a sweep's record leaves out those its config
 # does not give, so that each point runs on its own model's default grid;
 # a period law takes none of them
@@ -275,6 +271,13 @@ def _check(v: dict, params: ModelParams, given):
                               "in (0, 1]")
     if kind in SWEEPS and len(set(sweep)) < len(sweep):
         raise ConfigTypeError("TypeError: sweep_values repeats a value")
+    swept = _SWEEPS[kind].swept if kind in SWEEPS else ()
+    # gamma only sets the defaults of the decays sweep-gamma sweeps
+    for name in (*swept, "gamma") if kind == "sweep-gamma" else swept:
+        if name in given:
+            raise ConfigTypeError(
+                f"TypeError: {kind} takes no {name}{_origin(given[name][1])}"
+                f": each sweep point sets {', '.join(swept)} to x g_up")
     if params.g_up == 0 and kind in SWEEPS:
         raise ConfigTypeError(f"TypeError: {kind} needs a positive g_up; "
                               "sweep_values are in units of g_up")
@@ -301,7 +304,7 @@ def resolve_config(entries: dict) -> ExperimentConfig:
     v = {}
     for key in KEYS:
         v[key.name] = _value(key, entries.get(key.name), v)
-    params = _model(v)
+    params = _bind(ModelParams, v)
     _check(v, params, entries)
     try:  # SimConfig and SearchConfig hold the rules of their grids
         sim, search = _bind(SimConfig, v), _bind(SearchConfig, v)
@@ -316,8 +319,9 @@ def resolve_config(entries: dict) -> ExperimentConfig:
                               f"may take {substeps:.3g} Taylor substeps, "
                               f"more than {MAX_SUBSTEPS}; lower the rates "
                               "or t_end")
-    skipped = [name for name in _GRID
-               if v["kind"] in SWEEPS and name not in entries]
+    skipped = [*_SWEEPS[v["kind"]].swept,
+               *(name for name in _GRID if name not in entries)] \
+        if v["kind"] in SWEEPS else []
     resolved = {key.name: key.type.show(v[key.name])
                 for key in KEYS if key.recorded and key.name not in skipped}
     config = _bind(ExperimentConfig, v, params=params,
@@ -335,8 +339,9 @@ def _sweep_points(config: ExperimentConfig) -> list:
 
     A point resolves, as a discord series, the sweep's recorded keys
     without sweep_values and with the kind's swept keys set to x g_up.
-    A sweep's record leaves out the record grid keys its config does not
-    give, so its points run on the default grid of their own model.
+    A sweep's record leaves out the keys it sweeps, and the record grid
+    keys its config does not give, so its points run on the default grid
+    of their own model.
     """
     if config.kind not in SWEEPS:
         return []
@@ -547,7 +552,7 @@ def main(argv=None) -> int:
                 raise ConfigTypeError(f"override {item!r} is not key=value")
             key, value = item.split("=", 1)
             entries[key.strip()] = (value.strip(), 0)
-        if args.out:
+        if args.out is not None:
             entries["out"] = (args.out, None)
         config = resolve_config(entries)
         if args.command == "validate":

@@ -16,7 +16,8 @@ every angle choice and reduces to the real-valued family at phi = 0.
 One builder makes the outcome vectors u of a batch of angle tuples,
 and one matmul kernel the B blocks <u|rho|u>.  A search point is the
 row (theta, theta', phi, phi') of a `MeasurementConfig`; the family
-only decides which columns the grid and the refinement vary (`_free`).
+only decides which columns the grid and the refinement vary, and
+`_plan` builds each grid once.
 
 Classical correlation maximizes over a deterministic grid of the free
 angles, evaluated once per distinct measurement, followed by a batched
@@ -67,7 +68,7 @@ their snapshots take this path.
 Every record `discord()` returns has passed `DiscordPoint.check`.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
@@ -177,30 +178,6 @@ class SearchConfig:
                              f"{MAX_GRID_POINTS} grid points")
 
 
-def _free(search: SearchConfig) -> np.ndarray:
-    """Which columns of a point's row the search varies."""
-    return np.array([True, True] + [search.phi_points > 1] * 2)
-
-
-def _counts(search: SearchConfig) -> np.ndarray:
-    """The grid points of each column of a point's row."""
-    return np.array([search.theta_points] * 2 + [search.phi_points] * 2)
-
-
-def _axes(search: SearchConfig) -> list:
-    """The grid of each column of a point's row; [0.0] for a fixed one."""
-    return [np.linspace(lo, hi, n) for (lo, hi), n in zip(_ANGLE_BOUNDS,
-                                                          _counts(search))]
-
-
-def _spacing(search: SearchConfig) -> np.ndarray:
-    """The grid spacing of each free column, bit for bit `_axes`'s
-    grid[1] - grid[0], since each range starts at 0."""
-    free = _free(search)
-    lo, hi = _ANGLE_BOUNDS[free].T
-    return (hi - lo) / (_counts(search)[free] - 1)
-
-
 class _Evaluator:
     """Batched conditional-entropy evaluation for one embedded state.
 
@@ -274,28 +251,49 @@ def _measurement_ids(i, j, n_theta: int, n_phi: int):
     return np.where((i == 0) | (i == n_theta - 1), -1, ids)
 
 
+class _Plan(NamedTuple):
+    """What the search reads about the grid of one `SearchConfig`, each
+    array read-only.  `kept` holds the indices, ascending, into the
+    ij-ordered grid of the points whose measurement no earlier point
+    makes, and `points` those points, one row each."""
+
+    kept: np.ndarray
+    points: np.ndarray
+    free: np.ndarray     # the columns with more than one grid point
+    spacing: np.ndarray  # grid[1] - grid[0] of each free column
+    moves: np.ndarray    # rows -e_k, +e_k for each free column k
+    steps: np.ndarray    # the largest spacing, halved down to REFINE_TOL / 4
+
+
 @lru_cache(maxsize=16)
-def _grid(search: SearchConfig):
-    """(kept, points): the indices into the ij-ordered grid of the points
-    whose measurement no earlier point makes, ascending, and those
-    points, one row each."""
-    axes = _axes(search)
+def _plan(search: SearchConfig) -> _Plan:
+    """The plan of `search`'s grid; a fixed column's grid is [0.0]."""
+    n_theta, n_phi = search.theta_points, search.phi_points
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n
+            in zip(_ANGLE_BOUNDS, (n_theta, n_theta, n_phi, n_phi))]
     index = np.indices([len(grid) for grid in axes]).reshape(4, -1)
     i, i_p, j, j_p = index
-    n_phi = len(axes[2])
-    ids = np.stack([_measurement_ids(i, j, search.theta_points, n_phi),
-                    _measurement_ids(i_p, j_p, search.theta_points, n_phi)],
-                   axis=1)
-    kept = np.sort(np.unique(ids, axis=0, return_index=True)[1])
+    first = _measurement_ids(i, j, n_theta, n_phi) + 1  # from 0 up
+    second = _measurement_ids(i_p, j_p, n_theta, n_phi) + 1
+    # each pair (first, second) as one integer, in the pairs' own order
+    pairs = first * (n_theta * n_phi + 1) + second
+    kept = np.sort(np.unique(pairs, return_index=True)[1])
     points = np.column_stack([grid[axis[kept]]
                               for grid, axis in zip(axes, index)])
-    for array in (kept, points):
+    free = np.array([len(grid) > 1 for grid in axes])
+    spacing = np.array([grid[1] - grid[0] for grid in axes if len(grid) > 1])
+    steps = [spacing.max()]
+    while steps[-1] > REFINE_TOL / 4:
+        steps.append(steps[-1] / 2)
+    plan = _Plan(kept, points, free, spacing,
+                 np.kron(np.eye(4)[free], [[-1.0], [1.0]]), np.array(steps))
+    for array in plan:
         array.setflags(write=False)
-    return kept, points
+    return plan
 
 
 def _grid_minimum(ev: _Evaluator, search: SearchConfig):
-    points = _grid(search)[1]
+    points = _plan(search).points
     values = ev.conditional_entropies(points)
     # lexicographic tie-break: the kept points are in ij order, which
     # enumerates angle tuples in ascending order, and a dropped point only
@@ -314,13 +312,13 @@ def _warm_start(ev: _Evaluator, search: SearchConfig,
     every free angle; a better guard point farther out means the
     minimum may have moved to another basin.
     """
-    guard = replace(search, theta_points=GUARD_POINTS,
-                    phi_points=GUARD_POINTS if search.phi_points > 1 else 1)
-    points = np.vstack([warm, _grid(guard)[1]])
+    guard = _plan(SearchConfig(
+        GUARD_POINTS, GUARD_POINTS if search.phi_points > 1 else 1))
+    points = np.vstack([warm, guard.points])
     values = ev.conditional_entropies(points)
     best = int(np.argmin(values))
-    moved = np.abs(points[best] - points[0])[_free(guard)]
-    if (moved > _spacing(guard)).any():
+    moved = np.abs(points[best] - points[0])[guard.free]
+    if (moved > guard.spacing).any():
         return None
     return points[best], float(values[best])
 
@@ -342,16 +340,12 @@ def _refine(ev: _Evaluator, search: SearchConfig, point: np.ndarray,
     move only the same h is tried again, as a descent usually gains
     there once more.
     """
-    free = _free(search)
     lo, hi = _ANGLE_BOUNDS.T
-    # rows -e_k, +e_k for each free column k
-    moves = np.kron(np.eye(4)[free], [[-1.0], [1.0]])
-    steps = [_spacing(search).max()]
-    while steps[-1] > REFINE_TOL / 4:
-        steps.append(steps[-1] / 2)
+    plan = _plan(search)
+    moves, steps = plan.moves, plan.steps
     level, smaller = 0, True  # try steps[level], and all smaller ones?
     while level < len(steps):
-        tried = np.array(steps[level:] if smaller else steps[level:level + 1])
+        tried = steps[level:] if smaller else steps[level:level + 1]
         trials = np.clip(point + tried[:, None, None] * moves,
                          lo, hi).reshape(-1, 4)
         levels = level + np.repeat(np.arange(len(tried)), len(moves))
@@ -443,7 +437,7 @@ class DiscordPoint:
         return self
 
 
-def discord(rho_AB: DensityMatrix, search: Optional[SearchConfig] = None,
+def discord(rho_AB: DensityMatrix, search: SearchConfig = SearchConfig(),
             t: float = 0.0,
             warm: Optional[MeasurementConfig] = None) -> DiscordPoint:
     """Full discord record for one joint state.
@@ -456,8 +450,6 @@ def discord(rho_AB: DensityMatrix, search: Optional[SearchConfig] = None,
     A trace off 1 by more than 1e-9 raises NotDensityMatrix; a record
     that breaks a bound of `DiscordPoint.check` raises DiscordOutOfBounds.
     """
-    if search is None:
-        search = SearchConfig()
     trace = rho_AB.trace()
     if abs(trace - 1.0) > 1e-9:
         raise NotDensityMatrix(f"trace deviates by {trace - 1.0:g}")
@@ -483,7 +475,7 @@ def discord(rho_AB: DensityMatrix, search: Optional[SearchConfig] = None,
                         refine_moved=moved).check()
 
 
-def discord_series(rhos, search: Optional[SearchConfig], times) -> list:
+def discord_series(rhos, search: SearchConfig, times) -> list:
     """Discord records of a sequence of joint states taken at `times`.
 
     Each mixed state's search is warm-started from the argmin of the

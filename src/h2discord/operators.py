@@ -37,7 +37,7 @@ class ModelParams:
 
     g_up: float = 1.0e7
     g_down: float = 1.0e7
-    g_bond: float = 5.0e6
+    g_omega: float = 5.0e6
     zeta: float = 1.0e7
     gamma_up: float = 0.0
     gamma_down: float = 0.0
@@ -75,7 +75,8 @@ def _target_index(space, target: BasisState, what: str):
 
 
 def build_hamiltonian(params: ModelParams, space: StateSpace,
-                      gating: GatingPolicy = None) -> OperatorMatrix:
+                      gating: GatingPolicy = GatingPolicy()
+                      ) -> OperatorMatrix:
     """Assemble the system Hamiltonian over the given space.
 
     Each move of MOVES with a positive strength couples its gated
@@ -83,8 +84,6 @@ def build_hamiltonian(params: ModelParams, space: StateSpace,
     transpose so the matrix is exactly real symmetric, or, while its
     shift holds, adds its strength to the diagonal of the gated states.
     """
-    if gating is None:
-        gating = GatingPolicy()
     h = np.zeros((space.size, space.size), dtype=complex)
     for i, s in enumerate(space):
         for move in MOVES:

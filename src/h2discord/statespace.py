@@ -112,7 +112,7 @@ MOVES = (
     _Move({"p2": 0, "l2": 1}, {"p2": 1, "l2": 0}, "g_down",
           lambda s, gating: s.L == 0),
     # bond formation releases a phonon, breaking absorbs one
-    _Move({"m": 0, "L": 1}, {"m": 1, "L": 0}, "g_bond",
+    _Move({"m": 0, "L": 1}, {"m": 1, "L": 0}, "g_omega",
           lambda s, gating: s.k == 0
           or not gating.bond_term_requires_colocated),
     # nuclear hop between cavities
@@ -210,7 +210,7 @@ def _neighbors(s: BasisState, params, gating: GatingPolicy,
     return out
 
 
-def generate_space(seeds, params, gating: GatingPolicy = None,
+def generate_space(seeds, params, gating: GatingPolicy = GatingPolicy(),
                    include_dissipation: bool = True,
                    mode: str = MODE_CLOSURE) -> StateSpace:
     """Breadth-first closure of the seeds under the active transitions.
@@ -231,9 +231,6 @@ def generate_space(seeds, params, gating: GatingPolicy = None,
     if mode == MODE_TABLE and outside:
         raise SeedOutsideCompatTable("seeds outside the compatibility "
                                      f"basis: {', '.join(outside)}")
-    if gating is None:
-        gating = GatingPolicy()
-
     seen = set(seeds)
     queue = deque(seeds)
     while queue:

@@ -28,7 +28,7 @@ from oracles import brute_force_trace_A, brute_force_trace_B, \
     tied_pattern_projectors
 
 G = 1.0e7
-BASE = ModelParams(g_up=G, g_down=G, g_bond=0.5 * G, zeta=G)
+BASE = ModelParams(g_up=G, g_down=G, g_omega=0.5 * G, zeta=G)
 OPEN = dataclasses.replace(BASE, gamma_up=G, gamma_down=G, gamma_phn=G)
 VACUUM = BasisState.from_string("0000000")
 
@@ -359,7 +359,7 @@ class TestCriterion7:
         assert worst <= 1e-8
 
     def test_single_mode_damping(self):
-        params = dataclasses.replace(BASE, g_up=0, g_down=0, g_bond=0,
+        params = dataclasses.replace(BASE, g_up=0, g_down=0, g_omega=0,
                                      zeta=0, gamma_up=G)
         space = generate_space([BasisState.from_string("1000000")], params,
                                include_dissipation=True)
@@ -379,7 +379,7 @@ class TestCriterion7:
 
     def test_two_level_exchange(self):
         params = dataclasses.replace(BASE, g_up=0, g_down=0, zeta=0,
-                                     g_bond=G)
+                                     g_omega=G)
         space = generate_space([BasisState.from_string("0000010")], params,
                                include_dissipation=False)
         h = build_hamiltonian(params, space)

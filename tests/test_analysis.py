@@ -242,7 +242,7 @@ class TestDefaultDt:
 class TestRunDiscordSeries:
     def test_series_timing(self):
         # one discord point per record
-        params = dataclasses.replace(PARAMS, g_bond=0.1 * G)
+        params = dataclasses.replace(PARAMS, g_omega=0.1 * G)
         sim = SimConfig(dt=1e-10, t_end=4e-8, record_stride=40)
         traj, points = run_discord_series(params, sim)
         assert [pt.t for pt in points] == list(traj.times)

@@ -66,7 +66,7 @@ class TestResolveConfig:
         p = config.params
         assert p.zeta == 1e7
         assert p.g_up == p.g_down == 1e7
-        assert p.g_bond == 0.5e7
+        assert p.g_omega == 0.5e7
         assert p.gamma_up == 0.0
         assert config.space_mode == "table-compat"
         assert config.t_end > 0 and config.dt > 0
@@ -78,7 +78,7 @@ class TestResolveConfig:
     def test_relative_values(self):
         config = resolve("g=2e7\ng_omega=0.25g\ngamma=g\n",
                          kind="discord-series")
-        assert config.params.g_bond == 0.5e7
+        assert config.params.g_omega == 0.5e7
         assert config.params.gamma_phn == 2e7
 
     def test_type_error_names_key(self):
@@ -178,9 +178,35 @@ class TestResolveConfig:
 
     @pytest.mark.parametrize("kind", SWEEPS)
     def test_sweep_records_no_grid_it_does_not_give(self, kind):
-        # so each point runs on the default grid of its own model
-        assert not {"dt", "t_end", "record_stride"} \
-            & set(resolve("", kind=kind).resolved)
+        # so each point runs on the default grid of its own model; nor
+        # the keys it sweeps, which each point records at its own value
+        sweep = resolve("", kind=kind)
+        swept = set(cli._SWEEPS[kind].swept)
+        assert not ({"dt", "t_end", "record_stride"} | swept) \
+            & set(sweep.resolved)
+        for x, point in sweep.points:
+            for name in swept:
+                assert point.resolved[name] == x * sweep.params.g_up
+
+    @pytest.mark.parametrize("kind,text,key,origin", [
+        ("sweep-g-omega", "g_omega=0.3g\n", "g_omega", "(line 2)"),
+        ("period-law", "zeta=0\ng_omega=0.3g\n", "g_omega", "(line 3)"),
+        ("sweep-gamma", "gamma_down=0.1g\n", "gamma_down", "(line 2)"),
+        ("sweep-gamma", "zeta=g\ngamma=1e6g\nsweep_values=0.2,0.5\n",
+         "gamma", "(line 3)"),
+        ("sweep-gamma", "", "gamma_phn", "(--override)")],
+        ids=["g-omega", "period-law", "decay", "gamma", "override"])
+    def test_sweep_refuses_the_keys_it_sweeps(self, tmp_path, capsys, kind,
+                                              text, key, origin):
+        # each point would set the value anew, so the sweep ignored it;
+        # gamma only sets the defaults of the decays sweep-gamma sweeps
+        path = write_config(tmp_path, f"kind={kind}\n" + text)
+        override = ["--override", f"{key}=0.3g"] if "override" in origin \
+            else []
+        assert main(["validate", path, *override]) == 2
+        err = capsys.readouterr().err
+        assert f"{kind} takes no {key} {origin}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("kind", ["sweep-g-omega", "sweep-gamma"])
     def test_grid_a_sweep_gives_applies_to_every_point(self, kind):
@@ -300,17 +326,18 @@ SMALL_SERIES = ("kind=discord-series\n"
                 "theta_points=5\n")
 
 
-SWEEP = ("sweep_values=0.5,1\ngamma=g\nt_end=4e-8\ndt=1e-10\n"
+SWEEP = ("sweep_values=0.5,1\nt_end=4e-8\ndt=1e-10\n"
          "record_stride=100\ntheta_points=5\n")
 
 
 @pytest.fixture(scope="module")
 def sweep_peaks(tmp_path_factory):
-    """sweep_peak.csv lines of both sweep kinds on a tiny open config."""
+    """sweep_peak.csv lines of both sweep kinds on a tiny open config;
+    sweep-gamma sets the decays itself."""
     peaks = {}
-    for kind in ("sweep-g-omega", "sweep-gamma"):
+    for kind, rates in (("sweep-g-omega", "gamma=g\n"), ("sweep-gamma", "")):
         out = tmp_path_factory.mktemp(kind)
-        run(resolve(f"kind={kind}\n" + SWEEP, out=str(out)))
+        run(resolve(f"kind={kind}\n" + rates + SWEEP, out=str(out)))
         peaks[kind] = (out / "sweep_peak.csv").read_text().splitlines()
     return peaks
 
@@ -340,7 +367,7 @@ class TestRun:
         spaces = []
         evolve_model = analysis.evolve_model
 
-        def spy(params, sim, space=None, gating=None):
+        def spy(params, sim, space, gating):
             spaces.append((space.mode, space.size))
             return evolve_model(params, sim, space, gating)
 
@@ -508,7 +535,7 @@ class TestRun:
 
 class TestMain:
     @pytest.mark.parametrize("text,builds,resolves", [
-        ("kind=discord-series\n", 1, 1),
+        ("kind=discord-series\ngamma=g\n", 1, 1),
         ("kind=sweep-gamma\nsweep_values=0.5,1\n", 2, 3)],
         ids=["discord-series", "sweep-gamma"])
     def test_each_space_is_built_once_and_each_point_resolved_once(
@@ -526,7 +553,7 @@ class TestMain:
 
         for name in calls:
             monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
-        path = write_config(tmp_path, text + "space_mode=closure\ngamma=g\n"
+        path = write_config(tmp_path, text + "space_mode=closure\n"
                             "dt=1e-10\nt_end=1e-8\nrecord_stride=20\n")
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
         assert calls == {"generate_space": builds, "table_space": 0,
@@ -633,6 +660,20 @@ class TestMain:
                          "# g_omega_over_g=0.5",
                          *points[1][1].space.dump_lines()]
         assert [point.space.size for _, point in points] == [8, 36]
+
+    @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
+    @pytest.mark.parametrize("way", ["line", "flag"])
+    def test_empty_out_exits_as_config_error(self, tmp_path, capsys,
+                                             monkeypatch, command, way):
+        # an empty out would write into the current directory
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, SMALL_SERIES
+                            + ("out=\n" if way == "line" else ""))
+        flag = ["--out", ""] if way == "flag" else []
+        assert main([command, path, *flag]) == 2
+        err = capsys.readouterr().err
+        assert "out=''" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
     def test_out_flag_replaces_out_key(self, tmp_path, capsys):
         # --out beats both an out line and --override out=...

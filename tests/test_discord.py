@@ -490,15 +490,30 @@ class TestGridDeduplication:
         (SearchConfig(phi_points=17), 14641, 83521)],
         ids=["zero-phase", "four-angle"])
     def test_kept_point_counts(self, search, kept, total):
-        indices, points = discord_module._grid(search)
-        sizes = [len(v) for v in discord_module._axes(search)]
-        assert (len(indices), int(np.prod(sizes))) == (kept, total)
-        assert points.shape == (kept, len(sizes))
+        plan = discord_module._plan(search)
+        sizes = [search.theta_points] * 2 + [search.phi_points] * 2
+        assert (len(plan.kept), int(np.prod(sizes))) == (kept, total)
+        assert plan.points.shape == (kept, len(sizes))
 
     @pytest.mark.parametrize("preset", sorted(GRID_PRESETS))
     def test_kept_indices_rise_strictly(self, preset):
-        indices, _ = discord_module._grid(GRID_PRESETS[preset])
+        indices = discord_module._plan(GRID_PRESETS[preset]).kept
         assert indices[0] == 0 and np.all(np.diff(indices) > 0)
+
+    # an odd and an even phase period, and one phase point
+    @pytest.mark.parametrize("search", [SearchConfig(), SearchConfig(5, 4),
+                                        SearchConfig(6, 7)], ids=str)
+    def test_kept_are_the_first_point_of_each_id_pair(self, search):
+        n_theta, n_phi = search.theta_points, search.phi_points
+        i, i_p, j, j_p = np.indices([n_theta] * 2 + [n_phi] * 2) \
+            .reshape(4, -1)
+        ids = np.stack([
+            discord_module._measurement_ids(i, j, n_theta, n_phi),
+            discord_module._measurement_ids(i_p, j_p, n_theta, n_phi)],
+            axis=1)
+        first = np.unique(ids, axis=0, return_index=True)[1]
+        assert discord_module._plan(search).kept.tolist() \
+            == sorted(first.tolist())
 
     @pytest.mark.parametrize("preset", sorted(GRID_PRESETS))
     def test_same_minimum_as_full_grid(self, preset):
@@ -513,6 +528,57 @@ class TestGridDeduplication:
             point, value = discord_module._grid_minimum(ev, search)
             assert abs(value - want) <= 1e-15
             assert tuple(point) == resolve_free(free, search)
+
+
+class TestPlan:
+    def test_geometry_is_linspace_over_the_angle_bounds(self):
+        # each free column's spacing is its grid's first step, bit for bit
+        bounds = [(0.0, np.pi / 2)] * 2 + [(0.0, 2 * np.pi)] * 2
+        for theta_points in range(2, 41):
+            for phi_points in range(1, 18):
+                search = SearchConfig(theta_points, phi_points)
+                plan = discord_module._plan(search)
+                counts = [theta_points] * 2 + [phi_points] * 2
+                free = [n > 1 for n in counts]
+                spacing = [grid[1] - grid[0] for grid in (
+                    np.linspace(lo, hi, n) for (lo, hi), n
+                    in zip(bounds, counts)) if len(grid) > 1]
+                steps = [max(spacing)]
+                while steps[-1] > discord_module.REFINE_TOL / 4:
+                    steps.append(steps[-1] / 2)
+                assert plan.free.tolist() == free, search
+                assert plan.spacing.tolist() == spacing, search
+                assert plan.steps.tolist() == steps, search
+                assert plan.steps[-1] <= discord_module.REFINE_TOL / 4 \
+                    < plan.steps[-2]
+
+    def test_moves_step_each_free_column_both_ways(self):
+        plan = discord_module._plan(SearchConfig(phi_points=3))
+        assert plan.moves.tolist() == [
+            [-1, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0], [0, 1, 0, 0],
+            [0, 0, -1, 0], [0, 0, 1, 0], [0, 0, 0, -1], [0, 0, 0, 1]]
+        assert discord_module._plan(SearchConfig()).moves.tolist() \
+            == [[-1, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0], [0, 1, 0, 0]]
+
+    def test_equal_configs_share_one_read_only_plan(self):
+        plan = discord_module._plan(SearchConfig(17, 1))
+        assert discord_module._plan(SearchConfig()) is plan
+        for array in plan:
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("phi_points,guard", [(1, (5, 1)), (3, (5, 5))])
+    def test_warm_start_reads_the_cached_guard_plan(self, phi_points,
+                                                    guard):
+        rng = np.random.default_rng(5)
+        ev = discord_module._Evaluator(discord_module._embedded(
+            DensityMatrix(random_density(rng, 26), table_space())))
+        search = SearchConfig(theta_points=5, phi_points=phi_points)
+        warm = MeasurementConfig(0.1, 0.2)
+        discord_module._warm_start(ev, search, warm)
+        misses = discord_module._plan.cache_info().misses
+        discord_module._plan(SearchConfig(*guard))  # built by that call
+        discord_module._warm_start(ev, search, warm)
+        assert discord_module._plan.cache_info().misses == misses
 
 
 def coupling_groups_state(rng):

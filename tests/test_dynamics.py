@@ -23,8 +23,8 @@ PARAMS = ModelParams()
 G = PARAMS.g_up
 
 
-def lab_hamiltonian(params, space, gating=None, up=10 * G, down=10 * G,
-                    phn=10 * G):
+def lab_hamiltonian(params, space, gating=GatingPolicy(), up=10 * G,
+                    down=10 * G, phn=10 * G):
     """The model's Hamiltonian plus the free terms of a lab frame with
     mode frequencies up, down and phn."""
     h = build_hamiltonian(params, space, gating).mat
@@ -36,23 +36,23 @@ def pure(v, space):
     return DensityMatrix(np.outer(v, v.conj()), space)
 
 
-def two_level_space(g_bond=G):
-    """Bond-broken seed plus its phonon partner, coupled by g_bond."""
+def two_level_space(g_omega=G):
+    """Bond-broken seed plus its phonon partner, coupled by g_omega."""
     params = dataclasses.replace(PARAMS, g_up=0, g_down=0, zeta=0,
-                                 g_bond=g_bond)
+                                 g_omega=g_omega)
     space = generate_space([BasisState.from_string("0000010")], params,
                            include_dissipation=False)
     return space, params
 
 
-def open_params(g_bond, gamma):
+def open_params(g_omega, gamma):
     """The criterion-5 family: interaction picture, every mode lossy."""
-    return dataclasses.replace(PARAMS, g_bond=g_bond, gamma_up=gamma,
+    return dataclasses.replace(PARAMS, g_omega=g_omega, gamma_up=gamma,
                                gamma_down=gamma, gamma_phn=gamma)
 
 
 def damped_mode_space():
-    params = dataclasses.replace(PARAMS, g_up=0, g_down=0, g_bond=0, zeta=0,
+    params = dataclasses.replace(PARAMS, g_up=0, g_down=0, g_omega=0, zeta=0,
                                  gamma_up=G)
     space = generate_space([BasisState.from_string("1000000")], params,
                            include_dissipation=True)
@@ -145,7 +145,7 @@ class TestPropagator:
         traj = evolve(rho0, h, [], cfg)
         idx = space.states.index(BasisState.from_string("0000010"))
         for t, snap in zip(traj.times, traj.snapshots):
-            expected = np.cos(params.g_bond * t) ** 2
+            expected = np.cos(params.g_omega * t) ** 2
             assert snap[idx, idx].real == pytest.approx(expected, abs=1e-10)
 
 

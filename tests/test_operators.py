@@ -18,7 +18,7 @@ FULL = full_space()
 
 class TestHamiltonian:
     def test_zero_params_zero_matrix(self):
-        params = ModelParams(g_up=0, g_down=0, g_bond=0, zeta=0)
+        params = ModelParams(g_up=0, g_down=0, g_omega=0, zeta=0)
         h = build_hamiltonian(params, table_space())
         assert np.all(h.mat == 0)
 
@@ -27,7 +27,7 @@ class TestHamiltonian:
         for _ in range(20):
             vals = rng.uniform(0, 1e8, size=4)
             params = ModelParams(g_up=vals[0], g_down=vals[1],
-                                 g_bond=vals[2], zeta=vals[3])
+                                 g_omega=vals[2], zeta=vals[3])
             h = build_hamiltonian(params, table_space())
             assert np.abs(h.mat - h.mat.conj().T).max() == 0.0
 
@@ -36,7 +36,7 @@ class TestHamiltonian:
         h = build_hamiltonian(PARAMS, sp)
         row = sp.states.index(BasisState.from_string("0010000"))
         col = sp.states.index(BasisState.from_string("0000010"))
-        assert h.mat[row, col] == PARAMS.g_bond
+        assert h.mat[row, col] == PARAMS.g_omega
 
     def test_commutes_with_excitation_count(self):
         h = build_hamiltonian(PARAMS, FULL)
@@ -65,7 +65,7 @@ class TestHamiltonian:
             PARAMS, FULL, GatingPolicy(bond_term_requires_colocated=False))
         row = FULL.states.index(BasisState.from_string("0010001"))
         col = FULL.states.index(BasisState.from_string("0000011"))
-        assert h.mat[row, col] == PARAMS.g_bond
+        assert h.mat[row, col] == PARAMS.g_omega
         gated = build_hamiltonian(PARAMS, FULL)
         assert gated.mat[row, col] == 0.0
 
@@ -142,7 +142,7 @@ class TestJumpChannels:
         # the phonon-raise image of |0000010> is outside this closure
         sp = generate_space([BasisState.from_string("0000010")],
                             dataclasses.replace(PARAMS, g_up=0, g_down=0,
-                                                g_bond=0, zeta=0),
+                                                g_omega=0, zeta=0),
                             include_dissipation=False)
         with pytest.raises(ImageOutsideSpace):
             build_jump_channels(dataclasses.replace(PARAMS, influx_phn=1e6),
@@ -152,9 +152,9 @@ class TestJumpChannels:
 class TestModelParams:
     def test_rejects_negative_coupling(self):
         with pytest.raises(ValueError):
-            ModelParams(g_bond=-1.0)
+            ModelParams(g_omega=-1.0)
 
-    @pytest.mark.parametrize("name", ["g_up", "g_bond", "zeta",
+    @pytest.mark.parametrize("name", ["g_up", "g_omega", "zeta",
                                       "gamma_phn", "influx_up", "influx_phn"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
