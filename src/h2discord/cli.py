@@ -200,13 +200,14 @@ class ExperimentConfig:
     out: str
     params: ModelParams
     gating: GatingPolicy
-    sim: SimConfig
-    search: SearchConfig
     space_mode: str
     sweep_values: tuple
     dump_rho: bool
     resolved: dict = field(default_factory=dict)
-    # set by resolve_config: a series' space, a sweep's (x, config) points
+    # set by resolve_config: a series' record grid, search and space, a
+    # sweep's (x, config) points
+    sim: SimConfig = field(default=None, init=False)
+    search: SearchConfig = field(default=None, init=False)
     space: StateSpace = field(default=None, init=False)
     points: list = field(default_factory=list, init=False)
 
@@ -251,14 +252,14 @@ def _bind(cls, v: dict, **given):
                            if f.init and f.name not in given})
 
 
-# the record grid keys; a sweep's record leaves out those its config
-# does not give, so that each point runs on its own model's default grid;
-# a period law takes none of them
+# the record grid keys, whose defaults read the model: a sweep leaves
+# those its config does not give to each point; a period law takes none
 _GRID = ("dt", "t_end", "record_stride")
 
 
-def _check(v: dict, params: ModelParams, given):
-    """The rules that tie keys together; `given` names the keys set."""
+def _check(v: dict, params: ModelParams, given, swept):
+    """The rules that tie keys together; `given` names the keys set, and
+    `swept` those a sweep kind sets at each point."""
     kind = v["kind"]
     sweep = v["sweep_values"]
     if kind in SWEEPS and not sweep:
@@ -271,7 +272,6 @@ def _check(v: dict, params: ModelParams, given):
                               "in (0, 1]")
     if kind in SWEEPS and len(set(sweep)) < len(sweep):
         raise ConfigTypeError("TypeError: sweep_values repeats a value")
-    swept = _SWEEPS[kind].swept if kind in SWEEPS else ()
     # gamma only sets the defaults of the decays sweep-gamma sweeps
     for name in (*swept, "gamma") if kind == "sweep-gamma" else swept:
         if name in given:
@@ -295,7 +295,7 @@ def _check(v: dict, params: ModelParams, given):
 
 def resolve_config(entries: dict) -> ExperimentConfig:
     """Validate raw entries {key: (raw text, line number)}, fill
-    defaults, and bind everything."""
+    defaults, and bind everything; a sweep binds what its points share."""
     unknown = sorted(set(entries) - {key.name for key in KEYS})
     if unknown:
         raise UnknownKey(f"unknown key {unknown[0]!r}"
@@ -303,56 +303,52 @@ def resolve_config(entries: dict) -> ExperimentConfig:
 
     v = {}
     for key in KEYS:
-        v[key.name] = _value(key, entries.get(key.name), v)
+        if key.name in entries or key.name not in _GRID \
+                or v["kind"] not in SWEEPS:
+            v[key.name] = _value(key, entries.get(key.name), v)
     params = _bind(ModelParams, v)
-    _check(v, params, entries)
+    swept = _SWEEPS[v["kind"]].swept if v["kind"] in SWEEPS else ()
+    _check(v, params, entries, swept)
+    # a sweep's record leaves out the keys it sweeps; each point's has them
+    resolved = {key.name: key.type.show(v[key.name]) for key in KEYS
+                if key.recorded and key.name in v and key.name not in swept}
+    config = _bind(ExperimentConfig, v, params=params,
+                   gating=_bind(GatingPolicy, v), resolved=resolved)
+    if config.kind in SWEEPS:
+        config.points = _sweep_points(config, entries)
+        return config
     try:  # SimConfig and SearchConfig hold the rules of their grids
-        sim, search = _bind(SimConfig, v), _bind(SearchConfig, v)
+        config.sim, config.search = _bind(SimConfig, v), _bind(SearchConfig, v)
     except ValueError as exc:
         raise ConfigTypeError(f"TypeError: {exc}") from None
     # each move gives a state at most one partner and each a^dagger a is
     # 0/1 diagonal, so ||L||_1 <= 2 (the sum of the couplings and rates)
-    substeps = 2 * sum(astuple(params)) * sim.t_end / TAYLOR_THETA
+    substeps = 2 * sum(astuple(params)) * config.t_end / TAYLOR_THETA
     if not _closed(params) and substeps > MAX_SUBSTEPS:
         rates = ", ".join(name for name in RATES if v[name])
-        raise ConfigTypeError(f"TypeError: {rates} and t_end={sim.t_end!r} "
-                              f"may take {substeps:.3g} Taylor substeps, "
-                              f"more than {MAX_SUBSTEPS}; lower the rates "
-                              "or t_end")
-    skipped = [*_SWEEPS[v["kind"]].swept,
-               *(name for name in _GRID if name not in entries)] \
-        if v["kind"] in SWEEPS else []
-    resolved = {key.name: key.type.show(v[key.name])
-                for key in KEYS if key.recorded and key.name not in skipped}
-    config = _bind(ExperimentConfig, v, params=params,
-                   gating=_bind(GatingPolicy, v), sim=sim,
-                   search=search, resolved=resolved)
-    if config.kind == "discord-series":
-        config.space = _build_space(config)
-    config.points = _sweep_points(config)  # each resolved as a series
+        raise ConfigTypeError(f"TypeError: {rates} and t_end="
+                              f"{config.t_end!r} may take {substeps:.3g} "
+                              f"Taylor substeps, more than {MAX_SUBSTEPS}; "
+                              "lower the rates or t_end")
+    config.space = _build_space(config)
     return config
 
 
-def _sweep_points(config: ExperimentConfig) -> list:
-    """(x, the discord-series config of that point) per sweep value of a
-    sweeping kind; none for the other kinds.
-
-    A point resolves, as a discord series, the sweep's recorded keys
-    without sweep_values and with the kind's swept keys set to x g_up.
-    A sweep's record leaves out the keys it sweeps, and the record grid
-    keys its config does not give, so its points run on the default grid
-    of their own model.
-    """
-    if config.kind not in SWEEPS:
-        return []
-    entries = {name: (str(value), None)
-               for name, value in config.resolved.items()
-               if name != "sweep_values"}
-    entries["kind"] = ("discord-series", None)
-    return [(x, resolve_config({**entries, **dict.fromkeys(
-                _SWEEPS[config.kind].swept,
-                (repr(x * config.params.g_up), None))}))
-            for x in sorted(config.sweep_values)]
+def _sweep_points(config: ExperimentConfig, entries: dict) -> list:
+    """(x, the discord-series config of that point) per sweep value: the
+    sweep's entries, each with its origin, less sweep_values and with
+    the swept keys set to x g_up.  A point's config error names it."""
+    shared = {**entries, "kind": ("discord-series", None)}
+    shared.pop("sweep_values", None)
+    points = []
+    for x in sorted(config.sweep_values):
+        at_x = dict.fromkeys(_SWEEPS[config.kind].swept,
+                             (repr(x * config.params.g_up), None))
+        try:
+            points.append((x, resolve_config({**shared, **at_x})))
+        except ConfigError as exc:
+            raise type(exc)(f"{_point_dir(config.kind, x)}: {exc}") from None
+    return points
 
 
 def _point_dir(kind: str, x: float) -> str:
@@ -468,11 +464,14 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
         xcol, ycol = sweep.header.split(",")[:2]
         rows = []
         for x, point in config.points:
-            paths, records, point_fit = _run(point,
-                                             out / _point_dir(kind, x))
+            where = _point_dir(kind, x)
+            try:
+                paths, records, point_fit = _run(point, out / where)
+                if law and isinstance(point_fit, SimulationError):
+                    raise point_fit
+            except SimulationError as exc:
+                raise type(exc)(f"{where}: {exc}") from None
             written += paths
-            if law and isinstance(point_fit, SimulationError):
-                raise point_fit
             rows.append([x, point_fit.period, point_fit.rms_residual] if law
                         else [x, max(pt.discord for pt in records)])
         emit(sweep.csv, _csv(sweep.header, rows))

@@ -16,7 +16,7 @@ from h2discord.cli import KEYS as CONFIG_KEYS, KINDS, SWEEPS, \
 from h2discord.discord import MAX_GRID_POINTS, SearchConfig
 from h2discord.dynamics import MAX_RECORDS, initial_state
 from h2discord.errors import ConfigError, ConfigTypeError, MissingRequired, \
-    UnknownKey
+    PositivityLost, UnknownKey
 from h2discord.operators import ModelParams, build_jump_channels
 from h2discord.statespace import JUMPS, GatingPolicy
 
@@ -251,7 +251,10 @@ class TestResolveConfig:
             config = resolve(text, kind=kind)
         except ConfigError:
             return
-        for each in [config] + [point for _, point in config.points]:
+        # a sweep binds no record grid or search: each of its points does
+        if config.kind in SWEEPS:
+            assert config.sim is None and config.search is None
+        for each in [point for _, point in config.points] or [config]:
             assert math.isfinite(each.sim.t_end / each.sim.dt)
             assert 1 + math.ceil(each.sim.n_steps / each.sim.record_stride) \
                 <= MAX_RECORDS
@@ -594,6 +597,25 @@ class TestMain:
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
         assert "InsufficientData" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,error", [
+        # a horizon of 5% of the period leaves the law's fit 5 samples
+        ("kind=period-law\nzeta=0\nsweep_values=0.2\nperiods_factor=0.05\n",
+         "InsufficientData: g_omega_over_g=0.2: need >= 8 samples, got 5"),
+        ("kind=sweep-gamma\nsweep_values=0.5,1\n",
+         "PositivityLost: gamma_over_g=0.5: rho lost positivity")],
+        ids=["fit-error", "raised"])
+    def test_numerical_error_names_its_point(self, tmp_path, capsys,
+                                             monkeypatch, text, error):
+        def lost(config):
+            raise PositivityLost("rho lost positivity")
+
+        if "PositivityLost" in error:
+            monkeypatch.setattr(cli, "_run_series", lost)
+        path = write_config(tmp_path, text)
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == error + "\n"
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -773,6 +795,51 @@ class TestMain:
         err = capsys.readouterr().err
         assert "gamma_up, gamma_down, gamma_phn and t_end=1e-06" in err
         assert "Taylor substeps" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    # the sweep-level model, whose g_omega is its default 0.5g, would keep
+    # more than MAX_RECORDS records or take more than MAX_SUBSTEPS Taylor
+    # substeps; no point does, and each point checks its own model
+    @pytest.mark.parametrize("text", [
+        "sweep_values=1,2\ndt=1e-12\nrecord_stride=10\n",
+        "sweep_values=0.1,0.2\ngamma=0.01g\nt_end=0.06\n"
+        "record_stride=100000\n"], ids=["records", "substeps"])
+    def test_sweep_validates_when_each_point_does(self, tmp_path, capsys,
+                                                  text):
+        path = write_config(tmp_path, "kind=sweep-g-omega\n" + text)
+        assert main(["validate", path]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        sweep = resolve(text, kind="sweep-g-omega")
+        shared = text.split("\n", 1)[1]  # without sweep_values
+        for x, point in sweep.points:
+            alone = resolve(shared + f"g_omega={x!r}g\n",
+                            kind="discord-series")
+            assert point.sim == alone.sim, x
+
+    @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
+    @pytest.mark.parametrize("text,start", [
+        ("kind=sweep-gamma\ng_up=0\ng_down=0\nzeta=0\ng_omega=0\n",
+         "TypeError: sweep-gamma needs a positive g_up"),
+        ("kind=sweep-g-omega\nsweep_values=0.5,0.01\ndt=1e-11\n"
+         "record_stride=1\n", "g_omega_over_g=0.01: TypeError: "
+         "record_stride and t_end keep more than"),
+        ("kind=sweep-g-omega\nsweep_values=0.2,0.5\ngamma=0.01g\n"
+         "t_end=0.06\nrecord_stride=100000\n", "g_omega_over_g=0.5: "
+         "TypeError: gamma_up, gamma_down, gamma_phn and t_end=0.06 may "
+         "take 1.06e+06 Taylor substeps"),
+        ("kind=sweep-gamma\nsweep_values=0.2\ntheta_points=1001\n",
+         "gamma_over_g=0.2: TypeError: theta_points and phi_points give "
+         "more than")],
+        ids=["zero-scales", "records", "substeps", "search-grid"])
+    def test_sweep_config_error_names_its_point(self, tmp_path, capsys,
+                                                command, text, start):
+        # a sweep checks no model of its own: the all-zero sweep lacks
+        # g_up, not a dt default, and a point's limit names the point
+        path = write_config(tmp_path, text)
+        assert main([command, path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {start}")
+        assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["validate", "dump-space"])
