@@ -46,6 +46,9 @@ _SWEEPS = {
 }
 SWEEPS = tuple(_SWEEPS)
 KINDS = ("discord-series", *SWEEPS)
+# the CSVs any kind writes at the top of its run directory
+_CSVS = ("observables.csv", "discord.csv", "fit.csv", "rho.csv",
+         "sweep.csv", "sweep_peak.csv", "law.csv")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -278,6 +281,12 @@ def _check(v: dict, params: ModelParams, given, swept):
             raise ConfigTypeError(
                 f"TypeError: {kind} takes no {name}{_origin(given[name][1])}"
                 f": each sweep point sets {', '.join(swept)} to x g_up")
+    # every gating gives the same H on the 26 table states; jumps read none
+    gated = [f.name for f in fields(GatingPolicy) if f.name in given]
+    if v["space_mode"] == MODE_TABLE and gated:
+        raise ConfigTypeError(
+            f"TypeError: {gated[0]}{_origin(given[gated[0]][1])} changes "
+            "nothing on the table-compat space; give space_mode=closure")
     if params.g_up == 0 and kind in SWEEPS:
         raise ConfigTypeError(f"TypeError: {kind} needs a positive g_up; "
                               "sweep_values are in units of g_up")
@@ -437,11 +446,11 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
                 fh.write(line + "\n")
         written.append(path)
 
+    # a rerun into this directory leaves no CSV this run does not write
+    for name in _CSVS:
+        (out / name).unlink(missing_ok=True)
     kind = config.kind
     if kind == "discord-series":
-        # a rerun into this directory leaves no file this run does not write
-        for name in ("rho.csv", "fit.csv"):
-            (out / name).unlink(missing_ok=True)
         traj, points = _run_series(config)
         notes.update(min_eigenvalue=traj.min_eigenvalue,
                      min_eigenvalue_t=traj.min_eigenvalue_t,

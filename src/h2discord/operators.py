@@ -81,18 +81,14 @@ def build_hamiltonian(params: ModelParams, space: StateSpace,
 
     Each move of MOVES with a positive strength couples its gated
     source states to their images, each entry written with its
-    transpose so the matrix is exactly real symmetric, or, while its
-    shift holds, adds its strength to the diagonal of the gated states.
+    transpose so the matrix is exactly real symmetric.
     """
     h = np.zeros((space.size, space.size), dtype=complex)
     for i, s in enumerate(space):
         for move in MOVES:
             strength = getattr(params, move.strength)
-            if not (strength > 0 and move.gate(s, gating)):
-                continue
-            if move.shift(gating):
-                h[i, i] += strength  # identity on the moved labels
-            elif (target := move.step(s)) is not None:
+            if strength > 0 and move.gate(s, gating) \
+                    and (target := move.step(s)) is not None:
                 j = _target_index(space, target, "interaction term")
                 if j is not None:
                     h[j, i] += strength

@@ -54,14 +54,10 @@ class GatingPolicy:
         bond is broken (a bound molecule cannot separate).
     bond_term_requires_colocated: the phonon/bond exchange acts only
         while the nuclei share a cavity.
-    literal_tunneling_form: use the diagonal form of the tunneling term
-        (a constant shift on the position label) instead of the
-        transition form that actually moves the nuclei.
     """
 
     tunneling_requires_broken_bond: bool = True
     bond_term_requires_colocated: bool = True
-    literal_tunneling_form: bool = False
 
 
 class _Move(NamedTuple):
@@ -69,15 +65,13 @@ class _Move(NamedTuple):
 
     strength names the ModelParams field scaling the hop.  The gate,
     (state, GatingPolicy) -> bool, reads only labels the hop keeps, so
-    it holds at both ends.  While shift(GatingPolicy) is true, the hop
-    becomes a diagonal +strength on the gated states.
+    it holds at both ends.
     """
 
     source: dict
     image: dict
     strength: str
     gate: Callable
-    shift: Callable = lambda gating: False
 
     def step(self, s: BasisState, reverse: bool = False):
         """The image of s (its source if reverse), None if s is no end."""
@@ -118,8 +112,7 @@ MOVES = (
     # nuclear hop between cavities
     _Move({"k": 0}, {"k": 1}, "zeta",
           lambda s, gating: s.L == 1
-          or not gating.tunneling_requires_broken_bond,
-          shift=lambda gating: gating.literal_tunneling_form),
+          or not gating.tunneling_requires_broken_bond),
 )
 JUMPS = (
     _Jump("p1", "gamma_up", "influx_up"),
@@ -199,8 +192,7 @@ def _neighbors(s: BasisState, params, gating: GatingPolicy,
                include_dissipation: bool):
     out = []
     for move in MOVES:
-        if getattr(params, move.strength) > 0 and not move.shift(gating) \
-                and move.gate(s, gating):
+        if getattr(params, move.strength) > 0 and move.gate(s, gating):
             out += filter(None, (move.step(s), move.step(s, reverse=True)))
     if include_dissipation:
         for jump in JUMPS:  # decay closes whatever its rate, influx if on

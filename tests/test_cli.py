@@ -95,7 +95,8 @@ class TestResolveConfig:
     # written in the interaction picture), the envelope window (one
     # carrier period) and the discord stride (record_stride samples); and
     # the search's refine switch and tolerance (it always refines to
-    # discord.REFINE_TOL)
+    # discord.REFINE_TOL); and the diagonal tunneling form (the tunneling
+    # term always moves the nuclei)
     @pytest.mark.parametrize("key,value", [
         *((key, "1") for key in ("banana", "tie_thetas", "tie_phis", "hbar",
                                  "renormalize_trace", "dump_operators",
@@ -103,7 +104,8 @@ class TestResolveConfig:
                                  "seeds", "include_dissipation", "omega_up",
                                  "omega_down", "omega_phn", "discord_stride",
                                  "envelope_window")),
-        ("refine", "maybe"), ("refine_tol", "0"), ("refine_tol", "-1e-4")])
+        ("refine", "maybe"), ("refine_tol", "0"), ("refine_tol", "-1e-4"),
+        ("literal_tunneling_form", "true")])
     def test_unknown_key_named_with_line(self, key, value):
         with pytest.raises(UnknownKey) as err:
             resolve(f"g=1e7\n{key}={value}\n", kind="discord-series")
@@ -298,9 +300,13 @@ class TestResolveConfig:
 
     @pytest.mark.parametrize("rates", ["", "gamma=g\n", "influx_up=0.3g\n"],
                              ids=["closed", "loss", "influx"])
-    @pytest.mark.parametrize("switches", list(itertools.product(
-        ("true", "false"), repeat=3)), ids="-".join)
-    @pytest.mark.parametrize("mode", ["table-compat", "closure"])
+    @pytest.mark.parametrize("mode,switches", [
+        ("table-compat", ()),  # which takes no gating key
+        *(("closure", switches)
+          for switches in itertools.product(("true", "false"), repeat=2))],
+        ids=["table-compat", *("closure-" + "-".join(switches) for switches
+                               in itertools.product(("true", "false"),
+                                                    repeat=2))])
     def test_every_space_holds_the_initial_state_and_the_jump_images(
             self, mode, switches, rates):
         # the table holds the initial components, and closure mode closes
@@ -320,6 +326,11 @@ def write_config(tmp_path, text, name="exp.cfg"):
     path.write_text(text, encoding="utf-8")
     return str(path)
 
+
+# a closed period law and an open peak sweep with the same points
+LAW = "kind=period-law\nzeta=0\nsweep_values=0.1,0.2\n"
+PEAKS = ("kind=sweep-g-omega\ngamma=g\nt_end=2e-7\nsweep_values=0.1,0.2\n"
+         "theta_points=5\n")
 
 SMALL_SERIES = ("kind=discord-series\n"
                 "g_omega=0.1g\n"
@@ -483,13 +494,24 @@ class TestRun:
         assert f"discord_pure_snapshots={pure}" in meta
         assert f"discord_grid_fallbacks={fallbacks}" in meta
 
-    @pytest.mark.parametrize("extra,moves", [
-        ("", "0/0"), ("gamma=g\n", "0/4"),
-        ("gamma=g\nliteral_tunneling_form=true\n", "3/4")],
-        ids=["closed", "open", "open-literal"])
-    def test_refine_moves_in_metadata(self, tmp_path, extra, moves):
+    @pytest.mark.parametrize("extra,moved,moves", [
+        ("", (), "0/0"), ("gamma=g\n", (), "0/4"),
+        ("gamma=g\n", (2, 4), "2/4")],
+        ids=["closed", "open", "open-moved"])
+    def test_refine_moves_in_metadata(self, tmp_path, monkeypatch, extra,
+                                      moved, moves):
         # k/m: the refinement moved the search's start at k of the m
-        # mixed snapshots; the open run's argmins all sit at the corner
+        # mixed snapshots; the open run's argmins all sit at the corner,
+        # so its records `moved` are marked as moved
+        series = cli._run_series
+
+        def marked(config):
+            traj, points = series(config)
+            return traj, [dataclasses.replace(pt, refine_moved=True)
+                          if i in moved else pt
+                          for i, pt in enumerate(points)]
+
+        monkeypatch.setattr(cli, "_run_series", marked)
         text = ("kind=discord-series\nt_end=4e-8\ntheta_points=5\n"
                 "dt=1e-12\nrecord_stride=10000\n" + extra)
         run(resolve(text, out=str(tmp_path / "o")))
@@ -641,13 +663,15 @@ class TestMain:
                                     "seeds", "include_dissipation",
                                     "omega_up", "omega_down", "omega_phn",
                                     "discord_stride", "envelope_window")),
-        ("refine", "maybe"), ("refine_tol", "0"), ("refine_tol", "-1e-4")])
+        ("refine", "maybe"), ("refine_tol", "0"), ("refine_tol", "-1e-4"),
+        ("literal_tunneling_form", "true")])
     def test_removed_switches_are_unknown_overrides(self, tmp_path, capsys,
                                                     key, value):
         # the model is written in the interaction picture, phi_points = 1
         # fixes the phases, space_mode alone picks the space, the envelope
-        # spans one carrier period, discord is taken at every record and
-        # the search always refines to discord.REFINE_TOL
+        # spans one carrier period, discord is taken at every record, the
+        # search always refines to discord.REFINE_TOL and the tunneling
+        # term always moves the nuclei
         path = write_config(tmp_path, "kind=discord-series\n")
         assert main(["validate", path, "--override", f"{key}={value}"]) == 2
         assert f"unknown key '{key}' (--override)" in capsys.readouterr().err
@@ -900,20 +924,48 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("first,second,stale", [
-        ("t_end=2e-7\ndump_rho=true\n", "t_end=2e-7\ngamma=g\n",
-         "rho.csv"),
-        ("zeta=0\n", "zeta=0\ngamma=g\nt_end=2e-7\n", "fit.csv")],
-        ids=["rho", "fit"])
+        ("kind=discord-series\nt_end=2e-7\ndump_rho=true\n",
+         "kind=discord-series\nt_end=2e-7\ngamma=g\n", ["rho.csv"]),
+        ("kind=discord-series\nzeta=0\n",
+         "kind=discord-series\nzeta=0\ngamma=g\nt_end=2e-7\n", ["fit.csv"]),
+        (LAW, PEAKS, ["law.csv", "sweep.csv"]),
+        (PEAKS, LAW, ["sweep_peak.csv"])],
+        ids=["rho", "fit", "law-then-peaks", "peaks-then-law"])
     def test_rerun_removes_the_files_it_does_not_write(
             self, tmp_path, capsys, first, second, stale):
-        out = str(tmp_path / "o")
+        # the sweeps share their point directories, which the points'
+        # own runs clear
+        out = tmp_path / "o"
         for text in (first, second):
-            path = write_config(tmp_path, "kind=discord-series\n" + text)
-            assert main(["run", path, "--out", out]) == 0
+            path = write_config(tmp_path, text)
+            assert main(["run", path, "--out", str(out)]) == 0
             written = capsys.readouterr().out.split()
-        assert not (tmp_path / "o" / stale).exists()
-        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == \
-            sorted(Path(p).name for p in written)
+        assert not any((out / name).exists() for name in stale)
+        assert sorted(p for p in out.rglob("*") if p.is_file()) == \
+            sorted(Path(p) for p in written)
+
+    @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
+    @pytest.mark.parametrize("text,flags,origin", [
+        ("kind=discord-series\nt_end=1e-7\n{key}=false\n", [], "line 3"),
+        ("kind=sweep-g-omega\ngamma=g\n", ["--override", "{key}=true"],
+         "--override")], ids=["series", "sweep"])
+    @pytest.mark.parametrize("key", [field.name for field
+                                     in dataclasses.fields(GatingPolicy)])
+    def test_table_compat_refuses_gating_keys(self, tmp_path, capsys, key,
+                                              text, flags, origin, command):
+        # every gating gives the same H on the 26 table states, so a
+        # gating key there would be recorded and change nothing
+        path = write_config(tmp_path, text.format(key=key))
+        flags = [flag.format(key=key) for flag in flags]
+        assert main([command, path, *flags,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: TypeError: {key} ({origin}) changes "
+                       "nothing on the table-compat space; give "
+                       "space_mode=closure\n")
+        assert not (tmp_path / "o").exists()
+        assert main(["validate", path, *flags,
+                     "--override", "space_mode=closure"]) == 0
 
     @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
     def test_full_space_mode_exits_as_config_error(self, tmp_path, capsys,

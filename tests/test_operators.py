@@ -48,17 +48,19 @@ class TestHamiltonian:
         col = h.mat[:, FULL.states.index(BasisState.from_string("0000000"))]
         assert np.allclose(col, 0.0)
 
-    def test_literal_tunneling_is_diagonal_shift(self):
+    def test_table_space_hamiltonian_ignores_gating(self):
+        # each move that a switch opens leads out of the 26 table states,
+        # so the CLI refuses a gating key on that space
+        rng = np.random.default_rng(11)
         sp = table_space()
-        gated = build_hamiltonian(PARAMS, sp,
-                                  GatingPolicy(literal_tunneling_form=True))
-        plain = build_hamiltonian(dataclasses.replace(PARAMS, zeta=0), sp)
-        diff = gated.mat - plain.mat
-        assert np.allclose(np.diag(np.diag(diff)), diff)
-        broken = sp.states.index(BasisState.from_string("0000010"))
-        formed = sp.states.index(BasisState.from_string("0000000"))
-        assert diff[broken, broken] == PARAMS.zeta
-        assert diff[formed, formed] == 0.0
+        gatings = [GatingPolicy(*flags) for flags in itertools.product(
+            (True, False), repeat=len(dataclasses.fields(GatingPolicy)))]
+        for _ in range(200):
+            values = rng.uniform(0, 2e7, 10) * (rng.random(10) < 0.7)
+            params = ModelParams(*values)
+            first, *rest = (build_hamiltonian(params, sp, gating).mat
+                            for gating in gatings)
+            assert all(np.array_equal(first, mat) for mat in rest)
 
     def test_ungated_bond_term_reaches_scattered_nuclei(self):
         h = build_hamiltonian(
@@ -70,9 +72,26 @@ class TestHamiltonian:
         assert gated.mat[row, col] == 0.0
 
 
+def reached(coupled):
+    """The FULL states that the initial components reach through the
+    nonzero entries of `coupled` (column to row)."""
+    reached = {FULL.states.index(s) for s in INITIAL_COMPONENTS}
+    frontier = list(reached)
+    while frontier:
+        for j in np.flatnonzero(coupled[:, frontier.pop()]):
+            if j not in reached:
+                reached.add(j)
+                frontier.append(j)
+    return {FULL.states[i] for i in reached}
+
+
+GATINGS = [GatingPolicy(*flags) for flags in itertools.product(
+    (False, True), repeat=len(dataclasses.fields(GatingPolicy)))]
+
+
 class TestClosureMatchesHamiltonian:
     @pytest.mark.parametrize("flags", list(itertools.product((False, True),
-                                                             repeat=3)))
+                                                             repeat=2)))
     @pytest.mark.parametrize("zeta", [0.0, PARAMS.g_up])
     def test_closure_is_connected_component(self, flags, zeta):
         params = dataclasses.replace(PARAMS, zeta=zeta)
@@ -80,14 +99,60 @@ class TestClosureMatchesHamiltonian:
         closure = generate_space(INITIAL_COMPONENTS, params, gating,
                                  include_dissipation=False)
         coupled = build_hamiltonian(params, FULL, gating).mat != 0
-        reached = {FULL.states.index(s) for s in INITIAL_COMPONENTS}
-        frontier = list(reached)
-        while frontier:
-            for j in np.flatnonzero(coupled[:, frontier.pop()]):
-                if j not in reached:
-                    reached.add(j)
-                    frontier.append(j)
-        assert set(closure) == {FULL.states[i] for i in reached}
+        assert set(closure) == reached(coupled)
+
+    @pytest.mark.parametrize("flags", list(itertools.product((False, True),
+                                                             repeat=2)))
+    @pytest.mark.parametrize("rates", [{}, dict(influx_up=3e6,
+                                                 influx_phn=3e6)],
+                             ids=["decay", "influx"])
+    def test_dissipative_closure_adds_the_jump_images(self, flags, rates):
+        # every decay closes whatever its rate, an influx only when on
+        params = dataclasses.replace(PARAMS, **rates)
+        gating = GatingPolicy(*flags)
+        closure = generate_space(INITIAL_COMPONENTS, params, gating)
+        coupled = build_hamiltonian(params, FULL, gating).mat != 0
+        decays = {jump.decay: 1.0 for jump in JUMPS}
+        for ch in build_jump_channels(dataclasses.replace(params, **decays),
+                                      FULL):
+            coupled[ch.dst, ch.src] = True
+        assert set(closure) == reached(coupled)
+        assert len(closure) > len(generate_space(
+            INITIAL_COMPONENTS, params, gating, include_dissipation=False))
+
+
+def gauge_label(space):
+    """n = p1 + p2 + m + k of each state of the space."""
+    return np.array([s.p1 + s.p2 + s.m + s.k for s in space])
+
+
+class TestGauge:
+    # every move and jump changes n by one, so with D = diag(i^n) the
+    # Hamiltonian is imaginary and each jump a fixed phase times a real
+    # operator: the generator maps real D^dagger rho D to real ones
+    @pytest.mark.parametrize("gating", GATINGS,
+                             ids=lambda g: "".join("TF"[not flag] for flag
+                                                   in dataclasses.astuple(g)))
+    def test_hamiltonian_is_imaginary_in_the_gauge(self, gating):
+        rng = np.random.default_rng(5)
+        gauge = np.array([1, 1j, -1, -1j])[gauge_label(FULL) % 4]
+        for _ in range(20):
+            values = rng.uniform(0, 2e7, 10) * (rng.random(10) < 0.7)
+            h = build_hamiltonian(ModelParams(*values), FULL, gating).mat
+            assert np.abs((gauge.conj()[:, None] * h * gauge).real).max() \
+                == 0.0
+
+    @pytest.mark.parametrize("jump,raising", [
+        (jump, raising) for jump in JUMPS for raising in (False, True)],
+        ids=[f"{jump.label}-{'influx' if raising else 'decay'}"
+             for jump in JUMPS for raising in (False, True)])
+    def test_each_jump_changes_n_by_one(self, jump, raising):
+        field = jump.influx if raising else jump.decay
+        (ch,) = build_jump_channels(
+            dataclasses.replace(PARAMS, **{field: 1e6}), FULL)
+        n = gauge_label(FULL)
+        assert len(ch.src) == 64
+        assert set(n[ch.dst] - n[ch.src]) == {1 if raising else -1}
 
 
 # loss and influx at 0.3 g on every mode

@@ -1,10 +1,13 @@
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from h2discord.errors import EmptySeeds, SeedOutsideCompatTable
 from h2discord.operators import ModelParams
-from h2discord.statespace import BasisState, GatingPolicy, INITIAL_COMPONENTS, \
-    TABLE_STATES, generate_space, table_space
+from h2discord.statespace import MOVES, BasisState, GatingPolicy, \
+    INITIAL_COMPONENTS, TABLE_STATES, generate_space, table_space
 
 from oracles import decode, encode, full_space
 
@@ -155,11 +158,42 @@ class TestGenerateSpace:
                             include_dissipation=False)
         assert state("0000011") not in sp
 
-    def test_literal_tunneling_form_has_no_moves(self):
-        gating = GatingPolicy(literal_tunneling_form=True)
-        sp = generate_space([state("0000010")], PARAMS, gating,
-                            include_dissipation=False)
-        assert state("0000011") not in sp
+
+def gauge_label(s):
+    """n = p1 + p2 + m + k, the label of the gauge diag(i^n)."""
+    return s.p1 + s.p2 + s.m + s.k
+
+
+GATINGS = [GatingPolicy(*flags) for flags in itertools.product(
+    (True, False), repeat=len(dataclasses.fields(GatingPolicy)))]
+
+
+class TestMoves:
+    @pytest.mark.parametrize("move", MOVES, ids=[m.strength for m in MOVES])
+    def test_every_move_raises_n_by_one_and_keeps_the_pairs(self, move):
+        # n changing by one makes every record real in the gauge
+        # diag(i^n); p1 + l1, p2 + l2 and m + L kept make the free terms
+        # a local unitary
+        steps = [(s, t) for s in full_space()
+                 if (t := move.step(s)) is not None]
+        assert len(steps) == 2 ** (7 - len(move.source))
+        for s, t in steps:
+            assert move.step(t, reverse=True) == s
+            assert gauge_label(t) == gauge_label(s) + 1
+            assert (t.p1 + t.l1, t.p2 + t.l2, t.m + t.L) == \
+                (s.p1 + s.l1, s.p2 + s.l2, s.m + s.L)
+
+    @pytest.mark.parametrize("move", MOVES, ids=[m.strength for m in MOVES])
+    def test_every_gate_holds_at_both_ends(self, move):
+        # the Hamiltonian gates a hop at its source, the closure at
+        # whichever end it stands on
+        for s in full_space():
+            if (t := move.step(s)) is not None:
+                for gating in GATINGS:
+                    assert move.gate(s, gating) == move.gate(t, gating)
+
+    def test_initial_components_have_n_zero(self):
+        assert {gauge_label(s) for s in INITIAL_COMPONENTS} == {0}
 
 
 class TestDump:
