@@ -153,8 +153,6 @@ def envelope(times, values, window: int):
         raise ValueError("window must be a positive odd sample count")
     if window > values.size:
         raise WindowTooLarge(f"window {window} > series length {values.size}")
-    if window == 1:
-        return times.copy(), values.copy()
     peaks = np.lib.stride_tricks.sliding_window_view(values, window).max(-1)
     half = (window - 1) // 2
     return times[half:times.size - half], peaks

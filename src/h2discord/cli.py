@@ -46,9 +46,10 @@ _SWEEPS = {
 }
 SWEEPS = tuple(_SWEEPS)
 KINDS = ("discord-series", *SWEEPS)
-# the CSVs any kind writes at the top of its run directory
-_CSVS = ("observables.csv", "discord.csv", "fit.csv", "rho.csv",
-         "sweep.csv", "sweep_peak.csv", "law.csv")
+# the CSVs and plot scripts any kind writes at the top of its run directory
+_ARTIFACTS = ("observables.csv", "discord.csv", "fit.csv", "rho.csv",
+              "sweep.csv", "sweep_peak.csv", "law.csv", "plot_discord.py",
+              "plot_observables.py", "plot_sweep.py")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -180,7 +181,6 @@ KEYS = (
     Key("gamma", G_MULTIPLE, "0", recorded=False),
     *(Key(jump.decay, G_MULTIPLE, lambda v: v["gamma"]) for jump in JUMPS),
     *(Key(jump.influx, G_MULTIPLE, "0") for jump in JUMPS),
-    *(_field_key(GatingPolicy, f.name, BOOL) for f in fields(GatingPolicy)),
     Key("space_mode", _choice(MODE_CLOSURE, MODE_TABLE), MODE_TABLE),
     Key("periods_factor", POSITIVE, "1.45"),
     Key("dt", POSITIVE, _from_scale(lambda params, v: default_dt(params))),
@@ -202,7 +202,6 @@ class ExperimentConfig:
     kind: str
     out: str
     params: ModelParams
-    gating: GatingPolicy
     space_mode: str
     sweep_values: tuple
     dump_rho: bool
@@ -214,9 +213,10 @@ class ExperimentConfig:
     space: StateSpace = field(default=None, init=False)
     points: list = field(default_factory=list, init=False)
 
-    # the seeds and decays closure mode closes over, and the record grid,
-    # as perfbench's workload checks read them
+    # the seeds, gates and decays closure mode closes over, and the record
+    # grid, as perfbench's workload checks read them
     seeds = INITIAL_COMPONENTS
+    gating = GatingPolicy()
     include_dissipation = True
     dt = property(lambda self: self.sim.dt)
     t_end = property(lambda self: self.sim.t_end)
@@ -281,12 +281,6 @@ def _check(v: dict, params: ModelParams, given, swept):
             raise ConfigTypeError(
                 f"TypeError: {kind} takes no {name}{_origin(given[name][1])}"
                 f": each sweep point sets {', '.join(swept)} to x g_up")
-    # every gating gives the same H on the 26 table states; jumps read none
-    gated = [f.name for f in fields(GatingPolicy) if f.name in given]
-    if v["space_mode"] == MODE_TABLE and gated:
-        raise ConfigTypeError(
-            f"TypeError: {gated[0]}{_origin(given[gated[0]][1])} changes "
-            "nothing on the table-compat space; give space_mode=closure")
     if params.g_up == 0 and kind in SWEEPS:
         raise ConfigTypeError(f"TypeError: {kind} needs a positive g_up; "
                               "sweep_values are in units of g_up")
@@ -321,8 +315,7 @@ def resolve_config(entries: dict) -> ExperimentConfig:
     # a sweep's record leaves out the keys it sweeps; each point's has them
     resolved = {key.name: key.type.show(v[key.name]) for key in KEYS
                 if key.recorded and key.name in v and key.name not in swept}
-    config = _bind(ExperimentConfig, v, params=params,
-                   gating=_bind(GatingPolicy, v), resolved=resolved)
+    config = _bind(ExperimentConfig, v, params=params, resolved=resolved)
     if config.kind in SWEEPS:
         config.points = _sweep_points(config, entries)
         return config
@@ -371,7 +364,7 @@ def _build_space(config: ExperimentConfig):
     closed under the moves, every decay and each positive influx."""
     if config.space_mode == MODE_TABLE:
         return table_space()
-    return generate_space(INITIAL_COMPONENTS, config.params, config.gating)
+    return generate_space(INITIAL_COMPONENTS, config.params)
 
 
 def _csv(header, rows):
@@ -446,8 +439,8 @@ def _run(config: ExperimentConfig, out: Path) -> tuple:
                 fh.write(line + "\n")
         written.append(path)
 
-    # a rerun into this directory leaves no CSV this run does not write
-    for name in _CSVS:
+    # a rerun into this directory leaves no artifact this run does not write
+    for name in _ARTIFACTS:
         (out / name).unlink(missing_ok=True)
     kind = config.kind
     if kind == "discord-series":
@@ -536,7 +529,7 @@ def _discord_artifacts(config, points, notes, emit):
 
 def _run_series(config: ExperimentConfig):
     return run_discord_series(config.params, config.sim, space=config.space,
-                              gating=config.gating, search=config.search)
+                              search=config.search)
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,6 @@
 import dataclasses
 import importlib
 import inspect
-import itertools
 import math
 import re
 from pathlib import Path
@@ -278,10 +277,8 @@ class TestResolveConfig:
     def test_search_defaults_are_search_config_defaults(self):
         config = resolve("", kind="discord-series")
         assert config.search == SearchConfig()
-        # and the gating keys' defaults are GatingPolicy's
+        # every CLI run takes the paper's gates, which perfbench reads
         assert config.gating == GatingPolicy()
-        for field in dataclasses.fields(GatingPolicy):
-            assert config.resolved[field.name] is field.default
 
     def test_rate_keys_are_the_jump_fields(self):
         # the decays, then the influxes; gamma sets every decay
@@ -300,22 +297,14 @@ class TestResolveConfig:
 
     @pytest.mark.parametrize("rates", ["", "gamma=g\n", "influx_up=0.3g\n"],
                              ids=["closed", "loss", "influx"])
-    @pytest.mark.parametrize("mode,switches", [
-        ("table-compat", ()),  # which takes no gating key
-        *(("closure", switches)
-          for switches in itertools.product(("true", "false"), repeat=2))],
-        ids=["table-compat", *("closure-" + "-".join(switches) for switches
-                               in itertools.product(("true", "false"),
-                                                    repeat=2))])
+    @pytest.mark.parametrize("mode", ["table-compat", "closure"])
     def test_every_space_holds_the_initial_state_and_the_jump_images(
-            self, mode, switches, rates):
+            self, mode, rates):
         # the table holds the initial components, and closure mode closes
-        # them under every decay and each positive influx, under every
-        # gating
-        gating = "".join(f"{field.name}={switch}\n" for field, switch
-                         in zip(dataclasses.fields(GatingPolicy), switches))
-        config = resolve(f"space_mode={mode}\nt_end=1e-7\n" + rates
-                         + gating, kind="discord-series")
+        # them under every decay and each positive influx (under every
+        # gating in test_statespace)
+        config = resolve(f"space_mode={mode}\nt_end=1e-7\n" + rates,
+                         kind="discord-series")
         assert config.space.mode == mode
         initial_state(config.space)
         build_jump_channels(config.params, config.space)
@@ -331,6 +320,12 @@ def write_config(tmp_path, text, name="exp.cfg"):
 LAW = "kind=period-law\nzeta=0\nsweep_values=0.1,0.2\n"
 PEAKS = ("kind=sweep-g-omega\ngamma=g\nt_end=2e-7\nsweep_values=0.1,0.2\n"
          "theta_points=5\n")
+
+# a series and a one-point sweep write no top-level artifact in common
+# but run-metadata.txt
+SERIES = "kind=discord-series\nt_end=2e-7\n"
+ONE_PEAK = ("kind=sweep-g-omega\ngamma=g\nt_end=2e-7\nsweep_values=0.1\n"
+            "theta_points=5\n")
 
 SMALL_SERIES = ("kind=discord-series\n"
                 "g_omega=0.1g\n"
@@ -929,43 +924,48 @@ class TestMain:
         ("kind=discord-series\nzeta=0\n",
          "kind=discord-series\nzeta=0\ngamma=g\nt_end=2e-7\n", ["fit.csv"]),
         (LAW, PEAKS, ["law.csv", "sweep.csv"]),
-        (PEAKS, LAW, ["sweep_peak.csv"])],
-        ids=["rho", "fit", "law-then-peaks", "peaks-then-law"])
+        (PEAKS, LAW, ["sweep_peak.csv"]),
+        (SERIES, ONE_PEAK, ["plot_discord.py", "plot_observables.py"]),
+        (ONE_PEAK, SERIES, ["plot_sweep.py"])],
+        ids=["rho", "fit", "law-then-peaks", "peaks-then-law",
+             "series-then-peaks", "peaks-then-series"])
     def test_rerun_removes_the_files_it_does_not_write(
             self, tmp_path, capsys, first, second, stale):
         # the sweeps share their point directories, which the points'
-        # own runs clear
+        # own runs clear; a series keeps a sweep's point directories
         out = tmp_path / "o"
         for text in (first, second):
             path = write_config(tmp_path, text)
             assert main(["run", path, "--out", str(out)]) == 0
             written = capsys.readouterr().out.split()
         assert not any((out / name).exists() for name in stale)
-        assert sorted(p for p in out.rglob("*") if p.is_file()) == \
-            sorted(Path(p) for p in written)
+        if SERIES in (first, second):
+            assert sorted(p for p in out.iterdir() if p.is_file()) == \
+                sorted(Path(p) for p in written if Path(p).parent == out)
+        else:
+            assert sorted(p for p in out.rglob("*") if p.is_file()) == \
+                sorted(Path(p) for p in written)
 
     @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
+    @pytest.mark.parametrize("mode", ["table-compat", "closure"])
     @pytest.mark.parametrize("text,flags,origin", [
         ("kind=discord-series\nt_end=1e-7\n{key}=false\n", [], "line 3"),
         ("kind=sweep-g-omega\ngamma=g\n", ["--override", "{key}=true"],
          "--override")], ids=["series", "sweep"])
     @pytest.mark.parametrize("key", [field.name for field
                                      in dataclasses.fields(GatingPolicy)])
-    def test_table_compat_refuses_gating_keys(self, tmp_path, capsys, key,
-                                              text, flags, origin, command):
-        # every gating gives the same H on the 26 table states, so a
-        # gating key there would be recorded and change nothing
+    def test_gating_keys_exit_as_unknown_keys(self, tmp_path, capsys, key,
+                                              text, flags, origin, mode,
+                                              command):
+        # every CLI run takes the paper's gates; GatingPolicy is the
+        # library's
         path = write_config(tmp_path, text.format(key=key))
         flags = [flag.format(key=key) for flag in flags]
-        assert main([command, path, *flags,
-                     "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err == (f"config error: TypeError: {key} ({origin}) changes "
-                       "nothing on the table-compat space; give "
-                       "space_mode=closure\n")
+        assert main([command, path, *flags, "--override",
+                     f"space_mode={mode}", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: unknown key {key!r} ({origin})\n"
         assert not (tmp_path / "o").exists()
-        assert main(["validate", path, *flags,
-                     "--override", "space_mode=closure"]) == 0
 
     @pytest.mark.parametrize("command", ["validate", "dump-space", "run"])
     def test_full_space_mode_exits_as_config_error(self, tmp_path, capsys,

@@ -49,8 +49,7 @@ class TestHamiltonian:
         assert np.allclose(col, 0.0)
 
     def test_table_space_hamiltonian_ignores_gating(self):
-        # each move that a switch opens leads out of the 26 table states,
-        # so the CLI refuses a gating key on that space
+        # each move that a switch opens leads out of the 26 table states
         rng = np.random.default_rng(11)
         sp = table_space()
         gatings = [GatingPolicy(*flags) for flags in itertools.product(

@@ -4,14 +4,17 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from h2discord.dynamics import initial_state
 from h2discord.errors import EmptySeeds, SeedOutsideCompatTable
-from h2discord.operators import ModelParams
-from h2discord.statespace import MOVES, BasisState, GatingPolicy, \
+from h2discord.operators import ModelParams, build_jump_channels
+from h2discord.statespace import JUMPS, MOVES, BasisState, GatingPolicy, \
     INITIAL_COMPONENTS, TABLE_STATES, generate_space, table_space
 
 from oracles import decode, encode, full_space
 
 PARAMS = ModelParams()
+GATINGS = [GatingPolicy(*flags) for flags in itertools.product(
+    (True, False), repeat=len(dataclasses.fields(GatingPolicy)))]
 
 # transcribed reduced-basis listing, index and bitstring
 TABLE_LISTING = {
@@ -158,14 +161,25 @@ class TestGenerateSpace:
                             include_dissipation=False)
         assert state("0000011") not in sp
 
+    @pytest.mark.parametrize("rates", [
+        {}, {jump.decay: PARAMS.g_up for jump in JUMPS},
+        {"influx_up": 0.3 * PARAMS.g_up}], ids=["closed", "loss", "influx"])
+    @pytest.mark.parametrize("gating", GATINGS, ids=[
+        "-".join(str(flag).lower() for flag in dataclasses.astuple(gating))
+        for gating in GATINGS])
+    def test_closure_holds_the_initial_state_and_the_jump_images(
+            self, gating, rates):
+        # the closure of the initial components under every decay and
+        # each positive influx, under every gating
+        params = dataclasses.replace(PARAMS, **rates)
+        space = generate_space(INITIAL_COMPONENTS, params, gating)
+        initial_state(space)
+        build_jump_channels(params, space)
+
 
 def gauge_label(s):
     """n = p1 + p2 + m + k, the label of the gauge diag(i^n)."""
     return s.p1 + s.p2 + s.m + s.k
-
-
-GATINGS = [GatingPolicy(*flags) for flags in itertools.product(
-    (True, False), repeat=len(dataclasses.fields(GatingPolicy)))]
 
 
 class TestMoves:
